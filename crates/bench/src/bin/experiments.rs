@@ -853,9 +853,11 @@ fn manifest_diff(baseline_path: &str, current_path: &str) -> ! {
 }
 
 /// Work rates whose regression fails `bench-compare`. The shot hot path
-/// dominates the smoke profile's quantum stages; the SQA sweep and anneal
-/// read rates gate the packed bit-parallel annealing kernel so a future
-/// change cannot silently give back its speedup. The two serving rates
+/// dominates the smoke profile's quantum stages; the gradient-descent
+/// iteration rate gates the QAOA parameter loop and its level-indexed
+/// cost layer; the SQA sweep and anneal read rates gate the packed
+/// bit-parallel annealing kernel. Each floor keeps a future change from
+/// silently giving back its speedup. The two serving rates
 /// gate the request loop: `serve.requests_per_sec` is its throughput and
 /// `serve.cache_hit_rate` the fraction of formulations answered from the
 /// content-addressed cache (a ratio in [0, 1], not a per-second rate —
@@ -864,6 +866,7 @@ fn manifest_diff(baseline_path: &str, current_path: &str) -> ! {
 /// `RATE_PAIRS` are reported informationally.
 const GATED_RATES: &[&str] = &[
     "gatesim.shots_per_sec",
+    "gatesim.gd_iterations_per_sec",
     "sqa.sweeps_per_sec",
     "anneal.reads_per_sec",
     "serve.requests_per_sec",
@@ -1226,6 +1229,7 @@ fn finish_trace(options: &Options) -> Option<qjo_obs::trace::TraceStats> {
 /// inside the span).
 const RATE_PAIRS: &[(&str, &str, &str)] = &[
     ("anneal.reads", "anneal.sample", "anneal.reads_per_sec"),
+    ("gatesim.gd_iterations", "gatesim.optim.gd", "gatesim.gd_iterations_per_sec"),
     ("gatesim.shots", "gatesim.noisy.sample", "gatesim.shots_per_sec"),
     ("robust.evals", "robust.eval", "robust.evals_per_sec"),
     ("sa.sweeps", "qubo.sa.sample", "sa.sweeps_per_sec"),

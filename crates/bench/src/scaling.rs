@@ -215,8 +215,8 @@ pub fn run_qaoa_depth(max_p: usize, seed: u64) -> Vec<QaoaDepthRow> {
     let query = gen.with_predicate_count(seed, 1);
     let enc = JoEncoder::default().encode(&query);
     let sim = QaoaSimulator::new(&enc.qubo);
-    let ground = sim.hamiltonian().min_energy();
-    let energies = sim.hamiltonian().energies().to_vec();
+    let hamiltonian = sim.hamiltonian();
+    let ground = hamiltonian.min_energy();
 
     let mut rows = Vec::new();
     let mut warm = QaoaParams { gammas: vec![0.1], betas: vec![0.1] };
@@ -230,9 +230,9 @@ pub fn run_qaoa_depth(max_p: usize, seed: u64) -> Vec<QaoaDepthRow> {
         let probs = state.probabilities();
         let ground_probability = probs
             .iter()
-            .zip(&energies)
-            .filter(|&(_, &e)| (e - ground).abs() < 1e-9)
-            .map(|(p, _)| p)
+            .enumerate()
+            .filter(|&(z, _)| (hamiltonian.energy(z) - ground).abs() < 1e-9)
+            .map(|(_, p)| p)
             .sum();
         rows.push(QaoaDepthRow { p, expectation: result.fx, ground_probability });
     }

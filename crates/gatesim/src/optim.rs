@@ -105,6 +105,7 @@ impl GradientDescent {
     /// the iterate reverts to the best known point and the run continues,
     /// counted under `resil.qaoa.step.divergences`.
     pub fn minimize<F: FnMut(&[f64]) -> f64>(&self, f: F, x0: &[f64]) -> OptResult {
+        let _span = qjo_obs::span!("gatesim.optim.gd");
         qjo_obs::counter!("gatesim.gd_iterations").add(self.iterations as u64);
         let d = x0.len();
         let mut f = ChaosObjective::new(f);

@@ -12,52 +12,79 @@
 //!   cost network, RX mixer) — this is what gets transpiled onto hardware
 //!   topologies and fed to the noisy simulator.
 //! * [`QaoaSimulator`] evaluates the same unitary through a precomputed
-//!   diagonal energy table, which is the fast path used inside classical
-//!   parameter-optimisation loops.
+//!   [`DiagonalHamiltonian`], the fast path used inside classical
+//!   parameter-optimisation loops: each cost layer costs one `e^{−iγE}` per
+//!   *distinct* energy level plus one gather per basis state.
+
+use std::collections::HashMap;
 
 use rand::RngExt;
 
 use qjo_qubo::{IsingModel, Qubo};
 
 use crate::circuit::Circuit;
+use crate::complex::C64;
 use crate::gate::Gate;
 use crate::statevector::StateVector;
 
 /// A problem Hamiltonian that is diagonal in the computational basis,
-/// materialised as an energy-per-basis-state table.
+/// stored as its distinct energy levels plus a level index per basis
+/// state.
 ///
-/// Built once per problem in O(2^n · m) via a Gray-code walk, then every
-/// cost-layer application and expectation evaluation is a linear scan.
+/// The level contract:
+///
+/// * [`levels`](Self::levels) holds each distinct energy exactly once,
+///   distinct by bit pattern, in the order the construction first meets
+///   them;
+/// * [`level_of`](Self::level_of)`[z]` is the level of basis state `z`, and
+///   every level is referenced by at least one basis state;
+/// * [`energy`](Self::energy)`(z)` is `levels[level_of[z]]`, the exact `f64`
+///   the O(2^n · m) Gray-code walk over the QUBO computes for `z`.
+///
+/// QUBOs from join ordering have a few hundred levels over 2^19 states, so
+/// a cost layer evaluates a few hundred `cis` instead of one per basis
+/// state. It multiplies amplitude `z` by the phase of `energy(z)` and the
+/// expectation sums `|a_z|²·energy(z)` in basis-index order, so both are
+/// bit-identical to a dense per-state energy table.
 #[derive(Debug, Clone)]
 pub struct DiagonalHamiltonian {
     num_qubits: usize,
-    energies: Vec<f64>,
+    levels: Vec<f64>,
+    level_of: Vec<u32>,
 }
 
 impl DiagonalHamiltonian {
-    /// Tabulates the energies of a QUBO for every basis state.
+    /// Tabulates the energy level of a QUBO for every basis state.
     ///
     /// Basis index `z` assigns variable `i` the bit `z >> i & 1`.
     pub fn from_qubo(qubo: &Qubo) -> Self {
         let n = qubo.num_vars();
-        assert!(n <= 30, "energy table for {n} qubits will not fit in memory");
+        assert!(n <= 30, "level table for {n} qubits will not fit in memory");
         let compiled = qubo.compile();
-        let mut energies = vec![0.0f64; 1usize << n];
+        let mut levels = Vec::new();
+        let mut index_of_bits: HashMap<u64, u32> = HashMap::new();
+        let mut intern = |e: f64| {
+            *index_of_bits.entry(e.to_bits()).or_insert_with(|| {
+                levels.push(e);
+                (levels.len() - 1) as u32
+            })
+        };
+        let mut level_of = vec![0u32; 1usize << n];
         let mut x = vec![false; n];
         let mut e = qubo.offset();
-        energies[0] = e;
+        level_of[0] = intern(e);
         let mut gray = 0usize;
         for step in 1..1usize << n {
             let flip = step.trailing_zeros() as usize;
             e += compiled.flip_gain(&x, flip);
             x[flip] = !x[flip];
             gray ^= 1 << flip;
-            energies[gray] = e;
+            level_of[gray] = intern(e);
         }
-        DiagonalHamiltonian { num_qubits: n, energies }
+        DiagonalHamiltonian { num_qubits: n, levels, level_of }
     }
 
-    /// Tabulates the energies of an Ising model (spin `+1` for bit `1`).
+    /// Tabulates the energy levels of an Ising model (spin `+1` for bit `1`).
     pub fn from_ising(ising: &IsingModel) -> Self {
         Self::from_qubo(&ising.to_qubo())
     }
@@ -67,19 +94,45 @@ impl DiagonalHamiltonian {
         self.num_qubits
     }
 
-    /// The full energy table indexed by basis state.
-    pub fn energies(&self) -> &[f64] {
-        &self.energies
+    /// The distinct energy levels, each once.
+    pub fn levels(&self) -> &[f64] {
+        &self.levels
+    }
+
+    /// The level index of every basis state (length `2^n`).
+    pub fn level_of(&self) -> &[u32] {
+        &self.level_of
     }
 
     /// Energy of one basis state.
     pub fn energy(&self, z: usize) -> f64 {
-        self.energies[z]
+        self.levels[self.level_of[z] as usize]
     }
 
     /// The ground-state energy.
     pub fn min_energy(&self) -> f64 {
-        self.energies.iter().copied().fold(f64::INFINITY, f64::min)
+        self.levels.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// The cost operator `e^{−iγH}`: multiplies amplitude `z` by
+    /// `e^{−iγ·energy(z)}`, evaluating one phase per level.
+    fn apply_cost(&self, state: &mut StateVector, gamma: f64) {
+        assert_eq!(state.num_qubits(), self.num_qubits, "state/Hamiltonian size mismatch");
+        let phases: Vec<C64> = self.levels.iter().map(|&e| C64::cis(-gamma * e)).collect();
+        for (amp, &level) in state.amplitudes_mut().iter_mut().zip(&self.level_of) {
+            *amp *= phases[level as usize];
+        }
+    }
+
+    /// `⟨ψ|H|ψ⟩`, summed in basis-index order.
+    fn expectation(&self, state: &StateVector) -> f64 {
+        assert_eq!(state.num_qubits(), self.num_qubits, "state/Hamiltonian size mismatch");
+        state
+            .amplitudes()
+            .iter()
+            .zip(&self.level_of)
+            .map(|(a, &level)| a.norm_sqr() * self.levels[level as usize])
+            .sum()
     }
 }
 
@@ -105,8 +158,19 @@ impl QaoaParams {
     }
 
     /// Number of layers.
+    ///
+    /// # Panics
+    ///
+    /// If `gammas` and `betas` differ in length: every layer needs one
+    /// angle of each.
     pub fn p(&self) -> usize {
-        debug_assert_eq!(self.gammas.len(), self.betas.len());
+        assert_eq!(
+            self.gammas.len(),
+            self.betas.len(),
+            "QaoaParams needs one gamma and one beta per layer, got {} gammas and {} betas",
+            self.gammas.len(),
+            self.betas.len()
+        );
         self.gammas.len()
     }
 }
@@ -177,21 +241,16 @@ pub fn qaoa_circuit(ising: &IsingModel, params: &QaoaParams) -> Circuit {
     c
 }
 
-/// Noiseless QAOA evaluation through the diagonal energy table.
+/// Noiseless QAOA evaluation through the diagonal Hamiltonian's levels.
 #[derive(Debug, Clone)]
 pub struct QaoaSimulator {
     hamiltonian: DiagonalHamiltonian,
-    /// Constant subtracted from nothing — kept so sampled energies match the
-    /// original model exactly (the table already includes the offset).
-    num_qubits: usize,
 }
 
 impl QaoaSimulator {
     /// Creates a simulator for the given QUBO problem.
     pub fn new(qubo: &Qubo) -> Self {
-        let hamiltonian = DiagonalHamiltonian::from_qubo(qubo);
-        let num_qubits = hamiltonian.num_qubits();
-        QaoaSimulator { hamiltonian, num_qubits }
+        QaoaSimulator { hamiltonian: DiagonalHamiltonian::from_qubo(qubo) }
     }
 
     /// The underlying diagonal Hamiltonian.
@@ -201,16 +260,17 @@ impl QaoaSimulator {
 
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.hamiltonian.num_qubits()
     }
 
     /// Prepares the QAOA state for the given parameters.
     pub fn state(&self, params: &QaoaParams) -> StateVector {
-        let mut s = StateVector::plus(self.num_qubits);
+        let n = self.num_qubits();
+        let mut s = StateVector::plus(n);
         for layer in 0..params.p() {
-            s.apply_diagonal_cost(self.hamiltonian.energies(), params.gammas[layer]);
+            self.hamiltonian.apply_cost(&mut s, params.gammas[layer]);
             let beta = params.betas[layer];
-            for q in 0..self.num_qubits {
+            for q in 0..n {
                 s.apply(Gate::Rx(q, 2.0 * beta));
             }
         }
@@ -219,7 +279,7 @@ impl QaoaSimulator {
 
     /// `⟨ψ(γ,β)| H |ψ(γ,β)⟩` — the objective the classical loop minimises.
     pub fn expectation(&self, params: &QaoaParams) -> f64 {
-        self.state(params).expectation_diagonal(self.hamiltonian.energies())
+        self.hamiltonian.expectation(&self.state(params))
     }
 
     /// Samples measurement shots from the QAOA state, packed one row per
@@ -266,9 +326,31 @@ mod tests {
         let q = antiferro_pair();
         let a = DiagonalHamiltonian::from_qubo(&q);
         let b = DiagonalHamiltonian::from_ising(&q.to_ising());
-        for (x, y) in a.energies().iter().zip(b.energies()) {
-            assert!((x - y).abs() < 1e-12);
+        for z in 0..4usize {
+            assert!((a.energy(z) - b.energy(z)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn levels_intern_each_distinct_energy_once() {
+        // The pair has energies 0 (z = 0), -1 (z = 1, 2) and 0 (z = 3).
+        let h = DiagonalHamiltonian::from_qubo(&antiferro_pair());
+        assert_eq!(h.levels(), &[0.0, -1.0]);
+        assert_eq!(h.level_of(), &[0, 1, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one gamma and one beta per layer, got 2 gammas and 1 betas")]
+    fn state_rejects_more_gammas_than_betas() {
+        let sim = QaoaSimulator::new(&antiferro_pair());
+        sim.state(&QaoaParams { gammas: vec![0.1, 0.2], betas: vec![0.3] });
+    }
+
+    #[test]
+    #[should_panic(expected = "one gamma and one beta per layer, got 1 gammas and 2 betas")]
+    fn circuit_rejects_more_betas_than_gammas() {
+        let ising = antiferro_pair().to_ising();
+        qaoa_circuit(&ising, &QaoaParams { gammas: vec![0.1], betas: vec![0.2, 0.3] });
     }
 
     #[test]
@@ -281,7 +363,7 @@ mod tests {
             assert!((p - 0.25).abs() < 1e-12);
         }
         // Expectation at zero parameters = mean energy.
-        let mean: f64 = sim.hamiltonian().energies().iter().sum::<f64>() / 4.0;
+        let mean: f64 = (0..4).map(|z| sim.hamiltonian().energy(z)).sum::<f64>() / 4.0;
         assert!((sim.expectation(&params) - mean).abs() < 1e-12);
     }
 

@@ -45,6 +45,12 @@ impl StateVector {
         &self.amps
     }
 
+    /// Mutable amplitudes, for operators applied outside the gate set such
+    /// as the QAOA cost layer. The caller keeps the state normalised.
+    pub fn amplitudes_mut(&mut self) -> &mut [C64] {
+        &mut self.amps
+    }
+
     /// Applies one gate in place.
     ///
     /// Uses specialised kernels where the gate structure allows it:
@@ -300,21 +306,6 @@ impl StateVector {
                 self.amps[target] = acc;
             }
         }
-    }
-
-    /// Multiplies each amplitude `z` by `e^{−iγ·energies[z]}` — the QAOA
-    /// cost-operator fast path for a diagonal Hamiltonian.
-    pub fn apply_diagonal_cost(&mut self, energies: &[f64], gamma: f64) {
-        assert_eq!(energies.len(), self.amps.len(), "energy table size mismatch");
-        for (amp, &e) in self.amps.iter_mut().zip(energies) {
-            *amp *= C64::cis(-gamma * e);
-        }
-    }
-
-    /// `⟨ψ| diag(energies) |ψ⟩`.
-    pub fn expectation_diagonal(&self, energies: &[f64]) -> f64 {
-        assert_eq!(energies.len(), self.amps.len(), "energy table size mismatch");
-        self.amps.iter().zip(energies).map(|(a, &e)| a.norm_sqr() * e).sum()
     }
 
     /// Measurement probability of each basis state.
@@ -583,32 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_diagonal_cost_matches_rz_rzz_network() {
-        // For H = z0 + 2 z0 z1 (spin variables via bits), phases from the
-        // energy table must match explicit RZ/RZZ gates up to global phase.
-        let energies: Vec<f64> = (0..4u32)
-            .map(|z| {
-                let s0 = if z & 1 != 0 { 1.0 } else { -1.0 };
-                let s1 = if z & 2 != 0 { 1.0 } else { -1.0 };
-                s0 + 2.0 * s0 * s1
-            })
-            .collect();
-        let gamma = 0.613;
-
-        let mut table = StateVector::plus(2);
-        table.apply_diagonal_cost(&energies, gamma);
-
-        // With s = +1 for bit = 1 and Z eigenvalue +1 for bit = 0, we have
-        // s_i = −Z_i, hence e^{−iγ h s_i} = RZ(−2γh) and
-        // e^{−iγ J s_i s_j} = RZZ(2γJ) (the two sign flips cancel).
-        let mut gates = StateVector::plus(2);
-        gates.apply(Rz(0, -2.0 * gamma));
-        gates.apply(Rzz(0, 1, 4.0 * gamma));
-
-        assert!(table.fidelity(&gates) > 1.0 - 1e-10);
-    }
-
-    #[test]
     fn sampling_matches_probabilities() {
         let mut s = StateVector::zero(2);
         s.apply(H(0)); // uniform over qubit 0, qubit 1 stays 0
@@ -646,13 +611,5 @@ mod tests {
         s.amps[0] = C64::real(2.0);
         s.renormalize();
         assert!((s.norm_sqr() - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn expectation_diagonal_weights_by_probability() {
-        let mut s = StateVector::zero(1);
-        s.apply(H(0));
-        let e = s.expectation_diagonal(&[3.0, 7.0]);
-        assert!((e - 5.0).abs() < EPS);
     }
 }

@@ -8,9 +8,10 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use qjo_core::{JoEncoder, QueryGenerator, QueryGraph};
 use qjo_gatesim::gate::Gate;
 use qjo_gatesim::{
-    qaoa_circuit, Circuit, DiagonalHamiltonian, QaoaParams, QaoaSimulator, StateVector,
+    qaoa_circuit, Circuit, DiagonalHamiltonian, QaoaParams, QaoaSimulator, StateVector, C64,
 };
 use qjo_qubo::Qubo;
 
@@ -134,7 +135,7 @@ fn depth_invariants() {
     });
 }
 
-/// The diagonal energy table agrees with direct QUBO evaluation.
+/// The diagonal Hamiltonian's energies agree with direct QUBO evaluation.
 #[test]
 fn energy_table_is_exact() {
     for_cases(32, |rng, case| {
@@ -179,9 +180,97 @@ fn qaoa_expectation_stays_in_spectrum() {
         let sim = QaoaSimulator::new(&q);
         let params = QaoaParams { gammas: vec![gamma], betas: vec![beta] };
         let e = sim.expectation(&params);
-        let energies = sim.hamiltonian().energies();
-        let min = energies.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = energies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let levels = sim.hamiltonian().levels();
+        let min = levels.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = levels.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         assert!(e >= min - 1e-9 && e <= max + 1e-9, "case {case}: {e} outside [{min}, {max}]");
+    });
+}
+
+/// Dense reference for [`QaoaSimulator`]: one `cis` per basis state, the
+/// `Gate::Rx` mixer, and `Σ|a_z|²·E(z)` summed in basis-index order.
+fn dense_qaoa(h: &DiagonalHamiltonian, params: &QaoaParams) -> (StateVector, f64) {
+    let n = h.num_qubits();
+    let mut s = StateVector::plus(n);
+    for (&gamma, &beta) in params.gammas.iter().zip(&params.betas) {
+        for (z, amp) in s.amplitudes_mut().iter_mut().enumerate() {
+            *amp *= C64::cis(-gamma * h.energy(z));
+        }
+        for q in 0..n {
+            s.apply(Gate::Rx(q, 2.0 * beta));
+        }
+    }
+    let e = s.amplitudes().iter().enumerate().map(|(z, a)| a.norm_sqr() * h.energy(z)).sum();
+    (s, e)
+}
+
+/// Checks the level contract of `h`: levels pairwise distinct by bits,
+/// every level referenced, and the ground energy the minimum over states.
+fn assert_level_contract(h: &DiagonalHamiltonian, label: &str) {
+    let levels = h.levels();
+    let distinct: std::collections::HashSet<u64> = levels.iter().map(|e| e.to_bits()).collect();
+    assert_eq!(distinct.len(), levels.len(), "{label}: a level repeats");
+    let mut referenced = vec![false; levels.len()];
+    for &level in h.level_of() {
+        referenced[level as usize] = true;
+    }
+    assert!(referenced.iter().all(|&r| r), "{label}: a level no basis state uses");
+    let min = (0..h.level_of().len()).map(|z| h.energy(z)).fold(f64::INFINITY, f64::min);
+    assert_eq!(h.min_energy(), min, "{label}");
+}
+
+/// Checks that the level-indexed engine reproduces [`dense_qaoa`] bit for
+/// bit over the γ range gradient descent visits (it pushes γ to 10^6) and
+/// p ∈ {1, 2}.
+fn assert_bit_identical_to_dense(sim: &QaoaSimulator, rng: &mut StdRng, label: &str) {
+    for gamma in [1e-3, 0.7, 1e3, 1e6] {
+        for p in 1..=2 {
+            let gammas = (0..p).map(|layer| gamma / (layer + 1) as f64).collect();
+            let betas = (0..p).map(|_| rng.random_range(-1.5..1.5)).collect();
+            let params = QaoaParams { gammas, betas };
+            let (state, e) = dense_qaoa(sim.hamiltonian(), &params);
+            let case = format!("{label}, γ = {gamma}, p = {p}");
+            assert_eq!(sim.expectation(&params).to_bits(), e.to_bits(), "{case}: expectation");
+            let fast = sim.state(&params);
+            for (z, (a, b)) in fast.amplitudes().iter().zip(state.amplitudes()).enumerate() {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "{case}: amplitude {z}"
+                );
+            }
+        }
+    }
+}
+
+/// Random real QUBOs: every basis state has its own level.
+#[test]
+fn qaoa_levels_match_dense_reference_on_random_qubos() {
+    for_cases(8, |rng, case| {
+        let q = arb_qubo(rng, 6);
+        let sim = QaoaSimulator::new(&q);
+        let label = format!("random case {case}");
+        assert_eq!(sim.hamiltonian().levels().len(), 64, "{label}: energies should be distinct");
+        assert_level_contract(sim.hamiltonian(), &label);
+        assert_bit_identical_to_dense(&sim, rng, &label);
+    });
+}
+
+/// Join-ordering QUBOs: Table 2's 19-qubit cell (3-relation cycle, no
+/// predicates) has a few hundred levels shared by 2^19 basis states.
+#[test]
+fn qaoa_levels_match_dense_reference_on_join_ordering_qubos() {
+    let gen = QueryGenerator {
+        log_card_range: (1.0, 3.0),
+        ..QueryGenerator::paper_defaults(QueryGraph::Cycle, 3)
+    };
+    for_cases(1, |rng, case| {
+        let enc = JoEncoder::default().encode(&gen.with_predicate_count(case, 0));
+        let sim = QaoaSimulator::new(&enc.qubo);
+        let label = format!("JO case {case} ({} qubits)", sim.num_qubits());
+        let levels = sim.hamiltonian().levels().len();
+        assert!((100..1000).contains(&levels), "{label}: {levels} levels");
+        assert_level_contract(sim.hamiltonian(), &label);
+        assert_bit_identical_to_dense(&sim, rng, &label);
     });
 }
