@@ -20,9 +20,25 @@
 //! large-neighbourhood "kick" (tearing out *all* contended chains at once,
 //! with a grace period before snap-back) breaks multi-chain contention
 //! cycles that single-chain moves reproduce.
+//!
+//! The Dijkstra searches are nearly all of the embedder's time. They run on
+//! a private monotone radix queue keyed by the bit pattern of the tentative
+//! `f64` distance, and the queue pops exactly the `(distance, qubit)`
+//! sequence a binary min-heap of such pairs would pop:
+//!
+//! - distances start at `+0.0` and grow by costs `penalty_base^usage > 0`,
+//!   so keys are never negative or NaN, and their unsigned bit order is
+//!   their numeric order ([`Embedder::embed`] rejects any other base);
+//! - every push is `d + cost >= d` for the popped `d`, so keys never fall
+//!   below the last popped key, which is all a radix queue needs;
+//! - the entries equal to the last popped key drain in ascending qubit
+//!   order, and a push that rounding makes equal to it (`d + cost == d`)
+//!   is inserted at its place in that order, just where the heap pops it.
+//!
+//! Equal pops give equal distances and predecessors, so every chain, and
+//! therefore every embedding, is the one the heap-based search found.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
@@ -157,31 +173,163 @@ pub struct Embedder {
     pub max_tries: usize,
     /// Rip-up-and-re-route passes per try.
     pub improvement_passes: usize,
-    /// Base of the exponential overlap penalty.
+    /// Base of the exponential overlap penalty; must be finite and > 0.
     pub penalty_base: f64,
-    /// Ignored. Formerly a wall-clock budget in seconds; the budget is
-    /// now attempt-based (`max_tries`), so embedding outcomes are a pure
-    /// function of the inputs instead of machine speed. The field stays
-    /// so existing struct literals keep compiling.
-    #[deprecated(note = "wall-clock budgets are gone; bound work with `max_tries` instead")]
-    pub time_budget_secs: Option<f64>,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for Embedder {
-    #[allow(deprecated)]
     fn default() -> Self {
-        Embedder {
-            max_tries: 8,
-            improvement_passes: 64,
-            penalty_base: 8.0,
-            time_budget_secs: None,
-            seed: 0,
-        }
+        Embedder { max_tries: 8, improvement_passes: 64, penalty_base: 8.0, seed: 0 }
     }
 }
 
+/// Monotone radix queue of `(distance, qubit)` entries for
+/// [`State::dijkstra_into`] (its exactness contract is in the module docs).
+///
+/// A key is the bit pattern of a non-negative, non-NaN distance, and no
+/// push is below the last popped key `last`. `buckets[i]` holds the entries
+/// whose key first differs from `last` at bit `i`, so a lower bucket holds
+/// only smaller keys. The entries whose key equals `last` are the set bits
+/// of `ties`, a bitset over qubits, and pop in ascending qubit order. A
+/// qubit's keys strictly decrease from push to push, so the bitset loses
+/// nothing: only a source listed twice pushes a pair twice, and the
+/// heap's second pop of it relaxes no edge.
+struct RadixQueue {
+    last: u64,
+    ties: Vec<u64>,
+    num_ties: usize,
+    /// No word of `ties` before this one has a bit set; `usize::MAX` while
+    /// `ties` is empty.
+    first_tie_word: usize,
+    buckets: [Vec<(u64, usize)>; 64],
+    /// Bit `i` set iff `buckets[i]` is non-empty.
+    occupied: u64,
+}
+
+impl RadixQueue {
+    /// An empty queue for qubits `0..num_qubits`.
+    fn new(num_qubits: usize) -> Self {
+        RadixQueue {
+            last: 0,
+            ties: vec![0; num_qubits.div_ceil(64)],
+            num_ties: 0,
+            first_tie_word: usize::MAX,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+        }
+    }
+
+    /// Empties the queue (keeping its allocations) and rewinds the key
+    /// floor to `+0.0`.
+    fn clear(&mut self) {
+        self.last = 0;
+        if self.num_ties != 0 {
+            self.ties.fill(0);
+            self.num_ties = 0;
+            self.first_tie_word = usize::MAX;
+        }
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.buckets[b].clear();
+            self.occupied &= self.occupied - 1;
+        }
+    }
+
+    fn push(&mut self, dist: f64, q: usize) {
+        let key = dist.to_bits();
+        debug_assert!(key >= self.last, "radix queue keys must never fall below the last pop");
+        if key == self.last {
+            self.push_tie(q);
+        } else {
+            self.push_bucket(key, q);
+        }
+    }
+
+    fn push_tie(&mut self, q: usize) {
+        let (word, bit) = (q / 64, 1u64 << (q % 64));
+        if self.ties[word] & bit == 0 {
+            self.ties[word] |= bit;
+            self.num_ties += 1;
+        }
+        self.first_tie_word = self.first_tie_word.min(word);
+    }
+
+    fn push_bucket(&mut self, key: u64, q: usize) {
+        let b = 63 - (key ^ self.last).leading_zeros() as usize;
+        self.buckets[b].push((key, q));
+        self.occupied |= 1 << b;
+    }
+
+    /// Pops the entry with the smallest key, ties broken by the smallest
+    /// qubit.
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        if self.num_ties == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            // The lowest non-empty bucket holds the smallest keys. Its
+            // minimum becomes `last`; the rest of the bucket moves to
+            // strictly lower buckets relative to the new `last`.
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            self.last = bucket.iter().map(|&(key, _)| key).min().expect("occupied bucket");
+            for &(key, q) in &bucket {
+                if key == self.last {
+                    self.push_tie(q);
+                } else {
+                    self.push_bucket(key, q);
+                }
+            }
+            bucket.clear();
+            self.buckets[b] = bucket;
+        }
+        while self.ties[self.first_tie_word] == 0 {
+            self.first_tie_word += 1;
+        }
+        let word = &mut self.ties[self.first_tie_word];
+        let q = self.first_tie_word * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        self.num_ties -= 1;
+        if self.num_ties == 0 {
+            self.first_tie_word = usize::MAX;
+        }
+        Some((f64::from_bits(self.last), q))
+    }
+}
+
+/// The target's adjacency in compressed sparse rows of `u32`: the
+/// neighbours of `q` are `targets[offsets[q]..offsets[q + 1]]`, in
+/// [`Topology::neighbors`] order, so the searches relax edges in the same
+/// order as on the topology itself.
+struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    fn new(target: &Topology) -> Self {
+        let n = target.num_qubits();
+        let as_u32 = |x: usize| u32::try_from(x).expect("target adjacency fits u32 indices");
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for q in 0..n {
+            targets.extend(target.neighbors(q).iter().map(|&w| as_u32(w)));
+            offsets.push(as_u32(targets.len()));
+        }
+        Csr { offsets, targets }
+    }
+
+    fn neighbors(&self, q: usize) -> &[u32] {
+        &self.targets[self.offsets[q] as usize..self.offsets[q + 1] as usize]
+    }
+}
+
+/// The embedder's working state. One `State` serves every try of an
+/// [`Embedder::embed`] call, so its buffers are allocated once per call.
 struct State<'a> {
     target: &'a Topology,
     chains: Vec<Vec<usize>>,
@@ -194,6 +342,9 @@ struct State<'a> {
     /// neighbour of the variable currently being placed).
     dist_pool: Vec<Vec<f64>>,
     pred_pool: Vec<Vec<usize>>,
+    queue: RadixQueue,
+    /// `target`'s adjacency, laid out for the searches.
+    csr: Csr,
     /// `owner[q] == v` marks q as inside the neighbour chain a path walk is
     /// currently targeting (epoch-stamped via `owner_epoch`).
     owner_epoch: Vec<u32>,
@@ -201,25 +352,31 @@ struct State<'a> {
 }
 
 impl<'a> State<'a> {
-    fn new(
-        target: &'a Topology,
-        num_vars: usize,
-        adjacency: Vec<Vec<usize>>,
-        penalty_base: f64,
-    ) -> Self {
+    fn new(target: &'a Topology, adjacency: Vec<Vec<usize>>, penalty_base: f64) -> Self {
         let n = target.num_qubits();
         State {
             target,
-            chains: vec![Vec::new(); num_vars],
+            chains: vec![Vec::new(); adjacency.len()],
             usage: vec![0; n],
             cost: vec![1.0; n],
             adjacency,
             penalty_base,
             dist_pool: Vec::new(),
             pred_pool: Vec::new(),
+            queue: RadixQueue::new(n),
+            csr: Csr::new(target),
             owner_epoch: vec![0; n],
             epoch: 0,
         }
+    }
+
+    /// Clears every chain for a fresh try at the given penalty base. The
+    /// epoch keeps counting, so stale `owner_epoch` stamps never match.
+    fn reset(&mut self, penalty_base: f64) {
+        self.chains = vec![Vec::new(); self.adjacency.len()];
+        self.usage.fill(0);
+        self.cost.fill(1.0);
+        self.penalty_base = penalty_base;
     }
 
     fn set_penalty_base(&mut self, base: f64) {
@@ -247,27 +404,29 @@ impl<'a> State<'a> {
 
     /// Usage-weighted multi-source Dijkstra from every qubit of `sources`
     /// into the provided scratch buffers; source qubits cost 0.
-    fn dijkstra_into(&self, sources: &[usize], dist: &mut Vec<f64>, pred: &mut Vec<usize>) {
+    fn dijkstra_into(&mut self, sources: &[usize], dist: &mut Vec<f64>, pred: &mut Vec<usize>) {
         let n = self.target.num_qubits();
         dist.clear();
         dist.resize(n, f64::INFINITY);
         pred.clear();
         pred.resize(n, usize::MAX);
-        let mut heap: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::with_capacity(n / 4);
+        let queue = &mut self.queue;
+        queue.clear();
         for &s in sources {
             dist[s] = 0.0;
-            heap.push(Reverse((OrderedF64(0.0), s)));
+            queue.push(0.0, s);
         }
-        while let Some(Reverse((OrderedF64(d), q))) = heap.pop() {
+        while let Some((d, q)) = queue.pop() {
             if d > dist[q] {
                 continue;
             }
-            for &w in self.target.neighbors(q) {
+            for &w in self.csr.neighbors(q) {
+                let w = w as usize;
                 let nd = d + self.cost[w];
                 if nd < dist[w] {
                     dist[w] = nd;
                     pred[w] = q;
-                    heap.push(Reverse((OrderedF64(nd), w)));
+                    queue.push(nd, w);
                 }
             }
         }
@@ -418,30 +577,24 @@ impl<'a> State<'a> {
     }
 }
 
-/// Total-order wrapper for f64 heap keys (costs are never NaN).
-#[derive(PartialEq)]
-struct OrderedF64(f64);
-impl Eq for OrderedF64 {}
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("costs are never NaN")
-    }
-}
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl Embedder {
     /// Attempts to embed the source graph (given as `num_vars` and an edge
     /// list) into `target`. Returns a validated embedding or `None`.
+    ///
+    /// # Panics
+    /// Panics if `penalty_base` is not finite and > 0, or if a source edge
+    /// names a variable `>= num_vars`.
     pub fn embed(
         &self,
         num_vars: usize,
         source_edges: &[(usize, usize)],
         target: &Topology,
     ) -> Option<Embedding> {
+        assert!(
+            self.penalty_base.is_finite() && self.penalty_base > 0.0,
+            "Embedder::penalty_base must be finite and > 0, got {}",
+            self.penalty_base
+        );
         if num_vars == 0 {
             return Some(Embedding { chains: Vec::new() });
         }
@@ -462,9 +615,10 @@ impl Embedder {
         }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut state = State::new(target, adjacency, self.penalty_base);
         for _try in 0..self.max_tries {
             qjo_obs::counter!("embed.tries").incr();
-            let mut state = State::new(target, num_vars, adjacency.clone(), self.penalty_base);
+            state.reset(self.penalty_base);
             // Place in BFS order from a max-degree variable (random
             // tie-breaking), so every new variable lands next to already
             // placed neighbours instead of a random spot.
@@ -607,8 +761,8 @@ impl Embedder {
                 state.restore(&best_chains);
             }
             if state.max_usage() <= 1 {
-                let mut embedding = Embedding { chains: state.chains };
-                trim_chains(&mut embedding, &adjacency, target);
+                let mut embedding = Embedding { chains: std::mem::take(&mut state.chains) };
+                trim_chains(&mut embedding, &state.adjacency, target);
                 if embedding.validate(source_edges, target).is_ok() {
                     return Some(embedding);
                 }
@@ -794,6 +948,106 @@ mod tests {
         let e = Embedder::default().embed(2, &[], &target).expect("two isolated vars");
         assert_eq!(e.chains.len(), 2);
         assert!(e.validate(&[], &target).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "penalty_base must be finite and > 0")]
+    fn nan_penalty_base_is_rejected() {
+        let embedder = Embedder { penalty_base: f64::NAN, ..Default::default() };
+        embedder.embed(3, &complete_edges(3), &Topology::grid(4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "penalty_base must be finite and > 0")]
+    fn negative_penalty_base_is_rejected() {
+        let embedder = Embedder { penalty_base: -8.0, ..Default::default() };
+        embedder.embed(3, &complete_edges(3), &Topology::grid(4, 4));
+    }
+
+    /// Total-order wrapper for the reference heap's f64 keys.
+    #[derive(PartialEq)]
+    struct OrderedF64(f64);
+    impl Eq for OrderedF64 {}
+    impl Ord for OrderedF64 {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.partial_cmp(&other.0).expect("costs are never NaN")
+        }
+    }
+    impl PartialOrd for OrderedF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The binary-heap Dijkstra the radix queue replaced: the reference
+    /// `State::dijkstra_into` must match bit for bit.
+    fn heap_dijkstra(target: &Topology, cost: &[f64], sources: &[usize]) -> (Vec<f64>, Vec<usize>) {
+        use std::collections::BinaryHeap;
+        let n = target.num_qubits();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut pred = vec![usize::MAX; n];
+        let mut heap: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::new();
+        for &s in sources {
+            dist[s] = 0.0;
+            heap.push(Reverse((OrderedF64(0.0), s)));
+        }
+        while let Some(Reverse((OrderedF64(d), q))) = heap.pop() {
+            if d > dist[q] {
+                continue;
+            }
+            for &w in target.neighbors(q) {
+                let nd = d + cost[w];
+                if nd < dist[w] {
+                    dist[w] = nd;
+                    pred[w] = q;
+                    heap.push(Reverse((OrderedF64(nd), w)));
+                }
+            }
+        }
+        (dist, pred)
+    }
+
+    #[test]
+    fn radix_dijkstra_matches_the_heap_reference_bit_for_bit() {
+        use rand::RngExt;
+        let targets = [pegasus_like(4), pegasus_like(8), chimera(3), Topology::grid(7, 5)];
+        // 2^40 and 1e200 make `d + cost` round back to `d` (the tie path);
+        // 1e200 also overflows some costs to infinity.
+        let bases = [8.0, 4096.0, 1.5, 0.5, 2f64.powi(40), 1e200];
+        let mut rng = StdRng::seed_from_u64(14);
+        let (mut dist, mut pred) = (Vec::new(), Vec::new());
+        let mut absorbed = 0usize;
+        for target in &targets {
+            let n = target.num_qubits();
+            // One state per target, so the queue is reused across runs as
+            // it is within an `embed` call.
+            let mut state = State::new(target, Vec::new(), 8.0);
+            for &base in &bases {
+                for trial in 0..12 {
+                    // Usage on ~30% of qubits, as during placement; every
+                    // other trial on ~70%, which walls regions off behind
+                    // costly qubits so that more relaxations tie.
+                    let used = if trial % 2 == 0 { 0.3 } else { 0.7 };
+                    for q in 0..n {
+                        state.usage[q] =
+                            if rng.random_bool(used) { rng.random_range(0..=4u32) } else { 0 };
+                    }
+                    state.set_penalty_base(base);
+                    let mut sources: Vec<usize> = (0..n).collect();
+                    sources.shuffle(&mut rng);
+                    sources.truncate(rng.random_range(1..=5usize));
+                    state.dijkstra_into(&sources, &mut dist, &mut pred);
+                    let (want_dist, want_pred) = heap_dijkstra(target, &state.cost, &sources);
+                    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&dist), bits(&want_dist), "dist, base {base}");
+                    assert_eq!(pred, want_pred, "pred, base {base}");
+                    absorbed += (0..n)
+                        .filter(|&w| pred[w] != usize::MAX && dist[w] == dist[pred[w]])
+                        .count();
+                }
+            }
+        }
+        assert!(absorbed > 0, "no relaxation hit the tie-insertion path");
     }
 
     #[test]

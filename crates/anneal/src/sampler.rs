@@ -7,7 +7,7 @@
 //! majority-vote chain repair.
 //!
 //! Reads are independent work units: read `i` derives its own RNG stream
-//! (ICE noise draws and SQA dynamics) from `(sqa.seed, i)` via
+//! (ICE noise draws and SQA dynamics) from `(job seed, i)` via
 //! [`qjo_exec::stream_seed`], so a job's sample set is bit-identical at
 //! any [`Parallelism`] setting.
 
@@ -133,7 +133,7 @@ impl AnnealerSampler {
     /// Runs the full pipeline on a QUBO, embedding it first.
     pub fn sample_qubo(&self, qubo: &Qubo) -> Result<AnnealOutcome, AnnealError> {
         let embedding = self.embed(qubo)?;
-        Ok(self.sample_qubo_with_embedding(qubo, embedding))
+        Ok(self.sample_qubo_with_embedding(qubo, embedding, self.sqa.seed))
     }
 
     /// Finds a minor embedding for a QUBO's interaction graph.
@@ -196,7 +196,10 @@ impl AnnealerSampler {
     }
 
     /// Runs the annealing pipeline with a previously computed embedding
-    /// (e.g. to sweep annealing times without re-embedding).
+    /// (e.g. to sweep annealing times without re-embedding). `seed` stands
+    /// in for `self.sqa.seed` as the job's seed, so a caller can reseed a
+    /// job without cloning the sampler; [`AnnealerSampler::sample_qubo`]
+    /// passes `self.sqa.seed`.
     ///
     /// Two operational failure modes are handled here, both bounded by
     /// an attempt budget (never wall-clock): a *rejected job* (the
@@ -205,27 +208,32 @@ impl AnnealerSampler {
     /// a *chain-break storm* (the `anneal.chain_storm` site, or a real
     /// batch exceeding [`AnnealerSampler::chain_storm_threshold`]) is
     /// resampled with the chain strength escalated ×1.5.
-    pub fn sample_qubo_with_embedding(&self, qubo: &Qubo, embedding: Embedding) -> AnnealOutcome {
+    pub fn sample_qubo_with_embedding(
+        &self,
+        qubo: &Qubo,
+        embedding: Embedding,
+        seed: u64,
+    ) -> AnnealOutcome {
         let _span = qjo_obs::span!("anneal.sample");
         let logical = qubo.to_ising();
         let base_strength = self.chain_strength.unwrap_or_else(|| {
             uniform_torque_compensation(&logical, self.chain_strength_prefactor)
         });
         let mut chain_strength = base_strength;
-        let mut seed = self.sqa.seed;
+        let mut read_seed = seed;
         let mut attempt: u64 = 0;
         loop {
             if attempt + 1 < SAMPLE_ATTEMPTS
-                && qjo_resil::should_inject("anneal.job", self.sqa.seed, attempt)
+                && qjo_resil::should_inject("anneal.job", seed, attempt)
             {
                 qjo_obs::counter!("resil.anneal.job.retries").incr();
-                seed = qjo_resil::stream_seed(self.sqa.seed ^ JOB_RESUBMIT_SALT, attempt);
+                read_seed = qjo_resil::stream_seed(seed ^ JOB_RESUBMIT_SALT, attempt);
                 attempt += 1;
                 continue;
             }
             let outcome =
-                self.sample_attempt(qubo, &logical, embedding.clone(), chain_strength, seed);
-            let stormy = qjo_resil::should_inject("anneal.chain_storm", self.sqa.seed, attempt)
+                self.sample_attempt(qubo, &logical, embedding.clone(), chain_strength, read_seed);
+            let stormy = qjo_resil::should_inject("anneal.chain_storm", seed, attempt)
                 || self.chain_storm_threshold.is_some_and(|t| outcome.chain_break_fraction > t);
             if stormy && attempt + 1 < SAMPLE_ATTEMPTS {
                 qjo_obs::counter!("resil.anneal.chain_storm.escalations").incr();

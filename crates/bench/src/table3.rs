@@ -112,7 +112,8 @@ pub fn run(config: &Table3Config) -> Vec<Table3Row> {
             let (_, opt_cost) = dp_optimal(&query);
             for (k, &dt) in config.annealing_times_us.iter().enumerate() {
                 let sampler = AnnealerSampler { annealing_time_us: dt, ..base.clone() };
-                let outcome = sampler.sample_qubo_with_embedding(&enc.qubo, embedding.clone());
+                let outcome =
+                    sampler.sample_qubo_with_embedding(&enc.qubo, embedding.clone(), seed);
                 let quality = assess_samples(&outcome.samples, &enc.registry, &query, opt_cost);
                 valid_sum[k] += quality.valid_fraction;
                 optimal_sum[k] += quality.optimal_fraction;

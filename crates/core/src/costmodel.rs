@@ -45,8 +45,9 @@ impl CostModel {
     /// Cost of one join given log10 cardinalities of the outer operand,
     /// inner relation, and join result.
     ///
-    /// Non-finite logs are clamped (see [`clamped_pow10`]) so the returned
-    /// cost is always finite and positive; NaN inputs panic.
+    /// Each log is clamped to `±300` before exponentiation, so infinite
+    /// logs still give a cost that is finite and positive; NaN inputs
+    /// panic.
     pub fn join_cost(&self, log_outer: f64, log_inner: f64, log_result: f64) -> f64 {
         let outer = clamped_pow10(log_outer);
         let inner = clamped_pow10(log_inner);

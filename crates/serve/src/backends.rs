@@ -250,8 +250,8 @@ impl JoinOrderOptimizer for SqaBackend {
 pub struct AnnealerBackend {
     /// Shared formulation cache (embeddings live on its entries).
     pub cache: Arc<FormulationCache>,
-    /// Pipeline template; attempt `i` reseeds `sqa.seed` from
-    /// `(sqa.seed, i)`.
+    /// Pipeline template; attempt `i` samples with the job seed
+    /// `stream_seed(sqa.seed, i)`.
     pub sampler: AnnealerSampler,
 }
 
@@ -263,14 +263,14 @@ impl JoinOrderOptimizer for AnnealerBackend {
         // bill this request under.
         let embed_status = std::cell::Cell::new(None::<&'static str>);
         let mut plan = plan_via_cache(&self.cache, query, |attempt, entry| {
-            let mut sampler = self.sampler.clone();
-            sampler.sqa.seed = stream_seed(self.sampler.sqa.seed, attempt as u64);
             let (embedding, status) =
-                entry.embedding_with_status(|f| sampler.embed(&f.qubo)).ok()?;
+                entry.embedding_with_status(|f| self.sampler.embed(&f.qubo)).ok()?;
             if embed_status.get().is_none() {
                 embed_status.set(Some(status));
             }
-            let outcome = sampler.sample_qubo_with_embedding(&entry.formulation.qubo, embedding);
+            let seed = stream_seed(self.sampler.sqa.seed, attempt as u64);
+            let outcome =
+                self.sampler.sample_qubo_with_embedding(&entry.formulation.qubo, embedding, seed);
             outcome.samples.best().map(|s| s.assignment.clone())
         });
         plan.embed = embed_status.get();

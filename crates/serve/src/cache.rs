@@ -257,10 +257,6 @@ mod tests {
     use super::*;
     use qjo_core::{QueryGenerator, QueryGraph};
 
-    fn deltas(before: &qjo_obs::Snapshot) -> std::collections::BTreeMap<String, u64> {
-        qjo_obs::global().snapshot().counter_deltas_since(before)
-    }
-
     fn cache(capacity: usize) -> FormulationCache {
         FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), capacity)
     }
@@ -269,15 +265,12 @@ mod tests {
     fn second_lookup_hits_and_shares_the_entry() {
         let c = cache(8);
         let q = QueryGenerator::paper_defaults(QueryGraph::Chain, 4).generate(0);
-        let before = qjo_obs::global().snapshot();
         let (_, first, s1) = c.lookup(&q);
         let (_, second, s2) = c.lookup(&q);
         assert_eq!((s1, s2), (CacheStatus::Miss, CacheStatus::Hit));
         assert!(Arc::ptr_eq(&first, &second));
-        let d = deltas(&before);
-        assert_eq!(d.get("serve.cache.hit"), Some(&1));
-        assert_eq!(d.get("serve.cache.miss"), Some(&1));
-        assert_eq!(d.get("serve.cache.evict"), None);
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
     }
 
     #[test]
@@ -298,7 +291,6 @@ mod tests {
             }
         }
         assert_eq!(distinct.len(), 3, "generator produced too few classes");
-        let before = qjo_obs::global().snapshot();
         c.lookup(&distinct[0]);
         c.lookup(&distinct[1]);
         c.lookup(&distinct[0]); // refresh 0; 1 is now stalest
@@ -309,8 +301,7 @@ mod tests {
         // Re-requesting 1 must rebuild (it was evicted).
         let (_, _, s1) = c.lookup(&distinct[1]);
         assert_eq!(s1, CacheStatus::Miss);
-        let d = deltas(&before);
-        assert_eq!(d.get("serve.cache.evict"), Some(&2)); // 1 evicted, then 2 or 0
+        assert_eq!(c.stats().evictions, 2); // 1 evicted, then 2 or 0
     }
 
     #[test]

@@ -601,15 +601,16 @@ mod tests {
     fn impossible_deadline_forces_the_greedy_fallback() {
         let svc = Service::smoke(7, Parallelism::sequential());
         // 0 ms deadline: every non-trivial backend's estimate exceeds it.
-        let before = qjo_obs::global().snapshot();
         let r = svc.handle(&req("x", "sa", Some(0), 5));
         assert!(r.deadline_miss);
         assert!(r.fallback);
         assert_eq!(r.error, None);
         assert_eq!(r.order.len(), 4);
-        let d = qjo_obs::global().snapshot().counter_deltas_since(&before);
-        assert_eq!(d.get("serve.deadline.miss"), Some(&1));
-        assert_eq!(d.get("serve.fallback"), Some(&1));
+        // This service's own counts: the global registry is shared with
+        // tests running in parallel.
+        let counts = svc.telemetry().counters();
+        assert_eq!(counts.get("serve.deadline.miss"), Some(&1));
+        assert_eq!(counts.get("serve.fallback"), Some(&1));
     }
 
     #[test]
@@ -870,15 +871,15 @@ mod tests {
                 query: q.clone(),
             })
             .collect();
-        let before = qjo_obs::global().snapshot();
         let out = svc.handle_batch(&reqs);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].id, "b0");
         assert_eq!(out[2].id, "b2");
-        let d = qjo_obs::global().snapshot().counter_deltas_since(&before);
-        assert_eq!(d.get("serve.batch.groups"), Some(&1));
+        // This service's own counts: the global registry is shared with
+        // tests running in parallel.
+        assert_eq!(svc.telemetry().counters().get("serve.batch.groups"), Some(&1));
         // One formulation build, two cache hits.
-        assert_eq!(d.get("serve.cache.miss"), Some(&1));
-        assert_eq!(d.get("serve.cache.hit"), Some(&2));
+        let cache = svc.cache().stats();
+        assert_eq!((cache.misses, cache.hits), (1, 2));
     }
 }

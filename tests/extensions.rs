@@ -83,7 +83,7 @@ fn clique_template_supports_the_annealing_pipeline() {
     let m = 8;
     let template = pegasus_clique_embedding(encoded.num_qubits(), m).expect("template capacity");
     let sampler = AnnealerSampler { num_reads: 100, ..AnnealerSampler::new(pegasus_like(m)) };
-    let outcome = sampler.sample_qubo_with_embedding(&encoded.qubo, template);
+    let outcome = sampler.sample_qubo_with_embedding(&encoded.qubo, template, sampler.sqa.seed);
     assert_eq!(outcome.samples.total_reads(), 100);
     let (_, optimal) = dp_optimal(&query);
     let quality = assess_samples(&outcome.samples, &encoded.registry, &query, optimal);
