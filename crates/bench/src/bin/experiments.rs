@@ -871,8 +871,6 @@ const GATED_RATES: &[&str] = &[
     "anneal.reads_per_sec",
     "serve.requests_per_sec",
     "serve.cache_hit_rate",
-    "sched.races_per_sec",
-    "sched.cancel_rate",
     "robust.evals_per_sec",
 ];
 
@@ -1233,7 +1231,6 @@ const RATE_PAIRS: &[(&str, &str, &str)] = &[
     ("gatesim.shots", "gatesim.noisy.sample", "gatesim.shots_per_sec"),
     ("robust.evals", "robust.eval", "robust.evals_per_sec"),
     ("sa.sweeps", "qubo.sa.sample", "sa.sweeps_per_sec"),
-    ("sched.races", "serve.request", "sched.races_per_sec"),
     ("serve.requests", "serve.request", "serve.requests_per_sec"),
     ("sqa.sweeps", "anneal.sample", "sqa.sweeps_per_sec"),
     ("tabu.iterations", "qubo.tabu.solve", "tabu.iterations_per_sec"),
@@ -1308,17 +1305,6 @@ fn write_bench(
         rates.insert(
             "serve.cache_hit_rate".to_string(),
             Json::from(round3(hits as f64 / (hits + misses) as f64)),
-        );
-    }
-    // Same shape for the portfolio's plateau early-cancel *ratio*:
-    // racers cancelled on a plateau over racers entered. Deterministic
-    // (races run on model budgets), so the gate catches any change to
-    // the plateau predicate or the budget split, not timing noise.
-    let (cancelled, entered) = (cache("sched.racers.cancelled"), cache("sched.racers.entered"));
-    if entered > 0 {
-        rates.insert(
-            "sched.cancel_rate".to_string(),
-            Json::from(round3(cancelled as f64 / entered as f64)),
         );
     }
     root.insert("rates".to_string(), Json::Obj(rates));
@@ -1550,7 +1536,7 @@ fn parse_sched_args(raw: &[String]) -> Result<SchedBenchOptions, String> {
 }
 
 /// `sched-bench`: replay the deterministic instance mix against the
-/// `auto` portfolio and every static backend, emit the drift-gated
+/// `auto` backend and every static backend, emit the drift-gated
 /// report and event logs, and enforce the headline SLO gate: `auto`
 /// must meet strictly more deadline-carrying SLOs than the best single
 /// static backend (greedy excluded — it is the fallback) at a strictly
@@ -1580,7 +1566,7 @@ fn run_sched_bench(sopts: SchedBenchOptions) -> ! {
     let elapsed = stage_start.elapsed();
     driver.emit(
         "sched_report",
-        "Scheduling: racing portfolio vs static backends on the matched mix",
+        "Scheduling: auto vs static backends on the matched mix",
         qjo_bench::sched_bench::render_report(&result.report),
     );
     // As in serve-bench: the full event log carries wall-clock latencies
@@ -1685,7 +1671,7 @@ fn parse_robust_args(raw: &[String]) -> Result<RobustBenchOptions, String> {
 }
 
 /// `robustness-bench`: the cardinality-misestimation degradation sweep.
-/// Every backend (the `auto` portfolio included) optimises each schema
+/// Every backend (`auto` included) optimises each schema
 /// instance under the true statistics and under q-error-injected
 /// estimates; both plans re-cost under the truth and the report carries
 /// the degradation ratios. Exits 1 when any q-error-1 cell deviates from

@@ -26,8 +26,8 @@ use qjo_serve::Request;
 
 use crate::report::Table;
 
-/// Backends the sweep covers, in report order: the `auto` portfolio
-/// first, the static roster alphabetically after it.
+/// Backends the sweep covers, in report order: `auto` first, the static
+/// roster alphabetically after it.
 pub const ROBUST_BACKENDS: [&str; 8] =
     ["auto", "annealer", "dp", "greedy", "qaoa", "sa", "sqa", "tabu"];
 
@@ -185,7 +185,7 @@ pub fn run(cfg: &RobustnessConfig, parallelism: Parallelism) -> RobustnessResult
     let mut curve = Vec::new();
     for backend in &cfg.backends {
         // A fresh service per backend: no replay sees another's cache.
-        let (service, _handle) = smoke_service(cfg.seed, parallelism);
+        let (service, ()) = smoke_service(cfg.seed, parallelism);
         let solve = |id: String, query: &Query| -> Option<(JoinOrder, bool)> {
             let _span = qjo_obs::span!("robust.eval");
             qjo_obs::counter!("robust.evals").add(1);

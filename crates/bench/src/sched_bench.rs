@@ -1,13 +1,13 @@
-//! `experiments sched-bench`: the racing-portfolio SLO benchmark.
+//! `experiments sched-bench`: the `auto` backend's SLO benchmark.
 //!
 //! A *matched replay*: one deterministic instance mix (small 4-relation
 //! chain/star/cycle queries under deadlines from generous to
 //! impossible-for-cold-paths, mid-size 6-relation queries under a 1 s
-//! budget, plus oversized chains that only the anytime stage can touch)
-//! is replayed against a fresh smoke service once per
-//! backend — the `auto` portfolio and every static backend — so every
-//! row of `sched_report.csv` answers exactly the same workload at the
-//! same model budgets.
+//! budget, plus oversized chains that only greedy can answer in time)
+//! is replayed against a fresh smoke service once per backend — `auto`
+//! (greedy, or DP when strictly cheaper; see `qjo_sched`) and every
+//! static backend — so every row of `sched_report.csv` answers exactly
+//! the same workload at the same model budgets.
 //!
 //! The headline gate: `auto` must meet **strictly more**
 //! deadline-carrying SLOs than the best single *static* backend, at a
@@ -17,9 +17,9 @@
 //! those are exactly the degraded plans the SLO taxonomy exists to
 //! count, and the cost column is where it has to pay.
 //!
-//! Everything in the report is a pure function of the seed (races run on
-//! model budgets, never wall-clock), so `sched_report.csv` and the
-//! canonical event log drift-gate byte-for-byte at any thread count.
+//! Everything in the report is a pure function of the seed (admission
+//! runs on model budgets, never wall-clock), so `sched_report.csv` and
+//! the canonical event log drift-gate byte-for-byte at any thread count.
 
 use qjo_core::{Query, QueryGenerator, QueryGraph};
 use qjo_exec::{stream_seed, Parallelism};
@@ -67,10 +67,6 @@ pub struct SchedReportRow {
     pub degraded: u64,
     /// Missed outright.
     pub missed: u64,
-    /// Races run (nonzero only for `auto`).
-    pub races: u64,
-    /// Racer cancellations on a plateau, summed across races.
-    pub cancelled: u64,
     /// Geometric mean plan cost over every answered request. Plan costs
     /// span ~30 orders of magnitude between the 4-relation and
     /// 42-relation instances, so an arithmetic mean is the big
@@ -129,13 +125,13 @@ pub fn generate_instances(seed: u64) -> Vec<(Query, Option<u64>)> {
         }
     }
     // Mid instances (t = 6) carry exactly one deadline: 1 s. That
-    // budget admits every classical path and the racers, but diverts
+    // budget admits every classical path and the QUBO solvers, but diverts
     // the annealer's cold-embed estimate (~2 s of model time) — which
     // is also its wall-clock cliff: a cold Pegasus embed at t = 6 runs
     // for minutes, far past any smoke budget. Greedy is measurably
     // suboptimal on some of these (unlike at t = 4, where it ties the
-    // DP optimum on every generated query), so this band is where the
-    // portfolio's cost edge in the geometric mean comes from.
+    // DP optimum on every generated query), so this band is where
+    // `auto`'s cost edge in the geometric mean comes from.
     for (i, shape) in
         [QueryGraph::Chain, QueryGraph::Star, QueryGraph::Cycle].into_iter().enumerate()
     {
@@ -146,9 +142,9 @@ pub fn generate_instances(seed: u64) -> Vec<(Query, Option<u64>)> {
         }
     }
     // Oversized instances: the Theorem 5.3 bound (~5t²) puts t = 42 far
-    // past every racer's variable screen and every static solver's
-    // admission at 1 ms — only carried with that tight deadline, so no
-    // replay ever formulates (or solves) an 8800-variable QUBO.
+    // past the DP cap and every static solver's admission at 1 ms — only
+    // carried with that tight deadline, so no replay ever formulates (or
+    // solves) an 8800-variable QUBO.
     for j in 0..2u64 {
         let q = QueryGenerator::paper_defaults(QueryGraph::Chain, 42)
             .generate(stream_seed(seed, 100 + j));
@@ -163,7 +159,7 @@ pub fn run(cfg: &SchedBenchConfig, parallelism: Parallelism) -> SchedBenchResult
     let mut report = Vec::new();
     let mut events: Vec<ServeEvent> = Vec::new();
     for backend in SCHED_BACKENDS {
-        let (service, _handle) = smoke_service(cfg.seed, parallelism);
+        let (service, ()) = smoke_service(cfg.seed, parallelism);
         let mut costs = Vec::new();
         let mut row = SchedReportRow {
             backend: backend.to_string(),
@@ -172,8 +168,6 @@ pub fn run(cfg: &SchedBenchConfig, parallelism: Parallelism) -> SchedBenchResult
             met: 0,
             degraded: 0,
             missed: 0,
-            races: 0,
-            cancelled: 0,
             geomean_cost: 0.0,
         };
         for (k, (query, deadline_ms)) in instances.iter().enumerate() {
@@ -197,12 +191,6 @@ pub fn run(cfg: &SchedBenchConfig, parallelism: Parallelism) -> SchedBenchResult
                 Some("degraded") => row.degraded += 1,
                 Some("missed") => row.missed += 1,
                 _ => {}
-            }
-            if event.portfolio.is_some() {
-                row.races += 1;
-            }
-            if let Some(cancelled) = &event.cancelled {
-                row.cancelled += cancelled.split(',').filter(|s| !s.is_empty()).count() as u64;
             }
             events.push(event);
         }
@@ -251,8 +239,6 @@ pub fn render_report(rows: &[SchedReportRow]) -> Table {
         "slo_met",
         "slo_degraded",
         "slo_missed",
-        "races",
-        "racers_cancelled",
         "geomean_cost",
     ]);
     for r in rows {
@@ -263,8 +249,6 @@ pub fn render_report(rows: &[SchedReportRow]) -> Table {
             r.met.to_string(),
             r.degraded.to_string(),
             r.missed.to_string(),
-            r.races.to_string(),
-            r.cancelled.to_string(),
             format!("{:.6e}", r.geomean_cost),
         ]);
     }
@@ -306,8 +290,6 @@ mod tests {
             met,
             degraded: 8 - met,
             missed: 0,
-            races: 0,
-            cancelled: 0,
             geomean_cost,
         };
         let report = vec![
@@ -336,13 +318,14 @@ mod tests {
             met: 20,
             degraded: 0,
             missed: 0,
-            races: 26,
-            cancelled: 31,
             geomean_cost: 12345.678,
         }];
         let a = render_report(&rows).to_csv();
         assert_eq!(a, render_report(&rows).to_csv());
-        assert!(a.contains("racers_cancelled"), "{a}");
+        assert!(
+            a.starts_with("backend,requests,deadlines,slo_met,slo_degraded,slo_missed,"),
+            "{a}"
+        );
         assert!(a.contains("1.234568e4"), "{a}");
     }
 }

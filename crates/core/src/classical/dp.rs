@@ -100,14 +100,24 @@ mod tests {
 
     #[test]
     fn dp_matches_exhaustive_on_random_queries() {
-        for graph in [QueryGraph::Chain, QueryGraph::Star, QueryGraph::Cycle] {
-            for seed in 0..5 {
-                let q = QueryGenerator::paper_defaults(graph, 6).generate(seed);
-                let (dp_order, dp_cost) = dp_optimal(&q);
-                let (_, ex_cost) = exhaustive_optimal(&q);
-                let rel = (dp_cost - ex_cost).abs() / ex_cost.max(1.0);
-                assert!(rel < 1e-9, "{graph:?} seed {seed}: DP {dp_cost} vs {ex_cost}");
-                assert!((dp_order.cost(&q) - dp_cost).abs() / dp_cost.max(1.0) < 1e-9);
+        // Bit-exact, not within a tolerance: DP's reported cost is the
+        // minimum `JoinOrder::cost` over all orders, so nothing that
+        // re-costs a plan (the `auto` backend's greedy-or-DP rule) can
+        // ever beat it.
+        for graph in [QueryGraph::Chain, QueryGraph::Star, QueryGraph::Cycle, QueryGraph::Clique] {
+            for t in 3..=7 {
+                for seed in 0..10 {
+                    let q = QueryGenerator::paper_defaults(graph, t).generate(seed);
+                    let (dp_order, dp_cost) = dp_optimal(&q);
+                    let (_, ex_cost) = exhaustive_optimal(&q);
+                    let at = format!("{graph:?} t={t} seed {seed}");
+                    assert_eq!(
+                        dp_cost.to_bits(),
+                        ex_cost.to_bits(),
+                        "{at}: {dp_cost} vs {ex_cost}"
+                    );
+                    assert_eq!(dp_order.cost(&q).to_bits(), dp_cost.to_bits(), "{at}");
+                }
             }
         }
     }

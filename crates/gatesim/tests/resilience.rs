@@ -102,6 +102,11 @@ fn total_divergence_is_reported_not_hidden() {
     let r = GradientDescent { iterations: 5, ..Default::default() }.minimize(bowl, &[4.0, 3.0]);
     assert!(r.fx.is_infinite());
     assert_eq!(r.x, vec![4.0, 3.0], "no finite evidence, no movement");
+    // Nelder–Mead's simplex holds only +∞, so its best-so-far history
+    // never shows a finite value.
+    let r = NelderMead { max_iterations: 12, ..NelderMead::default() }.minimize(bowl, &[0.1, 0.1]);
+    assert!(!r.history.is_empty());
+    assert!(r.history.iter().all(|e| !e.is_finite()), "{:?}", r.history);
 }
 
 #[test]

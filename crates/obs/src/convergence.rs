@@ -138,52 +138,6 @@ impl Series {
             self.record(step, value());
         }
     }
-
-    /// Whether this series' recorded trajectory has plateaued — see the
-    /// free function [`plateaued`]. Always `false` on an inert handle
-    /// (an inactive recorder must never trigger an early cancel).
-    pub fn plateaued(&self, epsilon: f64, k: usize) -> bool {
-        match &self.inner {
-            Some(inner) => {
-                let data = inner.data.lock().expect("no panic while holding series data");
-                plateaued(&data.points, epsilon, k)
-            }
-            None => false,
-        }
-    }
-}
-
-/// Plateau detection over a recorded `(step, value)` trajectory: `true`
-/// iff none of the last `k` recorded points improves on the best value
-/// seen *before* them by more than `epsilon`.
-///
-/// This is a pure function of the recorded points — never of wall clock —
-/// so cancel decisions built on it (the `qjo-sched` racing portfolio) are
-/// byte-identical at any thread count.
-///
-/// Semantics at the edges, chosen so a cancel is never triggered on
-/// insufficient evidence:
-///
-/// * `k == 0` or fewer than `k + 1` points → `false` (the window must be
-///   preceded by at least one point to improve upon);
-/// * NaN values (diverged energy reads, e.g. injected at the `qaoa.step`
-///   fault site) never count as an improvement, so an all-NaN window
-///   plateaus — a solver producing only garbage should be cancelled, not
-///   left to burn its budget;
-/// * NaN values before the window are skipped when computing the best,
-///   so a first *finite* value inside the window reads as an improvement
-///   over an all-NaN prefix (best = +∞) and keeps the race alive.
-pub fn plateaued(points: &[(u64, f64)], epsilon: f64, k: usize) -> bool {
-    if k == 0 || points.len() <= k {
-        return false;
-    }
-    let (prefix, window) = points.split_at(points.len() - k);
-    // NaN-skipping minimum: `v < acc` is false when `v` is NaN.
-    let best_before =
-        prefix.iter().fold(f64::INFINITY, |acc, &(_, v)| if v < acc { v } else { acc });
-    // `best_before - v > epsilon` is false when `v` is NaN or +∞, so
-    // divergent window values never register as progress.
-    !window.iter().any(|&(_, v)| best_before - v > epsilon)
 }
 
 /// Opens a series under the recorder's default stride. Inert when the
@@ -359,65 +313,6 @@ mod tests {
         let drained = drain_csv();
         let csv = &drained.iter().find(|(g, _)| g == "conv-test").unwrap().1;
         assert_eq!(csv.matches("passes").count(), 3, "{csv}");
-    }
-
-    #[test]
-    fn plateau_fires_iff_the_last_k_points_stop_improving() {
-        let pts = |vs: &[f64]| -> Vec<(u64, f64)> {
-            vs.iter().enumerate().map(|(i, &v)| (i as u64, v)).collect()
-        };
-        // Monotone improvement: never plateaued.
-        assert!(!plateaued(&pts(&[5.0, 4.0, 3.0, 2.0, 1.0]), 0.0, 3));
-        // Flat tail of 3 after a drop: plateaued at k = 3, not at k = 4
-        // (the window would then contain the improving point).
-        assert!(plateaued(&pts(&[5.0, 2.0, 2.0, 2.0, 2.0]), 0.0, 3));
-        assert!(!plateaued(&pts(&[5.0, 2.0, 2.0, 2.0, 2.0]), 0.0, 4));
-        // Improvements within epsilon are not improvements.
-        assert!(plateaued(&pts(&[5.0, 2.0, 1.9, 1.8, 1.7]), 0.5, 3));
-        assert!(!plateaued(&pts(&[5.0, 2.0, 1.9, 1.8, 1.7]), 0.05, 3));
-        // A late improvement anywhere in the window keeps the race alive.
-        assert!(!plateaued(&pts(&[5.0, 2.0, 2.0, 1.0, 1.0]), 0.0, 3));
-        // Insufficient evidence: short trajectories and k = 0 never fire.
-        assert!(!plateaued(&pts(&[2.0, 2.0, 2.0]), 0.0, 3));
-        assert!(!plateaued(&pts(&[1.0]), 0.0, 1));
-        assert!(!plateaued(&pts(&[]), 0.0, 1));
-        assert!(!plateaued(&pts(&[5.0, 2.0, 2.0, 2.0]), 0.0, 0));
-    }
-
-    #[test]
-    fn plateau_treats_divergent_values_as_no_progress() {
-        let nan = f64::NAN;
-        let inf = f64::INFINITY;
-        let pts = |vs: &[f64]| -> Vec<(u64, f64)> {
-            vs.iter().enumerate().map(|(i, &v)| (i as u64, v)).collect()
-        };
-        // An all-NaN (or all-+∞) trajectory plateaus as soon as it is
-        // long enough: garbage reads must trigger the cancel, not defer
-        // it.
-        assert!(plateaued(&pts(&[nan, nan, nan, nan]), 1e-9, 3));
-        assert!(plateaued(&pts(&[inf, inf, inf, inf]), 1e-9, 3));
-        // NaNs inside the window never mask a genuine lack of progress…
-        assert!(plateaued(&pts(&[5.0, 2.0, nan, 2.0, nan]), 0.0, 3));
-        // …and a finite improvement after a divergent prefix reads as
-        // progress (best-before is +∞ when every earlier value is NaN).
-        assert!(!plateaued(&pts(&[nan, nan, nan, 1.0]), 1e-9, 3));
-        assert!(!plateaued(&pts(&[5.0, nan, nan, 1.0]), 1e-9, 3));
-    }
-
-    #[test]
-    fn series_plateau_reads_its_own_recorded_points() {
-        let _serial = crate::test_serial();
-        stop();
-        let inert = series("conv-test", "inert-plateau");
-        assert!(!inert.plateaued(1.0, 1), "inert handles never cancel");
-        start(1);
-        let s = series("conv-test", "plateau");
-        for (step, v) in [(0, 5.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 2.0)] {
-            s.record(step, v);
-        }
-        assert!(s.plateaued(0.0, 3));
-        assert!(!s.plateaued(0.0, 4));
-        drain_csv();
     }
 
     #[test]

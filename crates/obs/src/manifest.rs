@@ -91,11 +91,6 @@ pub struct RunManifest {
     /// deadline budget accounting is auditable — and drift-gated — as its
     /// own section.
     pub slo: BTreeMap<String, u64>,
-    /// Portfolio-scheduler counters (`sched.*`), split out of
-    /// [`counters`](Self::counters) like the SLO taxonomy so race
-    /// outcomes (entered/cancelled racers, winners, skips) are auditable
-    /// — and drift-gated — as their own section.
-    pub sched: BTreeMap<String, u64>,
     /// Final global gauge values.
     pub gauges: BTreeMap<String, f64>,
     /// Span timings by path.
@@ -111,19 +106,15 @@ pub struct RunManifest {
 impl RunManifest {
     /// Fills the counter/gauge/span sections from a registry snapshot,
     /// routing `fault.*` / `resil.*` counters into the
-    /// [`resilience`](Self::resilience) section, `serve.slo.*` counters
-    /// into the [`slo`](Self::slo) section, and `sched.*` counters into
-    /// the [`sched`](Self::sched) section.
+    /// [`resilience`](Self::resilience) section and `serve.slo.*`
+    /// counters into the [`slo`](Self::slo) section.
     pub fn set_metrics(&mut self, snapshot: &Snapshot) {
         let (resilience, rest): (BTreeMap<_, _>, BTreeMap<_, _>) =
             snapshot.counters.clone().into_iter().partition(|(name, _)| is_resilience(name));
-        let (slo, rest): (BTreeMap<_, _>, BTreeMap<_, _>) =
-            rest.into_iter().partition(|(name, _)| is_slo(name));
-        let (sched, counters) = rest.into_iter().partition(|(name, _)| is_sched(name));
+        let (slo, counters) = rest.into_iter().partition(|(name, _)| is_slo(name));
         self.counters = counters;
         self.resilience = resilience;
         self.slo = slo;
-        self.sched = sched;
         self.gauges = snapshot.gauges.clone();
         self.spans = snapshot
             .histograms
@@ -161,7 +152,6 @@ impl RunManifest {
         root.insert("counters".to_string(), counters_json(&self.counters));
         root.insert("resilience".to_string(), counters_json(&self.resilience));
         root.insert("slo".to_string(), counters_json(&self.slo));
-        root.insert("sched".to_string(), counters_json(&self.sched));
         root.insert(
             "gauges".to_string(),
             Json::Obj(self.gauges.iter().map(|(k, &v)| (k.clone(), Json::from(v))).collect()),
@@ -240,10 +230,11 @@ impl RunManifest {
             .collect::<Result<Vec<_>, String>>()?;
         let counters = parse_counters(doc.get("counters"))?;
         let resilience = parse_counters(doc.get("resilience"))?;
-        // Absent in manifests written before the SLO / sched taxonomies
-        // existed; those parse to an empty section and diff clean.
+        // Absent in manifests written before the SLO taxonomy existed;
+        // those parse to an empty section and diff clean. A `sched`
+        // section, written while the `auto` backend still raced, is
+        // ignored.
         let slo = parse_counters(doc.get("slo"))?;
-        let sched = parse_counters(doc.get("sched"))?;
         let gauges = doc
             .get("gauges")
             .and_then(Json::as_obj)
@@ -310,7 +301,6 @@ impl RunManifest {
             counters,
             resilience,
             slo,
-            sched,
             gauges,
             spans,
             artifacts,
@@ -335,17 +325,6 @@ pub fn is_resilience(counter: &str) -> bool {
 /// request resolved against its budget.
 pub fn is_slo(counter: &str) -> bool {
     counter.starts_with("serve.slo.")
-}
-
-/// Whether a counter belongs to the manifest's `sched` section.
-///
-/// The scheduler taxonomy is prefix-based: `sched.races`,
-/// `sched.racers.{entered,cancelled}` (optionally suffixed `.<racer>`),
-/// `sched.racer.skipped.<racer>`, `sched.win.<source>`, and
-/// `sched.anytime.plans` record how each racing-portfolio request
-/// resolved.
-pub fn is_sched(counter: &str) -> bool {
-    counter.starts_with("sched.")
 }
 
 fn round3(v: f64) -> f64 {
@@ -377,7 +356,7 @@ fn parse_counters(value: Option<&Json>) -> Result<BTreeMap<String, u64>, String>
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DriftEntry {
     /// Manifest section (`stages`, `stage <name>`, `counters`,
-    /// `resilience`, `slo`, `sched`, `gauges`, or `artifacts`).
+    /// `resilience`, `slo`, `gauges`, or `artifacts`).
     pub section: String,
     /// Key within the section (counter/gauge/artifact name).
     pub key: String,
@@ -437,7 +416,6 @@ pub fn diff_entries(baseline: &RunManifest, current: &RunManifest) -> Vec<DriftE
     diff_counters(&mut drift, "counters", &baseline.counters, &current.counters, &volatile);
     diff_counters(&mut drift, "resilience", &baseline.resilience, &current.resilience, &volatile);
     diff_counters(&mut drift, "slo", &baseline.slo, &current.slo, &volatile);
-    diff_counters(&mut drift, "sched", &baseline.sched, &current.sched, &volatile);
 
     for (name, &b) in &baseline.gauges {
         match current.gauges.get(name) {
@@ -817,53 +795,16 @@ mod tests {
     }
 
     #[test]
-    fn sched_section_round_trips_and_diffs() {
-        let mut baseline = sample_manifest();
-        baseline.sched.insert("sched.races".to_string(), 12);
-        baseline.sched.insert("sched.racers.cancelled.sa".to_string(), 3);
-        let mut current = RunManifest::parse(&baseline.render()).unwrap();
-        assert_eq!(current.sched, baseline.sched);
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
-        current.sched.insert("sched.racers.cancelled.sa".to_string(), 4);
-        current.sched.insert("sched.win.tabu".to_string(), 1);
-        let drift = diff(&baseline, &current);
-        assert_eq!(drift.len(), 2, "{drift:?}");
-        assert!(drift
-            .iter()
-            .any(|d| d.contains("sched: counter sched.racers.cancelled.sa: 3 -> 4")));
-        assert!(drift.iter().any(|d| d.contains("sched: counter sched.win.tabu appeared")));
-    }
-
-    #[test]
-    fn pre_sched_manifests_parse_with_an_empty_section() {
-        // Manifests written before the sched section existed lack the key.
+    fn legacy_sched_sections_are_ignored() {
+        // Manifests written while `auto` still raced carry a `sched`
+        // section; they parse and diff clean against a current run.
         let text = sample_manifest().render();
         let Json::Obj(mut root) = Json::parse(&text).unwrap() else { panic!("manifest object") };
-        root.remove("sched").expect("new manifests always render the sched key");
+        let races = Json::Obj(BTreeMap::from([("sched.races".to_string(), Json::from(12u64))]));
+        root.insert("sched".to_string(), races);
         let parsed = RunManifest::parse(&Json::Obj(root).render()).unwrap();
-        assert!(parsed.sched.is_empty());
-        // An empty current sched section diffs clean against it.
+        assert_eq!(parsed, RunManifest::parse(&text).unwrap());
         assert_eq!(diff(&parsed, &sample_manifest()), Vec::<String>::new());
-    }
-
-    #[test]
-    fn set_metrics_routes_sched_counters() {
-        let reg = crate::Registry::new();
-        reg.counter("serve.requests").add(10);
-        reg.counter("sched.races").add(4);
-        reg.counter("sched.racers.entered.sqa").add(2);
-        let mut manifest = RunManifest::default();
-        manifest.set_metrics(&reg.snapshot());
-        assert_eq!(manifest.counters, BTreeMap::from([("serve.requests".to_string(), 10)]));
-        assert_eq!(
-            manifest.sched,
-            BTreeMap::from([
-                ("sched.races".to_string(), 4),
-                ("sched.racers.entered.sqa".to_string(), 2),
-            ])
-        );
-        assert!(is_sched("sched.win.anytime"));
-        assert!(!is_sched("serve.requests"));
     }
 
     #[test]

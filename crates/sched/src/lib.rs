@@ -1,98 +1,78 @@
-//! `qjo-sched`: the deadline-aware racing portfolio scheduler.
+//! `qjo-sched`: the `auto` backend.
 //!
 //! Where `qjo-serve` routes a request to the *named* backend it asks
-//! for, this crate adds an `auto` backend that picks for itself: it
-//! predicts per-backend cost from [instance features](InstanceFeatures)
-//! (relations, join density, the Theorem 5.3 QUBO-variable bound, and
-//! cache residency), produces an immediate anytime plan from the
-//! classical solvers, then races SA/SQA/tabu under the remaining
-//! deadline budget with per-racer early-cancel on a convergence
-//! plateau. See [`portfolio`] for the race mechanics.
+//! for, `auto` picks the plan itself with one rule: run greedy, and use
+//! the exact DP plan instead when the query has at most
+//! [`DP_MAX_RELATIONS`] relations and DP is strictly cheaper (a tie
+//! keeps greedy's order).
 //!
-//! Budgets are *model* microseconds derived at admission — racers get
-//! attempt/sweep chunk counts, never wall-clock cut-offs — so an entire
-//! race (winner, cancellations, final plan, `sched.*` counters) is
-//! byte-identical at any `QJO_THREADS`, and the smoke baselines under
-//! `results/smoke-sched/` drift-gate it like any other artifact.
+//! This is what the racing portfolio it replaced (SA, SQA and tabu
+//! racing this greedy/DP plan under the deadline budget) always reduced
+//! to: up to the DP cap nothing beats DP's exact optimum, and past it no
+//! racer ever decoded a valid plan — the paper's collapse of valid QUBO
+//! samples past about five relations. EXPERIMENTS.md, "Portfolio
+//! scheduling", records the evidence.
 //!
-//! Wiring is one call: [`install_auto`] registers the portfolio over an
-//! existing [`Service`]'s cache and returns a [`SchedHandle`] through
-//! which observed-latency calibration can be installed explicitly
-//! (never implicitly — calibration makes runs machine-dependent).
+//! `auto` is classical: it never formulates, so it never touches the
+//! formulation cache, and its plans are a pure function of the query.
 
-pub mod features;
-pub mod portfolio;
-
-use std::sync::{Arc, Mutex};
-
+use qjo_core::classical::{dp_optimal, greedy_min_cost};
+use qjo_core::Query;
 use qjo_exec::Parallelism;
-use qjo_obs::online::WorkModelSnapshot;
-use qjo_serve::{Service, Telemetry};
+use qjo_serve::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, ServeError, Service};
 
-pub use features::InstanceFeatures;
-pub use portfolio::{
-    report_counters, PortfolioBackend, RaceReport, RacerResult, DEFAULT_BUDGET_US,
-    DEFAULT_DP_MAX_RELATIONS, DEFAULT_EPSILON, DEFAULT_MAX_RACER_VARS, DEFAULT_PLATEAU_WINDOW,
-};
+/// Largest query `auto` also solves exactly (DP's model cost is `3^t`).
+pub const DP_MAX_RELATIONS: usize = 12;
 
-/// A handle to an installed `auto` backend's calibration slot.
-///
-/// The portfolio starts on the static work model. Feeding it a
-/// [`WorkModelSnapshot`] (typically from the owning service's
-/// [`Telemetry`]) re-derives racer chunk budgets from observed request
-/// latencies; clearing it returns to the static model. Installation is
-/// always explicit because observed latencies are machine-dependent —
-/// drift-gated runs must never calibrate.
-#[derive(Clone)]
-pub struct SchedHandle {
-    calibration: Arc<Mutex<Option<WorkModelSnapshot>>>,
-}
+/// The `auto` backend: greedy, or DP's plan when that is strictly
+/// cheaper and the query is small enough to solve exactly.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AutoBackend;
 
-impl SchedHandle {
-    /// Installs a point-in-time snapshot of `telemetry`'s work model.
-    pub fn calibrate(&self, telemetry: &Telemetry) {
-        self.calibrate_with(telemetry.work_model());
+impl JoinOrderOptimizer for AutoBackend {
+    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+        let (greedy, mut cost) = greedy_min_cost(query);
+        let mut order = greedy.order;
+        if query.num_relations() <= DP_MAX_RELATIONS {
+            let (dp, dp_cost) = dp_optimal(query);
+            if dp_cost < cost {
+                (order, cost) = (dp.order, dp_cost);
+            }
+        }
+        Ok(Plan { order, cost, cache: None, embed: None, fallback: false })
     }
 
-    /// Installs an explicit snapshot (tests, or an external model).
-    pub fn calibrate_with(&self, snapshot: WorkModelSnapshot) {
-        *self.calibration.lock().expect("calibration lock") = Some(snapshot);
+    fn describe(&self) -> BackendInfo {
+        BackendInfo { name: "auto", family: "classical" }
     }
 
-    /// Drops the calibration; the static model governs again.
-    pub fn clear_calibration(&self) {
-        *self.calibration.lock().expect("calibration lock") = None;
-    }
-
-    /// Whether a calibration snapshot is currently installed.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibration.lock().expect("calibration lock").is_some()
+    fn pre_check(&self, query: &Query) -> PreCheck {
+        // The greedy and DP backends' own models, summed.
+        let t = query.num_relations() as u64;
+        let greedy = (t * t / 10).max(1);
+        let dp = if t as usize <= DP_MAX_RELATIONS {
+            (3u64.saturating_pow(t as u32) / 1000).max(1)
+        } else {
+            0
+        };
+        PreCheck::ok(greedy + dp)
     }
 }
 
-/// Registers the racing portfolio as the `auto` backend of `service`,
-/// sharing the service's formulation cache (races warm classes for the
-/// static backends and vice versa). Returns the calibration handle.
-pub fn install_auto(service: &mut Service, seed: u64, parallelism: Parallelism) -> SchedHandle {
-    let backend = PortfolioBackend::new(service.cache().clone(), seed, parallelism);
-    let handle = SchedHandle { calibration: backend.calibration.clone() };
-    service.insert_backend("auto", Box::new(backend));
-    handle
-}
-
-/// [`Service::smoke`] plus the `auto` portfolio: the full roster the
-/// `sched-bench` experiment replays.
-pub fn smoke_service(seed: u64, parallelism: Parallelism) -> (Service, SchedHandle) {
+/// [`Service::smoke`] plus the `auto` backend: the full roster the
+/// `sched-bench` experiment replays. Returns a pair only because the
+/// benchmark package reads `.0`.
+pub fn smoke_service(seed: u64, parallelism: Parallelism) -> (Service, ()) {
     let mut service = Service::smoke(seed, parallelism);
-    let handle = install_auto(&mut service, seed, parallelism);
-    (service, handle)
+    service.insert_backend("auto", Box::new(AutoBackend));
+    (service, ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qjo_core::{QueryGenerator, QueryGraph};
-    use qjo_serve::{validate_events, Request};
+    use qjo_serve::{validate_events, AdmissionMode, Request};
 
     fn req(id: &str, deadline_ms: Option<u64>, graph: QueryGraph, t: usize, seed: u64) -> Request {
         Request {
@@ -105,7 +85,7 @@ mod tests {
 
     #[test]
     fn the_auto_backend_serves_valid_events_through_the_service() {
-        let (svc, _) = smoke_service(7, Parallelism::sequential());
+        let (svc, ()) = smoke_service(7, Parallelism::sequential());
         assert!(svc.backend_names().contains(&"auto"));
         let r = svc.handle(&req("a", Some(60_000), QueryGraph::Chain, 4, 1));
         assert_eq!(r.error, None);
@@ -115,19 +95,49 @@ mod tests {
         assert_eq!(sorted, vec![0, 1, 2, 3]);
         let events = svc.drain_events();
         assert_eq!(validate_events(&events), Vec::<String>::new());
-        let e = &events[0];
-        assert_eq!(e.backend, "auto");
-        assert_eq!(e.slo, Some("met"));
-        let portfolio = e.portfolio.as_deref().expect("race metadata");
-        assert!(portfolio.contains("anytime"), "{portfolio}");
-        let winner = e.winner.as_deref().expect("winner");
-        assert!(portfolio.split(',').any(|n| n == winner), "{winner} not in {portfolio}");
+        assert_eq!(events[0].backend, "auto");
+        assert_eq!(events[0].slo, Some("met"));
+    }
+
+    #[test]
+    fn auto_is_greedy_unless_dp_is_strictly_cheaper() {
+        let (svc, ()) = smoke_service(7, Parallelism::sequential());
+        let (mut dp_wins, mut greedy_kept) = (0, 0);
+        let sizes = (3..=14).chain([20, 42]);
+        for t in sizes {
+            for graph in [QueryGraph::Chain, QueryGraph::Star, QueryGraph::Cycle] {
+                for seed in 0..2 {
+                    let r = req(&format!("{graph:?}-{t}-{seed}"), None, graph, t, seed);
+                    let (greedy, greedy_cost) = greedy_min_cost(&r.query);
+                    let mut expected = (greedy.order, greedy_cost);
+                    if t <= DP_MAX_RELATIONS {
+                        let (dp, dp_cost) = dp_optimal(&r.query);
+                        if dp_cost < greedy_cost {
+                            expected = (dp.order, dp_cost);
+                            dp_wins += 1;
+                        } else {
+                            greedy_kept += 1;
+                        }
+                    }
+                    let resp = svc.handle(&r);
+                    let cost = resp.cost.expect("auto always answers");
+                    assert_eq!(resp.order, expected.0, "{}", r.id);
+                    assert_eq!(cost.to_bits(), expected.1.to_bits(), "{}", r.id);
+                }
+            }
+        }
+        assert!(dp_wins > 0 && greedy_kept > 0, "both arms of the rule are exercised");
+        assert!(svc.cache().is_empty(), "auto never formulates");
+        for e in svc.drain_events() {
+            assert_eq!(e.cache, None, "{}", e.id);
+            assert_eq!((e.portfolio, e.winner, e.cancelled), (None, None, None), "{}", e.id);
+        }
     }
 
     #[test]
     fn auto_plans_under_estimates_recost_under_the_truth() {
         use qjo_core::{CostModel, JoinOrder, QErrorInjector};
-        let (svc, _) = smoke_service(7, Parallelism::sequential());
+        let (svc, ()) = smoke_service(7, Parallelism::sequential());
         let truth = QueryGenerator::paper_defaults(QueryGraph::Star, 4).generate(5);
         let inj = QErrorInjector::new(11, 4.0).unwrap();
         let est = inj.inject(&truth, 0);
@@ -138,7 +148,7 @@ mod tests {
             query: est.clone(),
         });
         assert_eq!(r.error, None);
-        // The portfolio optimised under the estimates; its plan is a valid
+        // `auto` optimised under the estimates; its plan is a valid
         // permutation, so it re-costs under the truth to a finite value.
         let t = truth.num_relations();
         let order = JoinOrder::new(r.order.clone(), t).expect("valid permutation");
@@ -150,9 +160,23 @@ mod tests {
     }
 
     #[test]
+    fn calibrated_admission_reads_auto_observations_under_auto() {
+        // Admission predicts a classical backend's work key as its bare
+        // name, and the telemetry records a lookup-free request under the
+        // same key, so calibrated admission finds its own observations.
+        let (mut svc, ()) = smoke_service(7, Parallelism::sequential());
+        svc.set_admission_mode(AdmissionMode::Calibrated { min_samples: 1 });
+        svc.handle(&req("warm", None, QueryGraph::Chain, 4, 1));
+        let observed = svc.telemetry().cost_estimate_us("auto", 1).expect("recorded under `auto`");
+        svc.handle(&req("timed", Some(60_000), QueryGraph::Chain, 4, 1));
+        let events = svc.drain_events();
+        assert_eq!(events[1].est_cost_us, Some(observed));
+    }
+
+    #[test]
     fn service_races_are_byte_identical_across_thread_counts() {
         let run = |threads: usize| -> Vec<String> {
-            let (svc, _) = smoke_service(7, Parallelism::new(threads));
+            let (svc, ()) = smoke_service(7, Parallelism::new(threads));
             let mut out = Vec::new();
             for (i, (graph, deadline)) in [
                 (QueryGraph::Chain, None),
@@ -172,16 +196,5 @@ mod tests {
             out
         };
         assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn calibration_is_explicit_and_reversible() {
-        let (svc, handle) = smoke_service(7, Parallelism::sequential());
-        assert!(!handle.is_calibrated());
-        svc.handle(&req("warm", None, QueryGraph::Chain, 4, 1));
-        handle.calibrate(svc.telemetry());
-        assert!(handle.is_calibrated());
-        handle.clear_calibration();
-        assert!(!handle.is_calibrated());
     }
 }

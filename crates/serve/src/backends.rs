@@ -64,19 +64,12 @@ fn plan_via_cache(
             let order = canon.order_to_original(&canonical.order);
             let jo = JoinOrder::new(order.clone(), t).expect("decoded orders are permutations");
             let cost = jo.cost(query);
-            Plan { order, cost, cache: Some(status), embed: None, fallback: false, race: None }
+            Plan { order, cost, cache: Some(status), embed: None, fallback: false }
         }
         Err(_) => {
             qjo_obs::counter!("serve.solve.fallback").incr();
             let (jo, cost) = greedy_min_cost(query);
-            Plan {
-                order: jo.order,
-                cost,
-                cache: Some(status),
-                embed: None,
-                fallback: true,
-                race: None,
-            }
+            Plan { order: jo.order, cost, cache: Some(status), embed: None, fallback: true }
         }
     }
 }
@@ -104,7 +97,7 @@ impl JoinOrderOptimizer for DpBackend {
             });
         }
         let (jo, cost) = dp_optimal(query);
-        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false, race: None })
+        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false })
     }
 
     fn describe(&self) -> BackendInfo {
@@ -132,7 +125,7 @@ pub struct GreedyBackend;
 impl JoinOrderOptimizer for GreedyBackend {
     fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
         let (jo, cost) = greedy_min_cost(query);
-        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false, race: None })
+        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false })
     }
 
     fn describe(&self) -> BackendInfo {

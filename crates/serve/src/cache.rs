@@ -265,10 +265,13 @@ mod tests {
     fn second_lookup_hits_and_shares_the_entry() {
         let c = cache(8);
         let q = QueryGenerator::paper_defaults(QueryGraph::Chain, 4).generate(0);
+        // A peek neither formulates nor counts.
+        assert!(c.peek(&q).1.is_none() && c.is_empty());
         let (_, first, s1) = c.lookup(&q);
         let (_, second, s2) = c.lookup(&q);
         assert_eq!((s1, s2), (CacheStatus::Miss, CacheStatus::Hit));
         assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&c.peek(&q).1.expect("resident"), &first));
         let stats = c.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
     }

@@ -65,8 +65,10 @@ pub struct ServeEvent {
     /// Measured wall-clock handling latency in µs. **Volatile**: absent
     /// from the deterministic projection.
     pub latency_us: u64,
-    /// Sorted, comma-joined race entrants (always includes `anytime`);
-    /// present iff a `qjo-sched` portfolio answered the request.
+    // The three race fields below are always null now that `auto` no
+    // longer races; they stay because the benchmark package reads them.
+    /// Sorted, comma-joined race entrants of a racing-portfolio answer
+    /// (always including `anytime`), as archived logs record them.
     pub portfolio: Option<String>,
     /// The race entrant whose plan was returned; present iff `portfolio`
     /// is.
@@ -282,7 +284,8 @@ pub fn validate_events(events: &[ServeEvent]) -> Vec<String> {
                 e.admitted, e.reason
             )));
         }
-        // Race fields come as a unit, only on admitted portfolio answers.
+        // Race fields (archived logs only) come as a unit, only on
+        // admitted portfolio answers.
         if e.winner.is_some() != e.portfolio.is_some()
             || e.cancelled.is_some() != e.portfolio.is_some()
         {

@@ -22,8 +22,9 @@ pub struct BackendInfo {
     /// Stable identifier used in requests, reports, and counters
     /// (e.g. `"dp"`, `"annealer"`).
     pub name: &'static str,
-    /// Coarse family: `"classical"`, `"qubo"`, `"quantum-sim"`, or
-    /// `"portfolio"` (the `qjo-sched` racing scheduler).
+    /// Coarse family: `"classical"`, `"qubo"` or `"quantum-sim"`.
+    /// Admission keys a classical backend's observed latencies by its
+    /// bare name, the others by cache state as well.
     pub family: &'static str,
 }
 
@@ -51,22 +52,6 @@ impl PreCheck {
     }
 }
 
-/// Outcome metadata of a racing-portfolio solve (produced by the
-/// `qjo-sched` crate's `auto` backend, absent everywhere else). Flat
-/// comma-joined strings so it drops straight into the per-request event
-/// schema.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RaceOutcome {
-    /// Sorted, comma-joined names of every entrant that produced a
-    /// candidate plan (always includes `anytime`).
-    pub portfolio: String,
-    /// The entrant whose plan won (lowest plan cost, name tie-break).
-    pub winner: String,
-    /// Sorted, comma-joined names of racers cancelled on a convergence
-    /// plateau; empty when none were.
-    pub cancelled: String,
-}
-
 /// A served join order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
@@ -86,8 +71,6 @@ pub struct Plan {
     /// True when the solver failed to decode a valid order and the plan
     /// came from the greedy fallback instead.
     pub fallback: bool,
-    /// Race metadata when a portfolio produced this plan.
-    pub race: Option<RaceOutcome>,
 }
 
 /// Serving errors.
@@ -126,21 +109,6 @@ impl std::error::Error for ServeError {}
 pub trait JoinOrderOptimizer: Send + Sync {
     /// Optimises the join order of `query`.
     fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError>;
-
-    /// Like [`optimize_join_order`](Self::optimize_join_order), but told
-    /// the remaining deadline budget in *model* microseconds (`None` for
-    /// deadline-free requests). The default ignores the budget; the
-    /// `qjo-sched` portfolio derives its racers' attempt/sweep budgets
-    /// from it — never from wall-clock, so plans stay a pure function of
-    /// the request.
-    fn optimize_under_budget(
-        &self,
-        query: &Query,
-        budget_us: Option<u64>,
-    ) -> Result<Plan, ServeError> {
-        let _ = budget_us;
-        self.optimize_join_order(query)
-    }
 
     /// Identifies the backend.
     fn describe(&self) -> BackendInfo;

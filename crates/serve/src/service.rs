@@ -29,7 +29,7 @@ use crate::backends::{
 use crate::cache::FormulationCache;
 use crate::events::ServeEvent;
 use crate::fingerprint::FingerprintConfig;
-use crate::optimizer::{JoinOrderOptimizer, Plan, RaceOutcome, ServeError};
+use crate::optimizer::{JoinOrderOptimizer, Plan, ServeError};
 use crate::request::{Request, Response};
 use crate::telemetry::Telemetry;
 
@@ -79,13 +79,11 @@ struct HandleMeta {
     /// Embedding-cache outcome the *plan itself* reported (actual
     /// post-execution state, immune to concurrent cache traffic).
     embed: Option<&'static str>,
-    /// Race metadata when the backend was a portfolio.
-    race: Option<RaceOutcome>,
 }
 
 impl HandleMeta {
     fn diverted(reason: &'static str, est_cost_us: Option<u64>) -> Self {
-        HandleMeta { admitted: false, reason: Some(reason), est_cost_us, embed: None, race: None }
+        HandleMeta { admitted: false, reason: Some(reason), est_cost_us, embed: None }
     }
 }
 
@@ -191,8 +189,8 @@ impl Service {
     }
 
     /// Registers (or replaces) a named backend after construction — how
-    /// the `qjo-sched` crate installs its `auto` portfolio over this
-    /// service's cache without `serve` depending on the scheduler.
+    /// the `qjo-sched` crate adds its `auto` backend without `serve`
+    /// depending on it.
     pub fn insert_backend(
         &mut self,
         name: impl Into<String>,
@@ -402,14 +400,6 @@ impl Service {
         } else {
             self.cache.canonicalize(&req.query).fingerprint
         };
-        let (portfolio, winner, cancelled) = match &meta.race {
-            Some(race) => (
-                Some(race.portfolio.clone()),
-                Some(race.winner.clone()),
-                Some(race.cancelled.clone()),
-            ),
-            None => (None, None, None),
-        };
         self.telemetry.record(ServeEvent {
             seq: 0, // assigned by the telemetry sink
             id: req.id.clone(),
@@ -425,9 +415,9 @@ impl Service {
             cost: resp.cost,
             est_cost_us: meta.est_cost_us,
             latency_us,
-            portfolio,
-            winner,
-            cancelled,
+            portfolio: None,
+            winner: None,
+            cancelled: None,
         });
         resp
     }
@@ -459,7 +449,6 @@ impl Service {
             );
         }
         let mut est_cost_us = None;
-        let mut budget = None;
         if let Some(deadline_ms) = req.deadline_ms {
             let budget_us = deadline_ms.saturating_mul(1000);
             let est = match self.admission {
@@ -485,10 +474,9 @@ impl Service {
                     HandleMeta::diverted("deadline", est_cost_us),
                 );
             }
-            budget = Some(budget_us);
         }
-        match backend.optimize_under_budget(&req.query, budget) {
-            Ok(Plan { order, cost, cache, embed, fallback, race }) => {
+        match backend.optimize_join_order(&req.query) {
+            Ok(Plan { order, cost, cache, embed, fallback }) => {
                 if fallback {
                     self.count("serve.fallback", 1);
                     // `plan_via_cache` already bumped the global
@@ -506,7 +494,7 @@ impl Service {
                     error: None,
                 };
                 let reason = if fallback { Some("solve") } else { None };
-                (resp, HandleMeta { admitted: true, reason, est_cost_us, embed, race })
+                (resp, HandleMeta { admitted: true, reason, est_cost_us, embed })
             }
             Err(e @ ServeError::Unsupported { .. }) | Err(e @ ServeError::Solve { .. }) => {
                 // pre_check admitted it but the solve still failed: last
@@ -514,13 +502,8 @@ impl Service {
                 self.count("serve.fallback", 1);
                 let mut resp = self.greedy_response(req, false, true);
                 resp.error = Some(e.to_string());
-                let meta = HandleMeta {
-                    admitted: true,
-                    reason: Some("solve"),
-                    est_cost_us,
-                    embed: None,
-                    race: None,
-                };
+                let meta =
+                    HandleMeta { admitted: true, reason: Some("solve"), est_cost_us, embed: None };
                 (resp, meta)
             }
         }

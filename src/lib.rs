@@ -17,9 +17,8 @@
 //! * [`serve`] — the always-on optimisation service: every backend behind
 //!   one `JoinOrderOptimizer` trait, a content-addressed formulation and
 //!   embedding cache, and the batching JSON request loop.
-//! * [`sched`] — the deadline-aware `auto` backend: an anytime classical
-//!   fallback racing budgeted SA/SQA/tabu with plateau early-cancel,
-//!   deterministic at any thread count.
+//! * [`sched`] — the `auto` backend: greedy, or the exact DP plan when
+//!   that is strictly cheaper and the query has at most 12 relations.
 //!
 //! See the `examples/` directory for end-to-end walkthroughs and the
 //! `experiments` binary (`cargo run -p qjo-bench --release --bin
