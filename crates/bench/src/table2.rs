@@ -6,10 +6,12 @@
 //! shots are sampled from the circuit under the Auckland noise model. Shots
 //! are decoded per Section 3.5 into valid/optimal fractions.
 //!
-//! Simulation-scale note: dense state-vector simulation costs O(2^n) per
-//! gate, so the default configuration covers the 0- and 1-predicate
-//! scenarios (18–22 qubits); the full 0–3 sweep (up to ~27 qubits) is
-//! reachable via [`Table2Config::max_predicates`] given time and memory.
+//! Simulation-scale note: the p = 1 parameter loop is closed-form and
+//! needs no state vector, but each noise trajectory evolves one dense
+//! state vector at O(2^n) per pass, so the default configuration covers
+//! the 0- and 1-predicate scenarios (18–22 qubits); the full 0–3 sweep (up
+//! to ~27 qubits) is reachable via [`Table2Config::max_predicates`] given
+//! time and memory.
 
 use qjo_core::classical::dp_optimal;
 use qjo_core::{assess_samples, JoEncoder, QueryGenerator, QueryGraph, ThresholdSpec};
@@ -89,8 +91,8 @@ pub fn run(config: &Table2Config) -> Vec<Table2Row> {
 
         let mut rows = Vec::new();
         for &iterations in &config.iteration_budgets {
-            // Classical loop: the fast diagonal engine evaluates ⟨H⟩, the
-            // optimiser is the AQGD stand-in at the paper's budget.
+            // Classical loop: the AQGD stand-in, at the paper's budget,
+            // on the closed-form p = 1 ⟨H⟩.
             let opt = GradientDescent { iterations, learning_rate: 0.05, fd_step: 1e-3 }
                 .minimize(|x| sim.expectation(&QaoaParams::from_flat(1, x)), &[0.1, 0.1]);
             let params = QaoaParams::from_flat(1, &opt.x);

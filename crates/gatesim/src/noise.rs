@@ -7,6 +7,20 @@
 //! approximation of the combined amplitude/phase-damping channel) and then
 //! samples measurements with readout flips.
 //!
+//! A trajectory does not run its errors as gates. Its error draws never
+//! depend on the state, so it draws them first, gate by gate and qubit by
+//! qubit, and pushes each one to the end of the circuit as a *Pauli frame*:
+//! a Clifford gate conjugates the frame, and a rotation whose axis
+//! anticommutes with the frame runs with its angle negated. The trajectory
+//! then evolves the resulting ideal gate list with fused passes — the
+//! leading one-qubit layer and the diagonal run after it as one product
+//! state write, each later diagonal run as one pass, every other gate on
+//! its own — and reads the frame's X part as a permutation in the pass
+//! that builds the sampling CDF. A 19-qubit QAOA trajectory under Auckland
+//! noise makes 21 passes over its amplitudes where running every gate and
+//! error would make about 107, and every shot's uniform lands on the basis
+//! state it would land on there, up to rounding at a CDF boundary.
+//!
 //! This reproduces the property the paper's evaluation hinges on: result
 //! quality collapses once circuit duration approaches `min(T1, T2)`, and
 //! deeper circuits (more gates) accumulate proportionally more error.
@@ -20,9 +34,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
+use crate::complex::{ONE, ZERO};
+use crate::gate::{Gate, GateQubits};
 use crate::shots::ShotBuffer;
-use crate::statevector::StateVector;
+use crate::statevector::{BasisSampler, StateVector};
 
 /// Attempt budget per trajectory (first run + reseeded re-runs).
 const TRAJECTORY_ATTEMPTS: u64 = 3;
@@ -182,7 +197,7 @@ pub struct NoisySimulator {
     pub model: NoiseModel,
     /// Number of independent noise trajectories; shots are split across
     /// them. More trajectories sample gate errors more finely but cost one
-    /// full state-vector evolution each.
+    /// state-vector evolution of the circuit each.
     pub trajectories: usize,
     /// RNG seed.
     pub seed: u64,
@@ -220,6 +235,19 @@ impl NoisySimulator {
     /// Trajectory `i` derives its own RNG stream from `(self.seed, i)`,
     /// so the result does not depend on [`Self::parallelism`].
     pub fn sample(&self, circuit: &Circuit, shots: usize) -> ShotBuffer {
+        let noise = [self.gate_noise(false), self.gate_noise(true)];
+        self.sample_trajectories(circuit, shots, |rng| frame_trajectory(circuit, &noise, rng))
+    }
+
+    /// Splits `shots` over the trajectories and samples each from the
+    /// sampler `trajectory` returns for its RNG stream, which it may draw
+    /// from before the shot uniforms and readout flips.
+    fn sample_trajectories(
+        &self,
+        circuit: &Circuit,
+        shots: usize,
+        trajectory: impl Fn(&mut StdRng) -> BasisSampler + Sync,
+    ) -> ShotBuffer {
         assert!(self.trajectories >= 1, "need at least one trajectory");
         debug_assert!(self.model.validate().is_ok(), "{}", self.model.validate().unwrap_err());
         let _span = qjo_obs::span!("gatesim.noisy.sample");
@@ -228,8 +256,6 @@ impl NoisySimulator {
         let n = circuit.num_qubits();
         let base = shots / self.trajectories;
         let extra = shots % self.trajectories;
-        let noise_1q = self.gate_noise(false);
-        let noise_2q = self.gate_noise(true);
 
         let trajectories: Vec<usize> = (0..self.trajectories).collect();
         let per_trajectory = par_map_seeded(trajectories, self.seed, self.parallelism, |t, rng| {
@@ -260,16 +286,10 @@ impl NoisySimulator {
                 reseeded = StdRng::seed_from_u64(qjo_resil::stream_seed(stream, t as u64));
                 &mut reseeded
             };
-            let mut state = StateVector::zero(n);
-            for g in circuit.gates() {
-                state.apply(*g);
-                let noise = if g.is_two_qubit() { &noise_2q } else { &noise_1q };
-                Self::insert_errors(&mut state, g, noise, rng);
-            }
-            // Draw order matches the unpacked representation exactly: all
-            // shot uniforms first, then readout flips shot-major/bit-minor —
-            // but the flips of one shot now land as a single word XOR.
-            let mut out = state.sampler().sample(rng, this_shots);
+            // Draw order: the trajectory's error draws, then all shot
+            // uniforms, then readout flips shot-major/bit-minor — the
+            // flips of one shot land as a single word XOR.
+            let mut out = trajectory(rng).sample(rng, this_shots);
             if self.model.readout_error > 0.0 {
                 for s in 0..this_shots {
                     let mut flips = 0u64;
@@ -301,39 +321,164 @@ impl NoisySimulator {
         let (px, py, pz) = self.model.pauli_rates(t_gate);
         GateNoise { p_depol, thresh_x: px, thresh_xy: px + py, thresh_xyz: px + py + pz }
     }
+}
 
-    fn insert_errors<R: RngExt + ?Sized>(
-        state: &mut StateVector,
-        gate: &Gate,
-        noise: &GateNoise,
-        rng: &mut R,
-    ) {
-        for q in gate.qubits().iter() {
-            // Depolarising gate error: uniform Pauli with probability p.
-            if noise.p_depol > 0.0 && rng.random_bool(noise.p_depol) {
-                match rng.random_range(0..3) {
-                    0 => state.apply(Gate::X(q)),
-                    1 => state.apply(Gate::Y(q)),
-                    _ => state.apply(Gate::Z(q)),
-                }
+/// Draws the errors that follow one gate on qubit `q` and hands each to
+/// `error` as an X, Y or Z gate: a depolarising Pauli with probability
+/// `p_depol`, then a Pauli-twirled T1/T2 decoherence error. The draws never
+/// depend on the state, and their order is the RNG stream's contract.
+fn draw_errors<R: RngExt + ?Sized>(
+    noise: &GateNoise,
+    q: usize,
+    rng: &mut R,
+    mut error: impl FnMut(Gate),
+) {
+    if noise.p_depol > 0.0 && rng.random_bool(noise.p_depol) {
+        error(match rng.random_range(0..3) {
+            0 => Gate::X(q),
+            1 => Gate::Y(q),
+            _ => Gate::Z(q),
+        });
+    }
+    let u: f64 = rng.random();
+    if u < noise.thresh_x {
+        error(Gate::X(q));
+    } else if u < noise.thresh_xy {
+        error(Gate::Y(q));
+    } else if u < noise.thresh_xyz {
+        error(Gate::Z(q));
+    }
+}
+
+/// A Pauli operator up to phase, `X^x · Z^z` with one bit per qubit.
+#[derive(Debug, Default)]
+struct PauliFrame {
+    x: usize,
+    z: usize,
+}
+
+impl PauliFrame {
+    fn bit(mask: usize, q: usize) -> usize {
+        mask >> q & 1
+    }
+
+    /// Multiplies a Pauli error gate into the frame.
+    fn absorb(&mut self, error: Gate) {
+        match error {
+            Gate::X(q) => self.x ^= 1 << q,
+            Gate::Y(q) => {
+                self.x ^= 1 << q;
+                self.z ^= 1 << q;
             }
-            // Decoherence over the gate duration (Pauli-twirled T1/T2).
-            let u: f64 = rng.random();
-            if u < noise.thresh_x {
-                state.apply(Gate::X(q));
-            } else if u < noise.thresh_xy {
-                state.apply(Gate::Y(q));
-            } else if u < noise.thresh_xyz {
-                state.apply(Gate::Z(q));
-            }
+            Gate::Z(q) => self.z ^= 1 << q,
+            _ => unreachable!("errors are Pauli gates, not {error:?}"),
         }
     }
+
+    /// Moves the frame from before `gate` to after it and returns the gate
+    /// that runs in its place: `gate · F = F' · returned`. A Clifford gate
+    /// conjugates the frame (`F' = gate · F · gate†`) and runs unchanged; a
+    /// rotation `exp(−iθA/2)` leaves the frame as it is and runs with `−θ`
+    /// when its axis `A` anticommutes with the frame.
+    fn push_through(&mut self, gate: Gate) -> Gate {
+        use Gate::*;
+        let (x, z) = (self.x, self.z);
+        let swap_bits = |m: usize, a: usize, b: usize| {
+            let d = (m >> a ^ m >> b) & 1;
+            m ^ (d << a | d << b)
+        };
+        let flip_if = |anticommutes: usize, negated: Gate| (anticommutes == 1).then_some(negated);
+        let negated = match gate {
+            X(_) | Y(_) | Z(_) => None,
+            H(q) => {
+                let d = Self::bit(x ^ z, q) << q;
+                self.x ^= d;
+                self.z ^= d;
+                None
+            }
+            S(q) | Sdg(q) => {
+                self.z ^= Self::bit(x, q) << q;
+                None
+            }
+            Sx(q) => {
+                self.x ^= Self::bit(z, q) << q;
+                None
+            }
+            Cx(c, t) => {
+                self.x ^= Self::bit(x, c) << t;
+                self.z ^= Self::bit(z, t) << c;
+                None
+            }
+            Cz(a, b) => {
+                self.z ^= Self::bit(x, a) << b | Self::bit(x, b) << a;
+                None
+            }
+            Swap(a, b) => {
+                self.x = swap_bits(x, a, b);
+                self.z = swap_bits(z, a, b);
+                None
+            }
+            Rx(q, t) => flip_if(Self::bit(z, q), Rx(q, -t)),
+            Ry(q, t) => flip_if(Self::bit(x ^ z, q), Ry(q, -t)),
+            Rz(q, t) => flip_if(Self::bit(x, q), Rz(q, -t)),
+            Phase(q, t) => flip_if(Self::bit(x, q), Phase(q, -t)),
+            Rzz(a, b, t) => flip_if(Self::bit(x, a) ^ Self::bit(x, b), Rzz(a, b, -t)),
+            Rxx(a, b, t) => flip_if(Self::bit(z, a) ^ Self::bit(z, b), Rxx(a, b, -t)),
+        };
+        negated.unwrap_or(gate)
+    }
+}
+
+/// One trajectory: draws its errors into a Pauli frame, evolves the ideal
+/// gate list the frame leaves behind, and returns the sampler of the state
+/// with the frame's X part applied.
+fn frame_trajectory(circuit: &Circuit, noise: &[GateNoise; 2], rng: &mut StdRng) -> BasisSampler {
+    let mut frame = PauliFrame::default();
+    let mut gates = Vec::with_capacity(circuit.len());
+    for g in circuit.gates() {
+        gates.push(frame.push_through(*g));
+        let noise = &noise[usize::from(g.is_two_qubit())];
+        for q in g.qubits().iter() {
+            draw_errors(noise, q, rng, |e| frame.absorb(e));
+        }
+    }
+    evolve_fused(circuit.num_qubits(), &gates).flipped_sampler(frame.x)
+}
+
+/// Evolves `|0…0⟩` through `gates` with fused passes: the leading
+/// one-qubit gates act qubit by qubit and, with the diagonal run that
+/// follows them, are written as one product state; each later diagonal run
+/// is one pass; every other gate is applied on its own.
+fn evolve_fused(num_qubits: usize, gates: &[Gate]) -> StateVector {
+    let diagonal_run = |gates: &[Gate]| gates.iter().take_while(|g| g.is_diagonal()).count();
+    let prefix = gates.iter().take_while(|g| !g.is_two_qubit()).count();
+    let mut qubits = vec![[ONE, ZERO]; num_qubits];
+    for g in &gates[..prefix] {
+        let GateQubits::One(q) = g.qubits() else { unreachable!("the prefix is one-qubit") };
+        let u = g.unitary_1q();
+        let [a0, a1] = qubits[q];
+        qubits[q] = [u[0] * a0 + u[1] * a1, u[2] * a0 + u[3] * a1];
+    }
+    let run = diagonal_run(&gates[prefix..]);
+    let mut state = StateVector::product(&qubits, &gates[prefix..prefix + run]);
+    let mut rest = &gates[prefix + run..];
+    while let Some(&g) = rest.first() {
+        let run = diagonal_run(rest);
+        if run > 1 {
+            state.apply_diagonal_run(&rest[..run]);
+        } else {
+            state.apply(g);
+        }
+        rest = &rest[run.max(1)..];
+    }
+    state
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gate::Gate::*;
+    use rand::SeedableRng;
 
     #[test]
     fn noiseless_model_reproduces_ideal_statistics() {
@@ -488,23 +633,135 @@ mod tests {
         assert!(w.max_coherent_depth() < a.max_coherent_depth());
     }
 
+    /// Auckland with every error rate scaled by `factor`, as the noise
+    /// ablation scales it.
+    fn auckland_times(factor: f64) -> NoiseModel {
+        let base = NoiseModel::ibm_auckland();
+        NoiseModel {
+            p_depol_1q: base.p_depol_1q * factor,
+            p_depol_2q: base.p_depol_2q * factor,
+            readout_error: (base.readout_error * factor).min(0.45),
+            t1: base.t1 / factor,
+            t2: base.t2 / factor,
+            ..base
+        }
+    }
+
+    /// A 10-qubit QAOA circuit on a random Ising model with fields.
+    fn qaoa_10() -> Circuit {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut ising = qjo_qubo::IsingModel::new(10);
+        for i in 0..10 {
+            ising.add_field(i, rng.random_range(-1.0..1.0));
+            for j in i + 1..10 {
+                if rng.random_bool(0.4) {
+                    ising.add_coupling(i, j, rng.random_range(-1.0..1.0));
+                }
+            }
+        }
+        let params = crate::qaoa::QaoaParams { gammas: vec![0.37], betas: vec![-0.81] };
+        crate::qaoa::qaoa_circuit(&ising, &params)
+    }
+
     #[test]
     fn thread_count_does_not_change_shots() {
-        let mut c = Circuit::new(2);
-        c.push(H(0));
-        c.push(Cx(0, 1));
-        let model = NoiseModel::ibm_auckland();
-        let at = |threads| {
-            let sim = NoisySimulator {
-                trajectories: 6,
-                parallelism: Parallelism::new(threads),
-                ..NoisySimulator::new(model, 11)
+        let mut bell = Circuit::new(2);
+        bell.push(H(0));
+        bell.push(Cx(0, 1));
+        // Under Auckland noise ×20 the QAOA trajectories carry X, Y and Z
+        // frames through H, RZ/RZZ and RX; in the Bell circuit errors are
+        // rare.
+        let qaoa = qaoa_10();
+        for (c, model) in [(&bell, NoiseModel::ibm_auckland()), (&qaoa, auckland_times(20.0))] {
+            let at = |threads| {
+                let sim = NoisySimulator {
+                    trajectories: 6,
+                    parallelism: Parallelism::new(threads),
+                    ..NoisySimulator::new(model, 11)
+                };
+                sim.sample(c, 300)
             };
-            sim.sample(&c, 300)
-        };
-        let sequential = at(1);
-        assert_eq!(sequential, at(3));
-        assert_eq!(sequential, at(8));
+            let sequential = at(1);
+            assert_eq!(sequential, at(3));
+            assert_eq!(sequential, at(8));
+        }
+    }
+
+    /// The per-gate trajectory the frame path replaces, kept as its oracle:
+    /// every gate and every drawn error runs on the state vector.
+    fn per_gate_trajectory(
+        circuit: &Circuit,
+        noise: &[GateNoise; 2],
+        rng: &mut StdRng,
+    ) -> BasisSampler {
+        let mut state = StateVector::zero(circuit.num_qubits());
+        for g in circuit.gates() {
+            state.apply(*g);
+            let noise = &noise[usize::from(g.is_two_qubit())];
+            for q in g.qubits().iter() {
+                draw_errors(noise, q, rng, |e| state.apply(e));
+            }
+        }
+        state.sampler()
+    }
+
+    fn sample_per_gate(sim: &NoisySimulator, circuit: &Circuit, shots: usize) -> ShotBuffer {
+        let noise = [sim.gate_noise(false), sim.gate_noise(true)];
+        sim.sample_trajectories(circuit, shots, |rng| per_gate_trajectory(circuit, &noise, rng))
+    }
+
+    /// A random gate of every variant in turn over `n ≥ 2` qubits.
+    fn any_gate(rng: &mut StdRng, n: usize, variant: usize) -> Gate {
+        let q = rng.random_range(0..n);
+        let r = (q + rng.random_range(1..n)) % n;
+        let t = rng.random_range(-3.0..3.0);
+        [
+            H(q),
+            X(q),
+            Y(q),
+            Z(q),
+            S(q),
+            Sdg(q),
+            Sx(q),
+            Rx(q, t),
+            Ry(q, t),
+            Rz(q, t),
+            Phase(q, t),
+            Cx(q, r),
+            Cz(q, r),
+            Swap(q, r),
+            Rzz(q, r, t),
+            Rxx(q, r, t),
+        ][variant % 16]
+    }
+
+    #[test]
+    fn frame_trajectories_match_the_per_gate_oracle() {
+        let heavy = NoiseModel { p_depol_1q: 0.05, p_depol_2q: 0.1, ..NoiseModel::ibm_auckland() };
+        for (case, model) in
+            [NoiseModel::noiseless(), auckland_times(20.0), heavy].iter().enumerate()
+        {
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = rng.random_range(2..=5);
+                let mut c = Circuit::new(n);
+                // A one-qubit prefix, then every variant in random order.
+                for q in 0..n {
+                    c.push(if rng.random_bool(0.5) { H(q) } else { Ry(q, 0.4 * q as f64) });
+                }
+                for _ in 0..40 {
+                    let variant = rng.random_range(0..16);
+                    c.push(any_gate(&mut rng, n, variant));
+                }
+                let sim = NoisySimulator { trajectories: 5, ..NoisySimulator::new(*model, seed) };
+                let frame = sim.sample(&c, 400);
+                assert_eq!(frame, sample_per_gate(&sim, &c, 400), "case {case}, seed {seed}");
+            }
+        }
+        let qaoa = qaoa_10();
+        let sim =
+            NoisySimulator { trajectories: 8, ..NoisySimulator::new(auckland_times(20.0), 3) };
+        assert_eq!(sim.sample(&qaoa, 512), sample_per_gate(&sim, &qaoa, 512), "QAOA");
     }
 
     #[test]

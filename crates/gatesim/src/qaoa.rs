@@ -11,12 +11,27 @@
 //! * [`qaoa_circuit`] constructs the explicit gate sequence (H layer, RZ/RZZ
 //!   cost network, RX mixer) — this is what gets transpiled onto hardware
 //!   topologies and fed to the noisy simulator.
-//! * [`QaoaSimulator`] evaluates the same unitary through a precomputed
-//!   [`DiagonalHamiltonian`], the fast path used inside classical
-//!   parameter-optimisation loops: each cost layer costs one `e^{−iγE}` per
-//!   *distinct* energy level plus one gather per basis state.
+//! * [`QaoaSimulator`] evaluates the same unitary without a circuit, for the
+//!   classical parameter-optimisation loop:
+//!   - at `p = 1`, [`QaoaSimulator::expectation`] is closed-form: each
+//!     `⟨s_u⟩` and `⟨s_u s_v⟩` is a product of sines and cosines over the
+//!     spins' couplings (Ozaeta, van Dam & McMahon, "Expectation values from
+//!     the single-layer quantum approximate optimization algorithm on Ising
+//!     problems", arXiv:2012.03421), so one evaluation costs O(|E|·n)
+//!     arithmetic and touches no state vector;
+//!   - at `p ≥ 2`, and for [`QaoaSimulator::state`] and
+//!     [`QaoaSimulator::sample`] at any depth, the state vector is evolved
+//!     through a [`DiagonalHamiltonian`], built on first use: each cost layer
+//!     costs one `e^{−iγE}` per *distinct* energy level plus one gather per
+//!     basis state.
+//!
+//! The two expectation paths agree up to rounding. At the γ gradient descent
+//! reaches on join-ordering QUBOs (up to about 10⁶) that rounding is of order
+//! `γ·Σ|coef|·ε` relative, which is enough to send a chaotic optimiser to a
+//! different endpoint; neither path is the more exact one.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use rand::RngExt;
 
@@ -25,7 +40,7 @@ use qjo_qubo::{IsingModel, Qubo};
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::gate::Gate;
-use crate::statevector::StateVector;
+use crate::statevector::{count_pass, StateVector};
 
 /// A problem Hamiltonian that is diagonal in the computational basis,
 /// stored as its distinct energy levels plus a level index per basis
@@ -118,6 +133,7 @@ impl DiagonalHamiltonian {
     /// `e^{−iγ·energy(z)}`, evaluating one phase per level.
     fn apply_cost(&self, state: &mut StateVector, gamma: f64) {
         assert_eq!(state.num_qubits(), self.num_qubits, "state/Hamiltonian size mismatch");
+        count_pass();
         let phases: Vec<C64> = self.levels.iter().map(|&e| C64::cis(-gamma * e)).collect();
         for (amp, &level) in state.amplitudes_mut().iter_mut().zip(&self.level_of) {
             *amp *= phases[level as usize];
@@ -127,6 +143,7 @@ impl DiagonalHamiltonian {
     /// `⟨ψ|H|ψ⟩`, summed in basis-index order.
     fn expectation(&self, state: &StateVector) -> f64 {
         assert_eq!(state.num_qubits(), self.num_qubits, "state/Hamiltonian size mismatch");
+        count_pass();
         state
             .amplitudes()
             .iter()
@@ -241,34 +258,116 @@ pub fn qaoa_circuit(ising: &IsingModel, params: &QaoaParams) -> Circuit {
     c
 }
 
-/// Noiseless QAOA evaluation through the diagonal Hamiltonian's levels.
+/// The closed-form `p = 1` expectation of an Ising model (spin `s = +1` for
+/// bit 1), after Ozaeta, van Dam & McMahon (arXiv:2012.03421):
+///
+/// ```text
+/// ⟨s_u⟩     = sin 2β · sin 2γh_u · Π_{w≠u} cos 2γJ_uw
+/// ⟨s_u s_v⟩ = ½ sin 4β · sin 2γJ_uv · [cos 2γh_u · Π_{w∉{u,v}} cos 2γJ_uw
+///                                     + cos 2γh_v · Π_{w∉{u,v}} cos 2γJ_vw]
+///           − ½ sin² 2β · [cos 2γ(h_u+h_v) · Π_{w∉{u,v}} cos 2γ(J_uw+J_vw)
+///                          − cos 2γ(h_u−h_v) · Π_{w∉{u,v}} cos 2γ(J_uw−J_vw)]
+/// ```
+///
+/// Every angle sum comes by angle addition from one `sin_cos` per field and
+/// per coupling.
+#[derive(Debug, Clone)]
+struct SingleLayer {
+    offset: f64,
+    fields: Vec<f64>,
+    /// `(u, v, J_uv)` for every non-zero coupling, `u < v`.
+    couplings: Vec<(usize, usize, f64)>,
+}
+
+impl SingleLayer {
+    fn new(ising: &IsingModel) -> Self {
+        SingleLayer {
+            offset: ising.offset(),
+            fields: (0..ising.num_spins()).map(|i| ising.field(i)).collect(),
+            couplings: ising.couplings().filter(|&(_, _, j)| j != 0.0).collect(),
+        }
+    }
+
+    /// `offset + Σ h_u⟨s_u⟩ + Σ J_uv⟨s_u s_v⟩` in O(|E|·n).
+    fn expectation(&self, gamma: f64, beta: f64) -> f64 {
+        let n = self.fields.len();
+        // (sin, cos) of 2γJ_uw as a dense matrix, (0, 1) where J_uw = 0.
+        let mut coupling = vec![(0.0, 1.0); n * n];
+        for &(u, v, j) in &self.couplings {
+            let sc = (2.0 * gamma * j).sin_cos();
+            coupling[u * n + v] = sc;
+            coupling[v * n + u] = sc;
+        }
+        let field: Vec<(f64, f64)> =
+            self.fields.iter().map(|&h| (2.0 * gamma * h).sin_cos()).collect();
+        let (sin_2b, sin_4b) = ((2.0 * beta).sin(), (4.0 * beta).sin());
+
+        let mut e = self.offset;
+        for (u, &h) in self.fields.iter().enumerate() {
+            let cos_prod: f64 = coupling[u * n..(u + 1) * n].iter().map(|&(_, c)| c).product();
+            e += h * sin_2b * field[u].0 * cos_prod;
+        }
+        for &(u, v, j) in &self.couplings {
+            let (mut prod_u, mut prod_v, mut prod_sum, mut prod_diff) = (1.0, 1.0, 1.0, 1.0);
+            for w in (0..n).filter(|&w| w != u && w != v) {
+                let (su, cu) = coupling[u * n + w];
+                let (sv, cv) = coupling[v * n + w];
+                prod_u *= cu;
+                prod_v *= cv;
+                prod_sum *= cu * cv - su * sv;
+                prod_diff *= cu * cv + su * sv;
+            }
+            let ((sh_u, ch_u), (sh_v, ch_v)) = (field[u], field[v]);
+            let linear = 0.5 * sin_4b * coupling[u * n + v].0 * (ch_u * prod_u + ch_v * prod_v);
+            let quadratic = 0.5
+                * sin_2b
+                * sin_2b
+                * ((ch_u * ch_v - sh_u * sh_v) * prod_sum
+                    - (ch_u * ch_v + sh_u * sh_v) * prod_diff);
+            e += j * (linear - quadratic);
+        }
+        e
+    }
+}
+
+/// Noiseless QAOA evaluation: closed-form `⟨H⟩` at `p = 1`, and the state
+/// vector through the diagonal Hamiltonian's levels otherwise.
 #[derive(Debug, Clone)]
 pub struct QaoaSimulator {
-    hamiltonian: DiagonalHamiltonian,
+    qubo: Qubo,
+    single_layer: SingleLayer,
+    /// Built on first use of [`Self::hamiltonian`], [`Self::state`] or
+    /// [`Self::sample`], so a `p = 1` parameter loop never pays for it.
+    hamiltonian: OnceLock<DiagonalHamiltonian>,
 }
 
 impl QaoaSimulator {
     /// Creates a simulator for the given QUBO problem.
     pub fn new(qubo: &Qubo) -> Self {
-        QaoaSimulator { hamiltonian: DiagonalHamiltonian::from_qubo(qubo) }
+        QaoaSimulator {
+            qubo: qubo.clone(),
+            single_layer: SingleLayer::new(&qubo.to_ising()),
+            hamiltonian: OnceLock::new(),
+        }
     }
 
-    /// The underlying diagonal Hamiltonian.
+    /// The underlying diagonal Hamiltonian, tabulated on first call.
     pub fn hamiltonian(&self) -> &DiagonalHamiltonian {
-        &self.hamiltonian
+        self.hamiltonian.get_or_init(|| DiagonalHamiltonian::from_qubo(&self.qubo))
     }
 
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
-        self.hamiltonian.num_qubits()
+        self.qubo.num_vars()
     }
 
     /// Prepares the QAOA state for the given parameters.
     pub fn state(&self, params: &QaoaParams) -> StateVector {
         let n = self.num_qubits();
+        let hamiltonian = self.hamiltonian();
         let mut s = StateVector::plus(n);
         for layer in 0..params.p() {
-            self.hamiltonian.apply_cost(&mut s, params.gammas[layer]);
+            hamiltonian.apply_cost(&mut s, params.gammas[layer]);
             let beta = params.betas[layer];
             for q in 0..n {
                 s.apply(Gate::Rx(q, 2.0 * beta));
@@ -278,8 +377,14 @@ impl QaoaSimulator {
     }
 
     /// `⟨ψ(γ,β)| H |ψ(γ,β)⟩` — the objective the classical loop minimises.
+    ///
+    /// Closed-form at `p = 1`; the state vector's probability-weighted
+    /// energy sum at any other depth.
     pub fn expectation(&self, params: &QaoaParams) -> f64 {
-        self.hamiltonian.expectation(&self.state(params))
+        if params.p() == 1 {
+            return self.single_layer.expectation(params.gammas[0], params.betas[0]);
+        }
+        self.hamiltonian().expectation(&self.state(params))
     }
 
     /// Samples measurement shots from the QAOA state, packed one row per
@@ -351,6 +456,16 @@ mod tests {
     fn circuit_rejects_more_betas_than_gammas() {
         let ising = antiferro_pair().to_ising();
         qaoa_circuit(&ising, &QaoaParams { gammas: vec![0.1], betas: vec![0.2, 0.3] });
+    }
+
+    #[test]
+    fn level_table_is_built_on_first_state_vector_use_only() {
+        let sim = QaoaSimulator::new(&antiferro_pair());
+        let params = QaoaParams { gammas: vec![0.3], betas: vec![0.2] };
+        assert!(sim.expectation(&params).is_finite());
+        assert!(sim.hamiltonian.get().is_none(), "p = 1 needs no level table");
+        sim.state(&params);
+        assert!(sim.hamiltonian.get().is_some());
     }
 
     #[test]

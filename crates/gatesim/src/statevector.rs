@@ -4,12 +4,23 @@
 //! index `z` encodes qubit `q` in bit `q` (qubit 0 is the least significant
 //! bit). Gates are applied in place: diagonal gates as pure phase updates,
 //! general one- and two-qubit gates as strided 2×2 / 4×4 matrix actions.
+//!
+//! Every full pass over the amplitudes — a gate, a fused diagonal run, a
+//! product-state write, a sampling CDF, a QAOA cost layer or expectation
+//! sum — adds one to the `gatesim.amplitude_passes` counter, so an
+//! algorithmic regression in the simulator shows as exact drift in the run
+//! manifests.
 
 use rand::RngExt;
 
-use crate::complex::{C64, ZERO};
+use crate::complex::{C64, ONE, ZERO};
 use crate::gate::{Gate, GateQubits};
 use crate::shots::ShotBuffer;
+
+/// Records one full pass over a state vector's amplitudes.
+pub(crate) fn count_pass() {
+    qjo_obs::counter!("gatesim.amplitude_passes").incr();
+}
 
 /// A normalised pure state over `num_qubits` qubits.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +46,20 @@ impl StateVector {
         StateVector { num_qubits, amps: vec![a; dim] }
     }
 
+    /// The product state `⊗_q (qubits[q][0]|0⟩ + qubits[q][1]|1⟩)` with a
+    /// run of diagonal gates applied, written in one pass.
+    ///
+    /// # Panics
+    ///
+    /// If a gate in `diagonal` is not [`Gate::is_diagonal`].
+    pub(crate) fn product(qubits: &[[C64; 2]], diagonal: &[Gate]) -> Self {
+        let num_qubits = qubits.len();
+        assert!(num_qubits <= 30, "state vector for {num_qubits} qubits will not fit in memory");
+        let mut s = StateVector { num_qubits, amps: vec![ZERO; 1usize << num_qubits] };
+        s.diagonal_pass(qubits.to_vec(), diagonal, |amp, d| *amp = d);
+        s
+    }
+
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -58,6 +83,7 @@ impl StateVector {
     /// permutations with no arithmetic, everything else goes through the
     /// generic strided matrix path.
     pub fn apply(&mut self, gate: Gate) {
+        count_pass();
         match gate.qubits() {
             GateQubits::One(q) => {
                 assert!(q < self.num_qubits, "qubit {q} out of range");
@@ -135,6 +161,91 @@ impl StateVector {
         assert_eq!(circuit.num_qubits(), self.num_qubits, "circuit/state size mismatch");
         for g in circuit.gates() {
             self.apply(*g);
+        }
+    }
+
+    /// Applies a run of diagonal gates in one pass, with the same result as
+    /// applying them one by one up to rounding.
+    ///
+    /// # Panics
+    ///
+    /// If a gate is not [`Gate::is_diagonal`].
+    pub(crate) fn apply_diagonal_run(&mut self, gates: &[Gate]) {
+        let ones = vec![[ONE, ONE]; self.num_qubits];
+        self.diagonal_pass(ones, gates, |amp, d| *amp *= d);
+    }
+
+    /// Combines `write(amp, d)` into every amplitude, where `d` is the
+    /// product of the one-qubit factors `single[q][bit q]` and the diagonal
+    /// entries of `gates` at that basis state.
+    ///
+    /// The qubits split into a low half (the index within a block of
+    /// `2^lo` amplitudes) and a high half (the block number). The factors
+    /// of each half multiply into a half-size table. A gate that crosses
+    /// the split is a one-qubit factor on its low qubit once the block fixes
+    /// its high bit, so each block builds its row of factors from the high
+    /// table's entry by doubling. An amplitude then costs a few complex
+    /// multiplications and no `sin_cos`.
+    fn diagonal_pass(
+        &mut self,
+        mut single: Vec<[C64; 2]>,
+        gates: &[Gate],
+        write: impl Fn(&mut C64, C64),
+    ) {
+        count_pass();
+        let n = self.num_qubits;
+        let lo = n / 2;
+        // Two-qubit factors as (qubit a, qubit b, diagonal indexed by
+        // bit a | bit b << 1), by where they fall relative to the split.
+        let (mut lo_pairs, mut hi_pairs, mut crossing) = (Vec::new(), Vec::new(), Vec::new());
+        for gate in gates {
+            assert!(gate.is_diagonal(), "{gate:?} is not diagonal");
+            match gate.qubits() {
+                GateQubits::One(q) => {
+                    let u = gate.unitary_1q();
+                    single[q][0] *= u[0];
+                    single[q][1] *= u[3];
+                }
+                GateQubits::Two(a, b) => {
+                    let u = gate.unitary_2q();
+                    let d = [u[0][0], u[1][1], u[2][2], u[3][3]];
+                    match (a < lo, b < lo) {
+                        (true, true) => lo_pairs.push((a, b, d)),
+                        (false, false) => hi_pairs.push((a - lo, b - lo, d)),
+                        (true, false) => crossing.push((a, b - lo, d)),
+                        (false, true) => crossing.push((b, a - lo, [d[0], d[2], d[1], d[3]])),
+                    }
+                }
+            }
+        }
+        let table = |factors: &[[C64; 2]], pairs: &[(usize, usize, [C64; 4])]| {
+            let mut t = vec![ONE];
+            product_table(&mut t, factors);
+            for &(a, b, d) in pairs {
+                for (z, f) in t.iter_mut().enumerate() {
+                    *f *= d[(z >> a & 1) | (z >> b & 1) << 1];
+                }
+            }
+            t
+        };
+        let lo_table = table(&single[..lo], &lo_pairs);
+        let hi_table = table(&single[lo..], &hi_pairs);
+        let mut row = Vec::with_capacity(lo_table.len());
+        let mut cross = vec![[ONE, ONE]; lo];
+        let blocks = self.amps.chunks_exact_mut(lo_table.len()).zip(&hi_table);
+        for (zh, (block, &h)) in blocks.enumerate() {
+            cross.fill([ONE, ONE]);
+            for &(l, hq, d) in &crossing {
+                let high = (zh >> hq & 1) << 1;
+                cross[l][0] *= d[high];
+                cross[l][1] *= d[1 | high];
+            }
+            row.clear();
+            row.push(h);
+            product_table(&mut row, &cross);
+            for ((amp, &r), &l) in block.iter_mut().zip(&row).zip(&lo_table) {
+                write(amp, r * l);
+            }
         }
     }
 
@@ -346,10 +457,19 @@ impl StateVector {
     /// searches. Use this when the same evolved state is sampled more
     /// than once (noisy trajectories, shot batching).
     pub fn sampler(&self) -> BasisSampler {
+        self.flipped_sampler(0)
+    }
+
+    /// The sampler of this state with X applied to every qubit in `flip`,
+    /// read through the permutation `z ↦ z ^ flip` in the same pass that
+    /// builds the cumulative table, so no permuted copy is made.
+    pub(crate) fn flipped_sampler(&self, flip: usize) -> BasisSampler {
+        assert!(flip < self.amps.len(), "flip mask {flip:#x} exceeds {} qubits", self.num_qubits);
+        count_pass();
         let mut cdf = Vec::with_capacity(self.amps.len());
         let mut acc = 0.0f64;
-        for a in &self.amps {
-            acc += a.norm_sqr();
+        for z in 0..self.amps.len() {
+            acc += self.amps[z ^ flip].norm_sqr();
             cdf.push(acc);
         }
         BasisSampler { num_qubits: self.num_qubits, total: acc, cdf }
@@ -369,6 +489,20 @@ impl StateVector {
     pub fn prob_one(&self, q: usize) -> f64 {
         let mask = 1usize << q;
         self.amps.iter().enumerate().filter(|(z, _)| z & mask != 0).map(|(_, a)| a.norm_sqr()).sum()
+    }
+}
+
+/// Extends `table` (the factors over the bits below some qubit `k`) by one
+/// qubit per entry of `factors`, doubling it each time: entry `z` becomes
+/// `table[z mod 2^k] · Π_i factors[i][bit k+i of z]`.
+fn product_table(table: &mut Vec<C64>, factors: &[[C64; 2]]) {
+    for f in factors {
+        let len = table.len();
+        for z in 0..len {
+            let t = table[z];
+            table.push(t * f[1]);
+            table[z] = t * f[0];
+        }
     }
 }
 
@@ -602,6 +736,82 @@ mod tests {
         per_call.append(&s.sample(&mut rng_b, 57));
         assert_eq!(batched, per_call);
         assert_eq!(batched.len(), 157);
+    }
+
+    /// An asymmetric 5-qubit state, so every amplitude is distinct.
+    fn scrambled() -> StateVector {
+        let mut s = StateVector::zero(5);
+        for q in 0..5 {
+            s.apply(Ry(q, 0.3 + 0.4 * q as f64));
+            s.apply(Rz(q, 0.2 * q as f64));
+        }
+        s.apply(Cx(0, 3));
+        s.apply(Cx(4, 1));
+        s
+    }
+
+    fn assert_close(a: &StateVector, b: &StateVector, label: &str) {
+        for (z, (x, y)) in a.amplitudes().iter().zip(b.amplitudes()).enumerate() {
+            assert!((*x - *y).norm() < 1e-12, "{label}: amplitude {z} {x:?} vs {y:?}");
+        }
+    }
+
+    #[test]
+    fn diagonal_runs_match_gate_by_gate_application() {
+        // Every diagonal variant, on qubit pairs below, above and across
+        // the low/high split (qubits 0–1 | 2–4 at five qubits), in both
+        // operand orders.
+        let run = [
+            Z(0),
+            S(3),
+            Sdg(1),
+            Rz(4, 0.7),
+            Phase(2, -1.1),
+            Cz(0, 1),
+            Cz(4, 2),
+            Rzz(1, 3, 0.9),
+            Rzz(4, 0, -0.4),
+            Rzz(2, 3, 1.3),
+            Rz(0, 2.1),
+        ];
+        let mut fused = scrambled();
+        fused.apply_diagonal_run(&run);
+        let mut gate_by_gate = scrambled();
+        for g in run {
+            gate_by_gate.apply(g);
+        }
+        assert_close(&fused, &gate_by_gate, "diagonal run");
+    }
+
+    #[test]
+    fn product_states_match_gate_by_gate_application() {
+        let layer = [H(0), Ry(1, 0.8), H(2), Rx(3, -0.5), Sx(4), Rz(0, 0.3), H(3)];
+        let mut qubits = vec![[C64::real(1.0), ZERO]; 5];
+        for g in layer {
+            let GateQubits::One(q) = g.qubits() else { unreachable!() };
+            let u = g.unitary_1q();
+            let [a0, a1] = qubits[q];
+            qubits[q] = [u[0] * a0 + u[1] * a1, u[2] * a0 + u[3] * a1];
+        }
+        let diagonal = [Rzz(0, 4, 0.6), Cz(1, 2), S(3)];
+        let product = StateVector::product(&qubits, &diagonal);
+        let mut gate_by_gate = StateVector::zero(5);
+        for g in layer.into_iter().chain(diagonal) {
+            gate_by_gate.apply(g);
+        }
+        assert_close(&product, &gate_by_gate, "product state");
+    }
+
+    #[test]
+    fn flipped_sampler_matches_applying_x_gates() {
+        let s = scrambled();
+        let mut flipped = s.clone();
+        flipped.apply(X(1));
+        flipped.apply(X(4));
+        let mut a = StdRng::seed_from_u64(3);
+        let mut b = StdRng::seed_from_u64(3);
+        let via_mask = s.flipped_sampler(0b10010).sample(&mut a, 500);
+        assert_eq!(via_mask, flipped.sampler().sample(&mut b, 500));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use qjo_gatesim::gate::Gate;
 use qjo_gatesim::{
     qaoa_circuit, Circuit, DiagonalHamiltonian, QaoaParams, QaoaSimulator, StateVector, C64,
 };
-use qjo_qubo::Qubo;
+use qjo_qubo::{IsingModel, Qubo};
 
 /// Draws a distinct ordered qubit pair.
 fn distinct_pair(rng: &mut StdRng, n: usize) -> (usize, usize) {
@@ -219,10 +219,31 @@ fn assert_level_contract(h: &DiagonalHamiltonian, label: &str) {
     assert_eq!(h.min_energy(), min, "{label}");
 }
 
-/// Checks that the level-indexed engine reproduces [`dense_qaoa`] bit for
-/// bit over the γ range gradient descent visits (it pushes γ to 10^6) and
-/// p ∈ {1, 2}.
-fn assert_bit_identical_to_dense(sim: &QaoaSimulator, rng: &mut StdRng, label: &str) {
+/// Bound on the gap between the closed-form `p = 1` expectation and the
+/// state vector's: `ε·S·(64 + |γ|·S)` with `S` the [`energy_scale`] of the
+/// model's Ising form.
+///
+/// The state vector rounds each phase `γ·E(z)`, the closed form each angle
+/// `2γh` and `2γJ`: both err by up to about `|γ|·S·ε` radians, and `⟨H⟩`
+/// moves by at most `S` per radian. The 64 covers the arithmetic of either
+/// sum at small γ.
+fn p1_tolerance(qubo: &Qubo, gamma: f64) -> f64 {
+    let scale = energy_scale(&qubo.to_ising());
+    f64::EPSILON * scale * (64.0 + gamma.abs() * scale)
+}
+
+/// `S = |offset| + Σ|h| + Σ|J|`, a bound on every energy of the model.
+fn energy_scale(ising: &IsingModel) -> f64 {
+    ising.offset().abs()
+        + ising.fields().map(|(_, h)| h.abs()).sum::<f64>()
+        + ising.couplings().map(|(_, _, j)| j.abs()).sum::<f64>()
+}
+
+/// Checks the engine against [`dense_qaoa`] over the γ range gradient
+/// descent visits (it pushes γ to 10^6) and p ∈ {1, 2}: amplitudes bit for
+/// bit at both depths, the p = 2 expectation bit for bit, and the
+/// closed-form p = 1 expectation within [`p1_tolerance`].
+fn assert_matches_dense(sim: &QaoaSimulator, qubo: &Qubo, rng: &mut StdRng, label: &str) {
     for gamma in [1e-3, 0.7, 1e3, 1e6] {
         for p in 1..=2 {
             let gammas = (0..p).map(|layer| gamma / (layer + 1) as f64).collect();
@@ -230,7 +251,16 @@ fn assert_bit_identical_to_dense(sim: &QaoaSimulator, rng: &mut StdRng, label: &
             let params = QaoaParams { gammas, betas };
             let (state, e) = dense_qaoa(sim.hamiltonian(), &params);
             let case = format!("{label}, γ = {gamma}, p = {p}");
-            assert_eq!(sim.expectation(&params).to_bits(), e.to_bits(), "{case}: expectation");
+            let closed = sim.expectation(&params);
+            if p == 1 {
+                let tol = p1_tolerance(qubo, gamma);
+                assert!(
+                    (closed - e).abs() <= tol,
+                    "{case}: expectation {closed} vs {e}, tol {tol}"
+                );
+            } else {
+                assert_eq!(closed.to_bits(), e.to_bits(), "{case}: expectation");
+            }
             let fast = sim.state(&params);
             for (z, (a, b)) in fast.amplitudes().iter().zip(state.amplitudes()).enumerate() {
                 assert_eq!(
@@ -252,7 +282,7 @@ fn qaoa_levels_match_dense_reference_on_random_qubos() {
         let label = format!("random case {case}");
         assert_eq!(sim.hamiltonian().levels().len(), 64, "{label}: energies should be distinct");
         assert_level_contract(sim.hamiltonian(), &label);
-        assert_bit_identical_to_dense(&sim, rng, &label);
+        assert_matches_dense(&sim, &q, rng, &label);
     });
 }
 
@@ -271,6 +301,79 @@ fn qaoa_levels_match_dense_reference_on_join_ordering_qubos() {
         let levels = sim.hamiltonian().levels().len();
         assert!((100..1000).contains(&levels), "{label}: {levels} levels");
         assert_level_contract(sim.hamiltonian(), &label);
-        assert_bit_identical_to_dense(&sim, rng, &label);
+        assert_matches_dense(&sim, &enc.qubo, rng, &label);
     });
+}
+
+/// Random Ising models with fields and a random share of absent
+/// couplings: the closed-form `p = 1` expectation matches the state vector
+/// to 10^-12 relative to the energy scale [`energy_scale`].
+#[test]
+fn closed_form_p1_expectation_matches_state_vector_on_random_ising_models() {
+    for_cases(60, |rng, case| {
+        let n = rng.random_range(1..=10);
+        let mut ising = IsingModel::new(n);
+        for i in 0..n {
+            ising.add_field(i, rng.random_range(-2.0..2.0));
+            for j in i + 1..n {
+                if rng.random_bool(0.6) {
+                    ising.add_coupling(i, j, rng.random_range(-2.0..2.0));
+                }
+            }
+        }
+        let scale = energy_scale(&ising);
+        let sim = QaoaSimulator::new(&ising.to_qubo());
+        for _ in 0..4 {
+            let params = QaoaParams {
+                gammas: vec![rng.random_range(-2.0..2.0)],
+                betas: vec![rng.random_range(-2.0..2.0)],
+            };
+            let (_, reference) = dense_qaoa(sim.hamiltonian(), &params);
+            let closed = sim.expectation(&params);
+            assert!(
+                (closed - reference).abs() <= 1e-12 * scale,
+                "case {case} (n = {n}, {params:?}): {closed} vs {reference}"
+            );
+        }
+    });
+}
+
+/// The closed form on the JO QUBOs the paper's gate-based stages optimise
+/// — Table 2's 19-qubit cell and the noise ablation's 22-qubit one — over a
+/// γ/β grid that includes non-round γ gradient descent reaches on such
+/// QUBOs. Reference: the level-indexed state vector; tolerance
+/// [`p1_tolerance`].
+#[test]
+fn closed_form_p1_expectation_matches_state_vector_on_join_ordering_qubos() {
+    let gen = QueryGenerator {
+        log_card_range: (1.0, 3.0),
+        ..QueryGenerator::paper_defaults(QueryGraph::Cycle, 3)
+    };
+    for (predicates, qubits) in [(0, 19), (1, 22)] {
+        let enc = JoEncoder::default().encode(&gen.with_predicate_count(0, predicates));
+        let sim = QaoaSimulator::new(&enc.qubo);
+        assert_eq!(sim.num_qubits(), qubits);
+        let h = sim.hamiltonian();
+        // 0.1 is the optimiser's start; the long values are endpoints it
+        // reaches on the benchmark's paper-qaoa instances.
+        let endpoints = [47_525.951_922_899_854, -38_980.523_774_080_8, 975_982.756_225_253_1];
+        for gamma in [0.1, 0.731, 1e3, 1e6].into_iter().chain(endpoints) {
+            for beta in [0.1, -0.6180339] {
+                let params = QaoaParams { gammas: vec![gamma], betas: vec![beta] };
+                let state = sim.state(&params);
+                let reference: f64 = state
+                    .amplitudes()
+                    .iter()
+                    .enumerate()
+                    .map(|(z, a)| a.norm_sqr() * h.energy(z))
+                    .sum();
+                let closed = sim.expectation(&params);
+                let tol = p1_tolerance(&enc.qubo, gamma);
+                assert!(
+                    (closed - reference).abs() <= tol,
+                    "{qubits} qubits, γ = {gamma}, β = {beta}: {closed} vs {reference} (tol {tol})"
+                );
+            }
+        }
+    }
 }
