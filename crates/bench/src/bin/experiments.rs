@@ -7,7 +7,7 @@
 //!             [--faults SPEC] [--resume] [--halt-after STAGE]
 //! experiments bench [STAGES]... [--full|--smoke] [--bench-out PATH] ...
 //! experiments serve-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH]
-//!             [--bench-out PATH] [--min-embed-speedup X] [--calibrated]
+//!             [--bench-out PATH] [--min-embed-speedup X]
 //! experiments robustness-bench [--smoke] [--seed N] [--instances N] [--csv DIR]
 //!             [--metrics-out PATH] [--bench-out PATH] [--faults SPEC]
 //! experiments manifest-diff BASELINE CURRENT
@@ -76,15 +76,13 @@
 //! gated on row count) and its latency-free projection
 //! `serve_events.canonical.jsonl` (deterministic, hash-gated and
 //! byte-identical at any `QJO_THREADS`), plus the service's final stats
-//! snapshot `serve_stats.json`. `events-check` re-parses an event log and
-//! verifies the schema and cross-record invariants (exit 0 valid / 1
-//! invalid / 2 unreadable); `--canonical OUT` additionally writes the
-//! canonical projection for byte-diffing. `stats-render` formats a stats
+//! snapshot `serve_stats.json` (deterministic and hash-gated too).
+//! `events-check` re-parses an event log and verifies the schema and
+//! cross-record invariants (exit 0 valid / 1 invalid / 2 unreadable);
+//! `--canonical OUT` additionally writes the canonical projection for
+//! byte-diffing. `stats-render` formats a stats
 //! snapshot (from `serve_stats.json` or an in-band `{"cmd": "stats"}`
 //! response line) as Prometheus-style exposition plus a human table.
-//! `--calibrated` switches the benchmark's deadline admission to the
-//! observed work model; calibrated runs steer on wall-clock and are
-//! therefore **not** drift-gateable.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -138,8 +136,7 @@ const USAGE: &str = "usage: experiments [table1|fig2|table2|fig3|table3|fig4|fig
      [--faults SPEC] [--resume] [--halt-after STAGE]\n       \
      experiments bench [STAGES]... (as above; BENCH.json unless --bench-out)\n       \
      experiments serve-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH] [--bench-out PATH] \
-     [--min-embed-speedup X] [--calibrated]\n       \
-     experiments sched-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH] [--bench-out PATH]\n       \
+     [--min-embed-speedup X]\n       \
      experiments robustness-bench [--smoke] [--seed N] [--instances N] [--csv DIR] [--metrics-out PATH] \
      [--bench-out PATH] [--faults SPEC]\n       \
      experiments manifest-diff BASELINE CURRENT\n       \
@@ -157,7 +154,6 @@ const SUBCOMMANDS: &[&str] = &[
     "trace-check",
     "bench-compare",
     "serve-bench",
-    "sched-bench",
     "robustness-bench",
     "events-check",
     "stats-render",
@@ -170,7 +166,6 @@ enum Route {
     TraceCheck(String),
     BenchCompare(String, String),
     ServeBench(ServeBenchOptions),
-    SchedBench(SchedBenchOptions),
     RobustnessBench(RobustBenchOptions),
     EventsCheck { events: String, canonical: Option<String> },
     StatsRender(String),
@@ -196,7 +191,6 @@ fn route(raw: &[String]) -> Result<Route, String> {
             _ => Err("bench-compare takes exactly two BENCH.json paths".to_string()),
         },
         Some("serve-bench") => parse_serve_args(&raw[1..]).map(Route::ServeBench),
-        Some("sched-bench") => parse_sched_args(&raw[1..]).map(Route::SchedBench),
         Some("robustness-bench") => parse_robust_args(&raw[1..]).map(Route::RobustnessBench),
         Some("events-check") => {
             match raw {
@@ -1089,8 +1083,7 @@ fn events_check(path: &str, canonical: Option<&str>) -> ! {
 }
 
 /// Formats one JSON number the way the stats snapshot means it: counters
-/// and microsecond quantiles print as integers, rates keep their
-/// fraction.
+/// print as integers, rates keep their fraction.
 fn render_stat_num(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
@@ -1101,7 +1094,7 @@ fn render_stat_num(v: f64) -> String {
 
 /// The testable core of `stats-render`: format a stats snapshot (the
 /// JSON a `{"cmd": "stats"}` line answers with, or `serve_stats.json`)
-/// as Prometheus-style exposition followed by human tables. `Err` means
+/// as Prometheus-style exposition followed by a human table. `Err` means
 /// the document is not a stats snapshot.
 fn render_stats(doc: &Json) -> Result<String, String> {
     let counters = doc
@@ -1113,9 +1106,6 @@ fn render_stats(doc: &Json) -> Result<String, String> {
         name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect::<String>()
     };
     let mut exposition = String::new();
-    if let Some(mode) = doc.get("admission").and_then(Json::as_str) {
-        exposition.push_str(&format!("qjo_serve_admission_info{{mode=\"{mode}\"}} 1\n"));
-    }
     let mut table = Table::new(vec!["metric", "value"]);
     for (name, value) in counters {
         let Some(v) = value.as_f64() else { continue };
@@ -1135,50 +1125,11 @@ fn render_stats(doc: &Json) -> Result<String, String> {
             table.push_row(vec![format!("{section}.{field}"), render_stat_num(v)]);
         }
     }
-    let mut work = Table::new(vec![
-        "key",
-        "count",
-        "mean_us",
-        "ewma_us",
-        "p50_us",
-        "p90_us",
-        "p99_us",
-        "rate_per_sec",
-    ]);
-    if let Some(model) = doc.get("work_model").and_then(Json::as_obj) {
-        for (key, stats) in model {
-            let field = |f: &str| {
-                stats.get(f).and_then(Json::as_f64).map(render_stat_num).unwrap_or_default()
-            };
-            for quantile in ["p50_us", "p90_us", "p99_us"] {
-                if let Some(v) = stats.get(quantile).and_then(Json::as_f64) {
-                    exposition.push_str(&format!(
-                        "qjo_serve_work_{quantile}{{key=\"{key}\"}} {}\n",
-                        render_stat_num(v)
-                    ));
-                }
-            }
-            work.push_row(vec![
-                key.clone(),
-                field("count"),
-                field("mean_us"),
-                field("ewma_us"),
-                field("p50_us"),
-                field("p90_us"),
-                field("p99_us"),
-                field("rate_per_sec"),
-            ]);
-        }
-    }
-    let mut out = format!("{exposition}\n== Serving stats ==\n\n{}", table.render());
-    if work.num_rows() > 0 {
-        out.push_str(&format!("\n== Observed work model (window + EWMA) ==\n\n{}", work.render()));
-    }
-    Ok(out)
+    Ok(format!("{exposition}\n== Serving stats ==\n\n{}", table.render()))
 }
 
 /// `stats-render STATS`: format a stats snapshot as Prometheus-style
-/// exposition plus human tables. Exit 0 on success, 1 if the document
+/// exposition plus a human table. Exit 0 on success, 1 if the document
 /// is not a stats snapshot, 2 if the file is unreadable.
 fn stats_render(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -1354,9 +1305,6 @@ struct ServeBenchOptions {
     /// Fail the run unless a cached embedding served at least this many
     /// times faster (p50) than a cold embed. `None` reports only.
     min_embed_speedup: Option<f64>,
-    /// Admit deadlines from the observed work model instead of the
-    /// static one (not drift-gateable).
-    calibrated: bool,
 }
 
 /// Parses `serve-bench` arguments. `--smoke` is accepted (and implied:
@@ -1369,7 +1317,6 @@ fn parse_serve_args(raw: &[String]) -> Result<ServeBenchOptions, String> {
         metrics_out: None,
         bench_out: None,
         min_embed_speedup: None,
-        calibrated: false,
     };
     let mut args = raw.iter();
     while let Some(arg) = args.next() {
@@ -1394,7 +1341,6 @@ fn parse_serve_args(raw: &[String]) -> Result<ServeBenchOptions, String> {
                 }
                 opts.min_embed_speedup = Some(v);
             }
-            "--calibrated" => opts.calibrated = true,
             other => return Err(format!("serve-bench: unknown argument '{other}'")),
         }
     }
@@ -1421,14 +1367,7 @@ fn run_serve_bench(sopts: ServeBenchOptions) -> ! {
     let run_start = Instant::now();
     let before = qjo_obs::global().snapshot();
     let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg =
-        qjo_bench::serve_bench::ServeBenchConfig { seed: sopts.seed, calibrated: sopts.calibrated };
-    if cfg.calibrated {
-        qjo_obs::info!(
-            "calibrated admission: deadlines steer on observed latencies; \
-             this run is not drift-gateable"
-        );
-    }
+    let cfg = qjo_bench::serve_bench::ServeBenchConfig { seed: sopts.seed };
     let stage_start = Instant::now();
     let result = {
         let _span = qjo_obs::span!("experiments.stage");
@@ -1447,12 +1386,9 @@ fn run_serve_bench(sopts: ServeBenchOptions) -> ! {
     );
     // The per-request telemetry: the full event log carries wall-clock
     // latencies (volatile, gated on record count); its canonical
-    // projection and the final stats snapshot's counters are pure
-    // functions of the request stream — unless admission is calibrated,
-    // in which case the admission decisions themselves depend on
-    // observed latencies and neither can gate.
+    // projection and the final stats snapshot are pure functions of the
+    // request stream and drift-gate byte-for-byte.
     let rows = result.events.len() as u64;
-    let volatile_canonical = cfg.calibrated;
     driver.emit_raw(
         "serve_events.jsonl",
         &qjo_serve::events::render_log(&result.events),
@@ -1463,9 +1399,9 @@ fn run_serve_bench(sopts: ServeBenchOptions) -> ! {
         "serve_events.canonical.jsonl",
         &qjo_serve::events::render_canonical(&result.events),
         rows,
-        volatile_canonical,
+        false,
     );
-    driver.emit_raw("serve_stats.json", &format!("{}\n", result.stats.render()), 1, true);
+    driver.emit_raw("serve_stats.json", &format!("{}\n", result.stats.render()), 1, false);
     let stages = vec![StageRecord {
         name: "serve".to_string(),
         duration_ms: elapsed.as_secs_f64() * 1e3,
@@ -1498,122 +1434,6 @@ fn run_serve_bench(sopts: ServeBenchOptions) -> ! {
             }
             qjo_obs::info!("embedding cache speedup: not observed (no cold/warm pair)");
         }
-    }
-    std::process::exit(0);
-}
-
-/// Arguments of the `sched-bench` subcommand.
-#[derive(Debug)]
-struct SchedBenchOptions {
-    seed: u64,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-}
-
-/// Parses `sched-bench` arguments. As with `serve-bench`, `--smoke` is
-/// accepted and implied — the matched replay is the only profile.
-fn parse_sched_args(raw: &[String]) -> Result<SchedBenchOptions, String> {
-    let mut opts = SchedBenchOptions { seed: 7, csv_dir: None, metrics_out: None, bench_out: None };
-    let mut args = raw.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--smoke" => {}
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an unsigned integer: {e}"))?;
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            other => return Err(format!("sched-bench: unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-/// `sched-bench`: replay the deterministic instance mix against the
-/// `auto` backend and every static backend, emit the drift-gated
-/// report and event logs, and enforce the headline SLO gate: `auto`
-/// must meet strictly more deadline-carrying SLOs than the best single
-/// static backend (greedy excluded — it is the fallback) at a strictly
-/// lower mean plan cost than greedy. Exits 1 when the gate fails.
-fn run_sched_bench(sopts: SchedBenchOptions) -> ! {
-    let options = Options {
-        which: vec!["sched".to_string()],
-        mode: Mode::Smoke,
-        csv_dir: sopts.csv_dir,
-        metrics_out: sopts.metrics_out,
-        trace_out: None,
-        bench_out: sopts.bench_out,
-        convergence: false,
-        faults: None,
-        resume: false,
-        halt_after: None,
-    };
-    let run_start = Instant::now();
-    let before = qjo_obs::global().snapshot();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg = qjo_bench::sched_bench::SchedBenchConfig { seed: sopts.seed };
-    let stage_start = Instant::now();
-    let result = {
-        let _span = qjo_obs::span!("experiments.stage");
-        qjo_bench::sched_bench::run(&cfg, qjo_exec::Parallelism::auto())
-    };
-    let elapsed = stage_start.elapsed();
-    driver.emit(
-        "sched_report",
-        "Scheduling: auto vs static backends on the matched mix",
-        qjo_bench::sched_bench::render_report(&result.report),
-    );
-    // As in serve-bench: the full event log carries wall-clock latencies
-    // (volatile); the canonical projection is a pure function of the
-    // request stream and drift-gates byte-for-byte.
-    let rows = result.events.len() as u64;
-    driver.emit_raw(
-        "sched_events.jsonl",
-        &qjo_serve::events::render_log(&result.events),
-        rows,
-        true,
-    );
-    driver.emit_raw(
-        "sched_events.canonical.jsonl",
-        &qjo_serve::events::render_canonical(&result.events),
-        rows,
-        false,
-    );
-    let stages = vec![StageRecord {
-        name: "sched".to_string(),
-        duration_ms: elapsed.as_secs_f64() * 1e3,
-        counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-    }];
-    qjo_obs::info!(
-        "[sched took {elapsed:.1?}] ({} backends x {} requests)",
-        result.report.len(),
-        result.report.first().map_or(0, |r| r.requests)
-    );
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, None);
-    write_manifest(&options, stages, artifacts, total_ms);
-    let gate = &result.gate;
-    qjo_obs::info!(
-        "SLO gate: auto met {} vs best static {} ({}); geomean cost {:.3e} vs greedy {:.3e}",
-        gate.auto_met,
-        gate.best_static.1,
-        gate.best_static.0,
-        gate.auto_geomean_cost,
-        gate.greedy_geomean_cost
-    );
-    if !gate.pass {
-        qjo_obs::error!(
-            "sched SLO gate failed: auto must meet strictly more deadlines than the best \
-             static backend and beat greedy on geometric-mean plan cost"
-        );
-        std::process::exit(1);
     }
     std::process::exit(0);
 }
@@ -1778,7 +1598,6 @@ fn main() {
         Route::TraceCheck(trace) => trace_check(&trace),
         Route::BenchCompare(baseline, current) => bench_compare(&baseline, &current),
         Route::ServeBench(sopts) => run_serve_bench(sopts),
-        Route::SchedBench(sopts) => run_sched_bench(sopts),
         Route::RobustnessBench(ropts) => run_robustness_bench(ropts),
         Route::EventsCheck { events, canonical } => events_check(&events, canonical.as_deref()),
         Route::StatsRender(stats) => stats_render(&stats),
@@ -2080,8 +1899,6 @@ mod tests {
             .unwrap_err()
             .contains(">= 1"));
         assert!(parse_serve_args(&args(&["table1"])).unwrap_err().contains("unknown argument"));
-        assert!(!o.calibrated);
-        assert!(parse_serve_args(&args(&["--calibrated"])).unwrap().calibrated);
     }
 
     #[test]
@@ -2170,26 +1987,19 @@ mod tests {
     #[test]
     fn stats_render_emits_exposition_and_tables() {
         let doc = Json::parse(
-            "{\"admission\": \"static\", \
-              \"cache\": {\"capacity\": 64, \"resident\": 3, \"hit_rate\": 0.75, \
+            "{\"cache\": {\"capacity\": 64, \"resident\": 3, \"hit_rate\": 0.75, \
                           \"embed_hit_rate\": null}, \
               \"counters\": {\"serve.requests\": 76, \"serve.slo.met\": 20}, \
-              \"events\": {\"recorded\": 76, \"pending\": 0}, \
-              \"work_model\": {\"sa:hit\": {\"count\": 10, \"mean_us\": 120.5, \
-                \"ewma_us\": 118.2, \"p50_us\": 110, \"p90_us\": 200, \"p99_us\": 250, \
-                \"rate_per_sec\": 8298.8}}}",
+              \"events\": {\"recorded\": 76, \"pending\": 0}}",
         )
         .unwrap();
         let out = render_stats(&doc).expect("renders");
-        assert!(out.contains("qjo_serve_admission_info{mode=\"static\"} 1"), "{out}");
         assert!(out.contains("qjo_serve_requests 76"), "{out}");
         assert!(out.contains("qjo_serve_slo_met 20"), "{out}");
         assert!(out.contains("qjo_serve_cache_hit_rate 0.75"), "{out}");
         // Null rates are skipped, not rendered as 0.
         assert!(!out.contains("embed_hit_rate"), "{out}");
-        assert!(out.contains("qjo_serve_work_p90_us{key=\"sa:hit\"} 200"), "{out}");
         assert!(out.contains("== Serving stats =="), "{out}");
-        assert!(out.contains("== Observed work model"), "{out}");
         // Not a snapshot -> a one-line error, not a panic.
         assert!(render_stats(&Json::parse("{}").unwrap()).is_err());
     }

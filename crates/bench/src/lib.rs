@@ -28,7 +28,6 @@ pub mod fig5;
 pub mod report;
 pub mod robustness;
 pub mod scaling;
-pub mod sched_bench;
 pub mod serve_bench;
 pub mod table1;
 pub mod table2;

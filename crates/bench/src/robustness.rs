@@ -21,8 +21,7 @@ use qjo_core::{
     QueryGenerator, QueryGraph,
 };
 use qjo_exec::{stream_seed, Parallelism};
-use qjo_sched::smoke_service;
-use qjo_serve::Request;
+use qjo_serve::{Request, Service};
 
 use crate::report::Table;
 
@@ -185,7 +184,7 @@ pub fn run(cfg: &RobustnessConfig, parallelism: Parallelism) -> RobustnessResult
     let mut curve = Vec::new();
     for backend in &cfg.backends {
         // A fresh service per backend: no replay sees another's cache.
-        let (service, ()) = smoke_service(cfg.seed, parallelism);
+        let service = Service::smoke(cfg.seed, parallelism);
         let solve = |id: String, query: &Query| -> Option<(JoinOrder, bool)> {
             let _span = qjo_obs::span!("robust.eval");
             qjo_obs::counter!("robust.evals").add(1);

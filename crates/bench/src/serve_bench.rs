@@ -17,8 +17,9 @@
 //! request's [`ServeEvent`] (the driver writes them as
 //! `serve_events.jsonl` plus the latency-free canonical projection,
 //! which drift-gates byte-for-byte) and the service's final stats
-//! snapshot (`serve_stats.json`, whose counters reconcile exactly with
-//! the manifest's counter deltas).
+//! snapshot (`serve_stats.json`, a pure function of the request stream
+//! that also drift-gates byte-for-byte, and whose counters reconcile
+//! exactly with the manifest's counter deltas).
 //!
 //! The headline number is [`ServeBenchResult::embed_speedup`]: cold-embed
 //! p50 over warm-embed p50 for the annealer backend — the latency the
@@ -27,8 +28,7 @@
 use qjo_exec::{stream_seed, Parallelism};
 use qjo_obs::json::Json;
 use qjo_serve::loadgen::{self, LatencyRow, LoadMix, ReportRow};
-use qjo_serve::service::{AdmissionMode, Service};
-use qjo_serve::telemetry::DEFAULT_MIN_SAMPLES;
+use qjo_serve::service::Service;
 use qjo_serve::ServeEvent;
 
 use crate::report::Table;
@@ -38,15 +38,11 @@ use crate::report::Table;
 pub struct ServeBenchConfig {
     /// Root seed for the service and both request mixes.
     pub seed: u64,
-    /// Run deadline admission from the observed work model instead of
-    /// the static one. Calibrated runs steer on wall-clock, so their
-    /// event log is **not** drift-gateable.
-    pub calibrated: bool,
 }
 
 impl Default for ServeBenchConfig {
     fn default() -> Self {
-        ServeBenchConfig { seed: 7, calibrated: false }
+        ServeBenchConfig { seed: 7 }
     }
 }
 
@@ -74,10 +70,7 @@ pub struct ServeBenchResult {
 /// against the *same* service so its cache arrives warm — matching how a
 /// long-lived server behaves after its first minutes of traffic.
 pub fn run(cfg: &ServeBenchConfig, parallelism: Parallelism) -> ServeBenchResult {
-    let mut service = Service::smoke(cfg.seed, parallelism);
-    if cfg.calibrated {
-        service.set_admission_mode(AdmissionMode::Calibrated { min_samples: DEFAULT_MIN_SAMPLES });
-    }
+    let service = Service::smoke(cfg.seed, parallelism);
     let closed_mix = LoadMix::smoke(cfg.seed);
     let closed = loadgen::generate_requests(&closed_mix);
     let (mut outcomes, mut events) = loadgen::run_with_events(&service, &closed, closed_mix.mode);

@@ -53,7 +53,6 @@ pub mod convergence;
 pub mod json;
 pub mod log;
 pub mod manifest;
-pub mod online;
 pub mod trace;
 
 /// Number of log2 buckets in a duration histogram: bucket `b` counts

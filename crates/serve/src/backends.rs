@@ -1,8 +1,9 @@
 //! [`JoinOrderOptimizer`] implementations over every workspace solver.
 //!
-//! Classical backends (`dp`, `greedy`) plan directly on the requester's
-//! query. Formulating backends (`sa`, `tabu`, `sqa`, `annealer`, `qaoa`)
-//! share one [`FormulationCache`]: a request is canonicalised, its
+//! Classical backends (`dp`, `greedy`, and `auto`, which picks between
+//! the two) plan directly on the requester's query. Formulating backends
+//! (`sa`, `tabu`, `sqa`, `annealer`, `qaoa`) share one
+//! [`FormulationCache`]: a request is canonicalised, its
 //! formulation fetched or built, solved in canonical labels, decoded, and
 //! the order mapped back to the requester's labelling — so every member
 //! of a fingerprint class reuses the same QUBO (and, for the annealer,
@@ -135,6 +136,54 @@ impl JoinOrderOptimizer for GreedyBackend {
     fn pre_check(&self, query: &Query) -> PreCheck {
         let t = query.num_relations() as u64;
         PreCheck::ok((t * t / 10).max(1))
+    }
+}
+
+/// Largest query `auto` also solves exactly (DP's model cost is `3^t`).
+pub const DP_MAX_RELATIONS: usize = 12;
+
+/// The `auto` backend: greedy, or DP's plan when the query has at most
+/// [`DP_MAX_RELATIONS`] relations and DP is strictly cheaper (a tie
+/// keeps greedy's order).
+///
+/// This is what the racing portfolio it replaced (SA, SQA and tabu
+/// racing this greedy/DP plan under the deadline budget) always reduced
+/// to: up to the DP cap nothing beats DP's exact optimum, and past it no
+/// racer ever decoded a valid plan — the paper's collapse of valid QUBO
+/// samples past about five relations. EXPERIMENTS.md, "The `auto`
+/// backend", records the evidence. `auto` never formulates, so it never
+/// touches the formulation cache and its plans are a pure function of
+/// the query.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AutoBackend;
+
+impl JoinOrderOptimizer for AutoBackend {
+    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+        let (greedy, mut cost) = greedy_min_cost(query);
+        let mut order = greedy.order;
+        if query.num_relations() <= DP_MAX_RELATIONS {
+            let (dp, dp_cost) = dp_optimal(query);
+            if dp_cost < cost {
+                (order, cost) = (dp.order, dp_cost);
+            }
+        }
+        Ok(Plan { order, cost, cache: None, embed: None, fallback: false })
+    }
+
+    fn describe(&self) -> BackendInfo {
+        BackendInfo { name: "auto", family: "classical" }
+    }
+
+    fn pre_check(&self, query: &Query) -> PreCheck {
+        // The greedy and DP backends' own models, summed.
+        let t = query.num_relations() as u64;
+        let greedy = (t * t / 10).max(1);
+        let dp = if t as usize <= DP_MAX_RELATIONS {
+            (3u64.saturating_pow(t as u32) / 1000).max(1)
+        } else {
+            0
+        };
+        PreCheck::ok(greedy + dp)
     }
 }
 
@@ -359,5 +408,107 @@ impl JoinOrderOptimizer for QaoaBackend {
         let amplitudes = 1u64 << n.min(62);
         let evals = self.max_iterations as u64 + self.shots as u64 / 8;
         PreCheck::ok(FORMULATE_NOMINAL_US + amplitudes * evals / 10_000)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Request, Service};
+    use qjo_core::{QueryGenerator, QueryGraph};
+    use qjo_exec::Parallelism;
+
+    fn req(id: &str, deadline_ms: Option<u64>, graph: QueryGraph, t: usize, seed: u64) -> Request {
+        Request {
+            id: id.into(),
+            backend: "auto".into(),
+            deadline_ms,
+            query: QueryGenerator::paper_defaults(graph, t).generate(seed),
+        }
+    }
+
+    #[test]
+    fn auto_is_greedy_unless_dp_is_strictly_cheaper() {
+        let svc = Service::smoke(7, Parallelism::sequential());
+        let (mut dp_wins, mut greedy_kept) = (0, 0);
+        let sizes = (3..=14).chain([20, 42]);
+        for t in sizes {
+            for graph in [QueryGraph::Chain, QueryGraph::Star, QueryGraph::Cycle] {
+                for seed in 0..2 {
+                    let r = req(&format!("{graph:?}-{t}-{seed}"), None, graph, t, seed);
+                    let (greedy, greedy_cost) = greedy_min_cost(&r.query);
+                    let mut expected = (greedy.order, greedy_cost);
+                    if t <= DP_MAX_RELATIONS {
+                        let (dp, dp_cost) = dp_optimal(&r.query);
+                        if dp_cost < greedy_cost {
+                            expected = (dp.order, dp_cost);
+                            dp_wins += 1;
+                        } else {
+                            greedy_kept += 1;
+                        }
+                    }
+                    let resp = svc.handle(&r);
+                    let cost = resp.cost.expect("auto always answers");
+                    assert_eq!(resp.order, expected.0, "{}", r.id);
+                    assert_eq!(cost.to_bits(), expected.1.to_bits(), "{}", r.id);
+                }
+            }
+        }
+        assert!(dp_wins > 0 && greedy_kept > 0, "both arms of the rule are exercised");
+        assert!(svc.cache().is_empty(), "auto never formulates");
+        for e in svc.drain_events() {
+            assert_eq!(e.cache, None, "{}", e.id);
+            assert_eq!((e.portfolio, e.winner, e.cancelled), (None, None, None), "{}", e.id);
+        }
+    }
+
+    #[test]
+    fn auto_plans_under_estimates_recost_under_the_truth() {
+        use qjo_core::{CostModel, QErrorInjector};
+        let svc = Service::smoke(7, Parallelism::sequential());
+        let truth = QueryGenerator::paper_defaults(QueryGraph::Star, 4).generate(5);
+        let inj = QErrorInjector::new(11, 4.0).unwrap();
+        let est = inj.inject(&truth, 0);
+        let r = svc.handle(&Request {
+            id: "est".into(),
+            backend: "auto".into(),
+            deadline_ms: None,
+            query: est.clone(),
+        });
+        assert_eq!(r.error, None);
+        // `auto` optimised under the estimates; its plan is a valid
+        // permutation, so it re-costs under the truth to a finite value.
+        let t = truth.num_relations();
+        let order = JoinOrder::new(r.order.clone(), t).expect("valid permutation");
+        let recost = CostModel::Out.order_cost(&order, &est.true_query());
+        assert!(recost.is_finite() && recost > 0.0);
+        // The reported cost is the plan under the *estimated* statistics.
+        let est_cost = CostModel::Out.order_cost(&order, &est);
+        assert!((r.cost.expect("cost") - est_cost).abs() / est_cost < 1e-9);
+    }
+
+    #[test]
+    fn auto_is_byte_identical_across_thread_counts() {
+        let run = |threads: usize| -> Vec<String> {
+            let svc = Service::smoke(7, Parallelism::new(threads));
+            let mut out = Vec::new();
+            for (i, (graph, deadline)) in [
+                (QueryGraph::Chain, None),
+                (QueryGraph::Star, Some(30)),
+                (QueryGraph::Cycle, Some(60_000)),
+                (QueryGraph::Chain, Some(1)),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let r = svc.handle(&req(&format!("r{i}"), deadline, graph, 4, i as u64));
+                out.push(format!("{:?}/{:?}/{}/{}", r.order, r.cost, r.fallback, r.deadline_miss));
+            }
+            for e in svc.drain_events() {
+                out.push(e.render_deterministic());
+            }
+            out
+        };
+        assert_eq!(run(1), run(8));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qjo-serve [--seed N] [--batch N] [--threads N] [--socket PATH [--max-conns N]]
-//!           [--events PATH] [--calibrated]
+//!           [--events PATH]
 //! ```
 //!
 //! Without `--socket`, serves newline-delimited JSON requests from stdin
@@ -10,18 +10,19 @@
 //! line flushes the pending batch). With `--socket PATH`, binds a Unix
 //! socket and serves connections sequentially with the same protocol.
 //!
+//! Requests name one of the smoke service's eight backends: `auto`,
+//! `annealer`, `dp`, `greedy`, `qaoa`, `sa`, `sqa` or `tabu`. Deadlines
+//! are admitted on each backend's static cost model.
+//!
 //! A line of `{"cmd": "stats"}` answers with one line of live stats
 //! snapshot JSON instead of a plan. With `--events PATH`, the full
 //! per-request event log is written to PATH (atomically, at shutdown).
-//! `--calibrated` switches deadline admission to the observed work model
-//! (see `qjo_serve::AdmissionMode`).
 
 use std::io::{BufReader, Write};
 
 use qjo_exec::Parallelism;
 use qjo_serve::server::{serve_lines, serve_unix_socket};
-use qjo_serve::telemetry::DEFAULT_MIN_SAMPLES;
-use qjo_serve::{events, AdmissionMode, Service};
+use qjo_serve::{events, Service};
 
 struct Options {
     seed: u64,
@@ -30,22 +31,14 @@ struct Options {
     socket: Option<std::path::PathBuf>,
     max_conns: Option<usize>,
     events: Option<std::path::PathBuf>,
-    calibrated: bool,
 }
 
 const USAGE: &str = "usage: qjo-serve [--seed N] [--batch N] [--threads N] \
-                     [--socket PATH [--max-conns N]] [--events PATH] [--calibrated]";
+                     [--socket PATH [--max-conns N]] [--events PATH]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        seed: 7,
-        batch: 16,
-        threads: None,
-        socket: None,
-        max_conns: None,
-        events: None,
-        calibrated: false,
-    };
+    let mut opts =
+        Options { seed: 7, batch: 16, threads: None, socket: None, max_conns: None, events: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -69,7 +62,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     Some(value("--max-conns")?.parse().map_err(|e| format!("--max-conns: {e}"))?)
             }
             "--events" => opts.events = Some(value("--events")?.into()),
-            "--calibrated" => opts.calibrated = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -89,10 +81,7 @@ fn main() {
         Some(n) => Parallelism::new(n),
         None => Parallelism::auto(),
     };
-    let mut service = Service::smoke(opts.seed, parallelism);
-    if opts.calibrated {
-        service.set_admission_mode(AdmissionMode::Calibrated { min_samples: DEFAULT_MIN_SAMPLES });
-    }
+    let service = Service::smoke(opts.seed, parallelism);
     let result = match &opts.socket {
         Some(path) => serve_unix_socket(&service, path, opts.batch, opts.max_conns),
         None => {

@@ -15,18 +15,22 @@
 //! differ only by relation labels or sub-bucket cardinality noise share
 //! one formulation and one embedding.
 //!
-//! Determinism contract: admission, fallback, cache, and report contents
-//! are pure functions of the request stream (wall-clock is observed but
-//! never steers control flow), so serving reports are byte-identical at
-//! any `QJO_THREADS`.
+//! [`Service::smoke`] registers eight backends: the seven solver
+//! families and `auto` ([`AutoBackend`]), which answers with greedy's
+//! plan or, on small queries, DP's when that is strictly cheaper.
+//!
+//! Determinism contract: admission is the backends' static `pre_check`
+//! model — a request with a deadline is admitted iff its backend's
+//! nominal cost fits the budget — so admission, fallback, cache, report
+//! and stats-snapshot contents are pure functions of the request stream
+//! (wall-clock is observed but never steers control flow), and serving
+//! reports are byte-identical at any `QJO_THREADS`.
 //!
 //! Telemetry: every handled request records one structured
 //! [`ServeEvent`] ([`events`]) in the service's per-instance
-//! [`telemetry`] sink, which also feeds an online work model of observed
-//! latencies. The serve loop answers an in-band `{"cmd": "stats"}` with
-//! a live snapshot, and admission can optionally run *calibrated* from
-//! the observed rates ([`AdmissionMode::Calibrated`]) instead of the
-//! static work model (the drift-gateable default).
+//! [`telemetry`] sink. The serve loop answers an in-band
+//! `{"cmd": "stats"}` with a snapshot of the service's counters, cache
+//! occupancy and event tallies.
 
 #![warn(missing_docs)]
 
@@ -42,12 +46,13 @@ pub mod service;
 pub mod telemetry;
 
 pub use backends::{
-    AnnealerBackend, DpBackend, GreedyBackend, QaoaBackend, SaBackend, SqaBackend, TabuBackend,
+    AnnealerBackend, AutoBackend, DpBackend, GreedyBackend, QaoaBackend, SaBackend, SqaBackend,
+    TabuBackend,
 };
 pub use cache::{CacheCounters, CacheEntry, CacheStatus, FormulationCache};
 pub use events::{parse_event, validate_events, ServeEvent};
 pub use fingerprint::{canonicalize, CanonicalQuery, FingerprintConfig};
 pub use optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, ServeError};
 pub use request::{parse_request, render_response, Request, Response};
-pub use service::{AdmissionMode, Service};
+pub use service::Service;
 pub use telemetry::Telemetry;

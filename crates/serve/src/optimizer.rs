@@ -23,8 +23,6 @@ pub struct BackendInfo {
     /// (e.g. `"dp"`, `"annealer"`).
     pub name: &'static str,
     /// Coarse family: `"classical"`, `"qubo"` or `"quantum-sim"`.
-    /// Admission keys a classical backend's observed latencies by its
-    /// bare name, the others by cache state as well.
     pub family: &'static str,
 }
 

@@ -17,14 +17,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qjo_anneal::AnnealerSampler;
-use qjo_core::{JoEncoder, Query};
+use qjo_core::JoEncoder;
 use qjo_exec::Parallelism;
 use qjo_obs::json::Json;
 use qjo_obs::BucketMode;
 use qjo_qubo::solve::{SimulatedAnnealing, TabuSearch};
 
 use crate::backends::{
-    AnnealerBackend, DpBackend, GreedyBackend, QaoaBackend, SaBackend, SqaBackend, TabuBackend,
+    AnnealerBackend, AutoBackend, DpBackend, GreedyBackend, QaoaBackend, SaBackend, SqaBackend,
+    TabuBackend,
 };
 use crate::cache::FormulationCache;
 use crate::events::ServeEvent;
@@ -33,34 +34,6 @@ use crate::optimizer::{JoinOrderOptimizer, Plan, ServeError};
 use crate::request::{Request, Response};
 use crate::telemetry::Telemetry;
 
-/// How the deadline admission estimate is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionMode {
-    /// The static work model: `pre_check` nominal microseconds. The
-    /// default — a pure function of the request, so smoke baselines are
-    /// byte-identical.
-    Static,
-    /// Observed latencies: the per-`(backend, cache-state)` window p90
-    /// from the service's [`Telemetry`], falling back to the static
-    /// model until `min_samples` observations exist for the predicted
-    /// key. **Wall-clock feeds admission** — runs in this mode are not
-    /// drift-gateable.
-    Calibrated {
-        /// Observations required before the estimate is trusted.
-        min_samples: u64,
-    },
-}
-
-impl AdmissionMode {
-    /// Stable lowercase name for snapshots and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            AdmissionMode::Static => "static",
-            AdmissionMode::Calibrated { .. } => "calibrated",
-        }
-    }
-}
-
 /// The serving registry: named backends over one shared formulation
 /// cache, with the greedy planner as the universal fallback.
 pub struct Service {
@@ -68,7 +41,6 @@ pub struct Service {
     fallback: GreedyBackend,
     cache: Arc<FormulationCache>,
     telemetry: Telemetry,
-    admission: AdmissionMode,
 }
 
 /// What `handle_inner` decided, for the event record.
@@ -97,18 +69,13 @@ impl Service {
         // quarter-decade buckets keep their percentiles honest where
         // log2 would quantise to the nearest power of two.
         qjo_obs::global().histogram_with_mode("serve.latency", BucketMode::QuarterDecade);
-        Service {
-            backends,
-            fallback: GreedyBackend,
-            cache,
-            telemetry: Telemetry::new(),
-            admission: AdmissionMode::Static,
-        }
+        Service { backends, fallback: GreedyBackend, cache, telemetry: Telemetry::new() }
     }
 
-    /// The full backend roster at smoke scale: every solver family, with
-    /// read/iteration budgets small enough for CI but large enough to
-    /// exercise the whole pipeline (including real minor-embeddings).
+    /// The full backend roster at smoke scale: `auto` and every solver
+    /// family, with read/iteration budgets small enough for CI but large
+    /// enough to exercise the whole pipeline (including real
+    /// minor-embeddings).
     ///
     /// `seed` fans out to every stochastic backend; `parallelism` only
     /// affects wall-clock (all solvers are seed-stable by construction).
@@ -116,6 +83,7 @@ impl Service {
         let cache =
             Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 64));
         let mut backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>> = BTreeMap::new();
+        backends.insert("auto".into(), Box::new(AutoBackend));
         backends.insert("dp".into(), Box::new(DpBackend::default()));
         backends.insert("greedy".into(), Box::new(GreedyBackend));
         backends.insert(
@@ -188,17 +156,6 @@ impl Service {
         &self.cache
     }
 
-    /// Registers (or replaces) a named backend after construction — how
-    /// the `qjo-sched` crate adds its `auto` backend without `serve`
-    /// depending on it.
-    pub fn insert_backend(
-        &mut self,
-        name: impl Into<String>,
-        backend: Box<dyn JoinOrderOptimizer>,
-    ) {
-        self.backends.insert(name.into(), backend);
-    }
-
     /// Backend names in registry (sorted) order.
     pub fn backend_names(&self) -> Vec<&str> {
         self.backends.keys().map(String::as_str).collect()
@@ -213,16 +170,6 @@ impl Service {
     /// [`Telemetry::drain_events`]).
     pub fn drain_events(&self) -> Vec<ServeEvent> {
         self.telemetry.drain_events()
-    }
-
-    /// The current admission mode.
-    pub fn admission_mode(&self) -> AdmissionMode {
-        self.admission
-    }
-
-    /// Switches between static and calibrated deadline admission.
-    pub fn set_admission_mode(&mut self, mode: AdmissionMode) {
-        self.admission = mode;
     }
 
     /// Counts a malformed (unparseable) request line. The serve loop
@@ -242,10 +189,11 @@ impl Service {
 
     /// The live stats snapshot answered by the in-band `stats` command:
     /// uptime-free counters, cache occupancy and hit rates, SLO tallies
-    /// (inside `counters` under the `serve.slo.` prefix), and the online
-    /// work model. Every `counters` entry mirrors the identically-named
-    /// global counter, so a snapshot reconciles exactly with the final
-    /// manifest when one service owns the process.
+    /// (inside `counters` under the `serve.slo.` prefix), and event
+    /// tallies — a pure function of the request stream. Every `counters`
+    /// entry mirrors the identically-named global counter, so a snapshot
+    /// reconciles exactly with the final manifest when one service owns
+    /// the process.
     pub fn stats_snapshot(&self) -> Json {
         let cache = self.cache.stats();
         let lookups = cache.hits + cache.misses;
@@ -281,11 +229,9 @@ impl Service {
         events.insert("recorded".into(), Json::from(self.telemetry.events_recorded()));
         events.insert("pending".into(), Json::from(self.telemetry.events_pending() as u64));
         let mut root: BTreeMap<String, Json> = BTreeMap::new();
-        root.insert("admission".into(), Json::from(self.admission.name()));
         root.insert("cache".into(), Json::Obj(cache_obj));
         root.insert("counters".into(), Json::Obj(counters));
         root.insert("events".into(), Json::Obj(events));
-        root.insert("work_model".into(), self.telemetry.work_model().to_json());
         Json::Obj(root)
     }
 
@@ -303,27 +249,6 @@ impl Service {
             fallback,
             deadline_miss,
             error: None,
-        }
-    }
-
-    /// The work-model key admission would bill this request under,
-    /// predicted without perturbing the cache (resident formulation /
-    /// embedding → warm-side key).
-    fn predicted_work_key(&self, backend: &dyn JoinOrderOptimizer, req: &Request) -> String {
-        let info = backend.describe();
-        if info.family == "classical" {
-            return req.backend.clone();
-        }
-        let (_, resident) = self.cache.peek(&req.query);
-        if info.name == "annealer" {
-            match resident {
-                Some(entry) if entry.has_embedding() => format!("{}:warm", req.backend),
-                _ => format!("{}:cold", req.backend),
-            }
-        } else if resident.is_some() {
-            format!("{}:hit", req.backend)
-        } else {
-            format!("{}:miss", req.backend)
         }
     }
 
@@ -451,21 +376,12 @@ impl Service {
         let mut est_cost_us = None;
         if let Some(deadline_ms) = req.deadline_ms {
             let budget_us = deadline_ms.saturating_mul(1000);
-            let est = match self.admission {
-                AdmissionMode::Static => check.cost_estimate_us,
-                AdmissionMode::Calibrated { min_samples } => {
-                    let key = self.predicted_work_key(backend.as_ref(), req);
-                    self.telemetry
-                        .cost_estimate_us(&key, min_samples)
-                        .unwrap_or(check.cost_estimate_us)
-                }
-            };
+            let est = check.cost_estimate_us;
             est_cost_us = Some(est);
             // A zero deadline demands an answer in no time: always serve
             // the fallback. Without the explicit `budget_us == 0` arm a
-            // calibrated estimate of 0 µs (observed sub-µs solves round
-            // down) would "meet" the impossible budget and admit the
-            // backend.
+            // backend whose model estimates 0 µs would "meet" the
+            // impossible budget and be admitted.
             if budget_us == 0 || est > budget_us {
                 self.count("serve.deadline.miss", 1);
                 self.count("serve.fallback", 1);
@@ -544,15 +460,11 @@ impl Service {
     }
 }
 
-/// Convenience: the query a request carries (used by tests and loadgen).
-pub fn request_query(req: &Request) -> &Query {
-    &req.query
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qjo_core::{QueryGenerator, QueryGraph};
+    use crate::optimizer::{BackendInfo, PreCheck};
+    use qjo_core::{Query, QueryGenerator, QueryGraph};
 
     fn req(id: &str, backend: &str, deadline_ms: Option<u64>, seed: u64) -> Request {
         let query = QueryGenerator::paper_defaults(QueryGraph::Chain, 4).generate(seed);
@@ -562,7 +474,7 @@ mod tests {
     #[test]
     fn every_smoke_backend_answers_with_a_valid_order() {
         let svc = Service::smoke(7, Parallelism::sequential());
-        for name in ["dp", "greedy", "sa", "tabu", "sqa", "qaoa"] {
+        for name in ["auto", "dp", "greedy", "sa", "tabu", "sqa", "qaoa"] {
             let r = svc.handle(&req("x", name, None, 3));
             assert_eq!(r.error, None, "backend {name}");
             let mut sorted = r.order.clone();
@@ -708,8 +620,6 @@ mod tests {
         assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
         assert_eq!(cache.get("resident").and_then(Json::as_u64), Some(1));
         assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(0.5));
-        assert_eq!(snap.get("admission").and_then(Json::as_str), Some("static"));
-        assert!(snap.get("work_model").and_then(Json::as_obj).is_some());
         // The snapshot tallies equal the telemetry tallies exactly.
         for (name, value) in svc.telemetry().counters() {
             assert_eq!(counters.get(&name).and_then(Json::as_u64), Some(value), "{name}");
@@ -717,60 +627,39 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_admission_defers_to_the_static_model_until_warm() {
-        let mut svc = Service::smoke(7, Parallelism::sequential());
-        svc.set_admission_mode(AdmissionMode::Calibrated { min_samples: 3 });
-        assert_eq!(svc.admission_mode().name(), "calibrated");
-        // No observations yet: the static model still governs, so an
-        // impossible deadline degrades exactly as in static mode.
-        let r = svc.handle(&req("x", "sa", Some(0), 5));
-        assert!(r.deadline_miss && r.fallback);
-        let events = svc.drain_events();
-        assert!(events[0].est_cost_us.expect("deadline check ran") > 0);
-    }
-
-    #[test]
-    fn zero_deadline_falls_back_even_with_a_calibrated_zero_estimate() {
-        // Regression: a warmed work model can legitimately estimate 0 µs
-        // (sub-µs solves round down). `est > budget_us` is false for
-        // 0 > 0, so without the explicit zero-budget arm the backend
+    fn zero_deadline_falls_back_even_with_a_zero_estimate() {
+        // Regression: `est > budget_us` is false for 0 > 0, so without the
+        // explicit zero-budget arm a backend whose model estimates 0 µs
         // would be admitted against a deadline that demands an answer in
-        // no time at all.
-        let mut svc = Service::smoke(7, Parallelism::sequential());
-        svc.set_admission_mode(AdmissionMode::Calibrated { min_samples: 3 });
-        for i in 0..3 {
-            // dp is classical, so its predicted work key is the bare
-            // backend name — exactly what these observations warm.
-            svc.telemetry().record(ServeEvent {
-                seq: 0,
-                id: format!("warm{i}"),
-                backend: "dp".into(),
-                fingerprint: "fp".into(),
-                deadline_ms: None,
-                admitted: true,
-                cache: None,
-                embed: None,
-                outcome: "ok",
-                reason: None,
-                slo: None,
-                cost: Some(1.0),
-                est_cost_us: None,
-                latency_us: 0,
-                portfolio: None,
-                winner: None,
-                cancelled: None,
-            });
+        // no time at all. No built-in backend estimates 0 µs, hence the
+        // stub.
+        struct Free;
+        impl JoinOrderOptimizer for Free {
+            fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+                GreedyBackend.optimize_join_order(query)
+            }
+            fn describe(&self) -> BackendInfo {
+                BackendInfo { name: "free", family: "classical" }
+            }
+            fn pre_check(&self, _query: &Query) -> PreCheck {
+                PreCheck::ok(0)
+            }
         }
-        assert_eq!(svc.telemetry().cost_estimate_us("dp", 3), Some(0));
-        svc.drain_events();
-        let r = svc.handle(&req("x", "dp", Some(0), 5));
+        let cache =
+            Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 1));
+        let mut backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>> = BTreeMap::new();
+        backends.insert("free".into(), Box::new(Free));
+        let svc = Service::new(backends, cache);
+        let r = svc.handle(&req("x", "free", Some(1), 5));
+        assert!(!r.deadline_miss && !r.fallback, "any nonzero budget admits the stub");
+        let r = svc.handle(&req("y", "free", Some(0), 5));
         assert!(r.deadline_miss && r.fallback);
         let events = svc.drain_events();
-        assert_eq!(events[0].reason, Some("deadline"));
-        assert_eq!(events[0].est_cost_us, Some(0));
+        assert_eq!(events[1].reason, Some("deadline"));
+        assert_eq!(events[1].est_cost_us, Some(0));
         // And the SLO classifier agrees: a zero budget is never "met" or
-        // "degraded", whatever the estimators say.
-        assert_eq!(events[0].slo, Some("missed"));
+        // "degraded", whatever the model estimates.
+        assert_eq!(events[1].slo, Some("missed"));
     }
 
     #[test]
@@ -787,58 +676,6 @@ mod tests {
         let events = svc.drain_events();
         assert_eq!(events[0].slo, Some("met"));
         assert_eq!(events[1].slo, Some("met"));
-    }
-
-    #[test]
-    fn calibration_is_keyed_on_the_actual_not_predicted_cache_state() {
-        // Regression: admission *predicts* a work-model key from a cache
-        // peek, but by execution time other traffic can have evicted the
-        // entry (forced here with a capacity-1 cache). Observations must
-        // land under the key of what actually happened, or the hit-side
-        // window fills with miss-cost latencies and calibrated admission
-        // over-rejects warm requests.
-        let cache =
-            Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 1));
-        let mut backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>> = BTreeMap::new();
-        backends.insert(
-            "sa".into(),
-            Box::new(SaBackend {
-                cache: cache.clone(),
-                solver: SimulatedAnnealing {
-                    restarts: 1,
-                    sweeps: 10,
-                    seed: 7,
-                    parallelism: Parallelism::sequential(),
-                    ..SimulatedAnnealing::default()
-                },
-            }),
-        );
-        let svc = Service::new(backends, cache);
-        let ra = req("a", "sa", None, 5);
-        let rb = Request {
-            id: "b".into(),
-            backend: "sa".into(),
-            deadline_ms: None,
-            query: QueryGenerator::paper_defaults(QueryGraph::Star, 4).generate(5),
-        };
-        let (fa, fb) = (
-            svc.cache.canonicalize(&ra.query).fingerprint,
-            svc.cache.canonicalize(&rb.query).fingerprint,
-        );
-        assert_ne!(fa, fb, "the two classes must contend for the single slot");
-        assert_eq!(svc.handle(&ra).cache, Some("miss"));
-        // The entry is resident now, so admission for the next α request
-        // would predict the hit-side key…
-        let backend = svc.backends.get("sa").expect("registered");
-        assert_eq!(svc.predicted_work_key(backend.as_ref(), &ra), "sa:hit");
-        // …but β's lookup evicts α before that request executes.
-        assert_eq!(svc.handle(&rb).cache, Some("miss"));
-        assert_eq!(svc.handle(&ra).cache, Some("miss"));
-        // All three observations were billed to the actual miss key; the
-        // stale hit prediction never contaminated the hit window.
-        let snap = svc.telemetry().work_model();
-        assert_eq!(snap.get("sa:miss").expect("miss window").count, 3);
-        assert!(snap.get("sa:hit").is_none());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Per-service telemetry: the event sink, serve-counter tallies, and the
-//! online work model behind calibrated admission.
+//! Per-service telemetry: the event sink and serve-counter tallies.
 //!
 //! The global `qjo-obs` registry aggregates every service in the process
 //! (tests included), which makes it useless for a *per-service* stats
@@ -9,50 +8,21 @@
 //! exactly with the run manifest whenever one service owns the process
 //! (the `qjo-serve` binary and `serve-bench` both do).
 //!
-//! Events accumulate until drained; wall-clock latencies additionally
-//! feed a [`WorkModel`] keyed by `(backend, cache-state)` so admission
-//! can be calibrated from observed rates instead of the static
-//! constants in [`backends`](crate::backends).
+//! Events accumulate until drained. Their wall-clock latencies are
+//! recorded, never read back: admission runs on the static model.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use qjo_obs::online::{WorkModel, WorkModelSnapshot};
-
 use crate::events::ServeEvent;
-
-/// Sliding-window size for per-key latency quantiles.
-pub const WORK_WINDOW: usize = 128;
-
-/// EWMA smoothing factor for per-key latency means.
-pub const WORK_ALPHA: f64 = 0.2;
-
-/// Minimum observations per key before a calibrated estimate is trusted
-/// over the static work model.
-pub const DEFAULT_MIN_SAMPLES: u64 = 3;
-
-/// The work-model key for a request outcome: backend name refined by the
-/// cache state that dominated its cost. Embedding state wins over the
-/// formulation-cache state (a resident embedding is the difference
-/// between milliseconds and seconds on the annealer path); classical
-/// backends that never touch the cache key on the bare backend name.
-pub fn work_key(backend: &str, cache: Option<&str>, embed: Option<&str>) -> String {
-    match (embed, cache) {
-        (Some("cold"), _) => format!("{backend}:cold"),
-        (Some(_), _) => format!("{backend}:warm"),
-        (None, Some(state)) => format!("{backend}:{state}"),
-        (None, None) => backend.to_string(),
-    }
-}
 
 struct TelemetryState {
     seq: u64,
     events: Vec<ServeEvent>,
     counters: BTreeMap<String, u64>,
-    work: WorkModel,
 }
 
-/// One service's own event log, counter tallies, and work model.
+/// One service's own event log and counter tallies.
 pub struct Telemetry {
     state: Mutex<TelemetryState>,
 }
@@ -64,14 +34,13 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An empty telemetry sink with the default work-model shape.
+    /// An empty telemetry sink.
     pub fn new() -> Self {
         Telemetry {
             state: Mutex::new(TelemetryState {
                 seq: 0,
                 events: Vec::new(),
                 counters: BTreeMap::new(),
-                work: WorkModel::new(WORK_WINDOW, WORK_ALPHA),
             }),
         }
     }
@@ -82,22 +51,18 @@ impl Telemetry {
         *state.counters.entry(name.to_string()).or_insert(0) += n;
     }
 
-    /// Records one event: assigns the next dense sequence number, logs
-    /// it, and feeds its latency into the work model under
-    /// [`work_key`]. Returns the assigned sequence number.
+    /// Records one event: assigns the next dense sequence number and
+    /// logs it. Returns the assigned sequence number.
     pub fn record(&self, mut event: ServeEvent) -> u64 {
         let mut state = self.state.lock().expect("telemetry lock");
         event.seq = state.seq;
         state.seq += 1;
-        let key = work_key(&event.backend, event.cache, event.embed);
-        let latency = event.latency_us;
-        state.work.observe(&key, latency);
         state.events.push(event);
         state.seq - 1
     }
 
-    /// Takes every buffered event, leaving tallies and the work model in
-    /// place. Sequence numbers keep counting across drains.
+    /// Takes every buffered event, leaving the tallies in place.
+    /// Sequence numbers keep counting across drains.
     pub fn drain_events(&self) -> Vec<ServeEvent> {
         std::mem::take(&mut self.state.lock().expect("telemetry lock").events)
     }
@@ -112,26 +77,9 @@ impl Telemetry {
         self.state.lock().expect("telemetry lock").events.len()
     }
 
-    /// The calibrated cost estimate for `key`, if at least `min_samples`
-    /// latencies have been observed under it (single-lock convenience
-    /// over [`Telemetry::work_model`]).
-    pub fn cost_estimate_us(&self, key: &str, min_samples: u64) -> Option<u64> {
-        self.state
-            .lock()
-            .expect("telemetry lock")
-            .work
-            .snapshot()
-            .cost_estimate_us(key, min_samples)
-    }
-
     /// A copy of the local counter tallies.
     pub fn counters(&self) -> BTreeMap<String, u64> {
         self.state.lock().expect("telemetry lock").counters.clone()
-    }
-
-    /// A point-in-time snapshot of the online work model.
-    pub fn work_model(&self) -> WorkModelSnapshot {
-        self.state.lock().expect("telemetry lock").work.snapshot()
     }
 }
 
@@ -173,21 +121,6 @@ mod tests {
         assert_eq!(t.events_recorded(), 3);
         assert_eq!(t.drain_events().len(), 1);
         assert!(t.drain_events().is_empty());
-    }
-
-    #[test]
-    fn work_model_keys_refine_backend_by_cache_state() {
-        assert_eq!(work_key("annealer", Some("hit"), Some("cold")), "annealer:cold");
-        assert_eq!(work_key("annealer", Some("hit"), Some("hit")), "annealer:warm");
-        assert_eq!(work_key("sa", Some("miss"), None), "sa:miss");
-        assert_eq!(work_key("sa", Some("hit"), None), "sa:hit");
-        assert_eq!(work_key("greedy", None, None), "greedy");
-        let t = Telemetry::new();
-        t.record(event("sa", Some("miss"), 100));
-        t.record(event("sa", Some("hit"), 10));
-        let snap = t.work_model();
-        assert!(snap.get("sa:miss").is_some());
-        assert!(snap.get("sa:hit").is_some());
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!   streams and order-preserving `par_map`, so results are bit-identical
 //!   at any thread count.
 //! * [`serve`] — the always-on optimisation service: every backend behind
-//!   one `JoinOrderOptimizer` trait, a content-addressed formulation and
-//!   embedding cache, and the batching JSON request loop.
-//! * [`sched`] — the `auto` backend: greedy, or the exact DP plan when
-//!   that is strictly cheaper and the query has at most 12 relations.
+//!   one `JoinOrderOptimizer` trait (`auto` among them: greedy, or the
+//!   exact DP plan when that is strictly cheaper and the query has at
+//!   most 12 relations), a content-addressed formulation and embedding
+//!   cache, and the batching JSON request loop.
+//! * [`sched`] — `smoke_service`, a shim over `serve::Service::smoke`
+//!   kept for the benchmark package.
 //!
 //! See the `examples/` directory for end-to-end walkthroughs and the
 //! `experiments` binary (`cargo run -p qjo-bench --release --bin
