@@ -1,46 +1,62 @@
-//! The experiment driver: regenerates every table and figure of the paper.
+//! The experiment driver: regenerates every table and figure of the
+//! paper, and runs the serving and robustness suites.
 //!
 //! ```text
-//! experiments [table1|fig2|table2|fig3|table3|fig4|fig5|timing|ablation|scaling|all]
-//!             [--full|--smoke] [--csv DIR] [--metrics-out PATH]
-//!             [--trace-out PATH] [--bench-out PATH] [--convergence]
-//!             [--faults SPEC] [--resume] [--halt-after STAGE]
-//! experiments bench [STAGES]... [--full|--smoke] [--bench-out PATH] ...
-//! experiments serve-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH]
-//!             [--bench-out PATH] [--min-embed-speedup X]
-//! experiments robustness-bench [--smoke] [--seed N] [--instances N] [--csv DIR]
-//!             [--metrics-out PATH] [--bench-out PATH] [--faults SPEC]
+//! experiments [STAGE|all]... [--full|--smoke] [--csv DIR] [--trace-out PATH]
+//!             [--bench-out PATH] [--convergence] [--faults SPEC] [--resume]
+//!             [--halt-after STAGE] [--min-embed-speedup X]
 //! experiments manifest-diff BASELINE CURRENT
 //! experiments trace-check TRACE
 //! experiments bench-compare BASELINE CURRENT
-//! experiments events-check EVENTS [--canonical OUT]
+//! experiments events-check EVENTS
 //! experiments stats-render STATS
 //! ```
 //!
-//! Defaults are scaled to simulator throughput; `--full` raises the knobs
-//! toward the paper's exact parameters (slower), `--smoke` lowers them to
-//! a CI-sized sweep that finishes in a couple of minutes. `--csv DIR`
-//! additionally writes each result as CSV into `DIR`.
+//! A stage is one of the ten paper stages (`table1 fig2 table2 fig3
+//! table3 fig4 fig5 timing ablation scaling`, which `all` and an empty
+//! stage list both mean) or one of two extension suites that `all` leaves
+//! out:
 //!
-//! Every run also emits a machine-readable **run manifest** (see
-//! `EXPERIMENTS.md`): per-stage durations and counter deltas, final
-//! metrics, and a content fingerprint of every table. The manifest goes to
-//! `--metrics-out PATH` if given, else `DIR/run_manifest.json` under
-//! `--csv`, else `results/run_manifest.json`; set `QJO_MANIFEST=off` to
-//! disable. `manifest-diff` compares the deterministic sections of two
-//! manifests and exits non-zero on drift — CI's experiments gate.
+//! * `serve` replays the seeded smoke request mixes against the
+//!   `qjo-serve` service (see `EXPERIMENTS.md` § Serving). It emits the
+//!   drift-gated `serve_report.csv`, the volatile `serve_latency.csv`, the
+//!   per-request event log `serve_events.jsonl` (volatile — it carries
+//!   wall-clock latencies; gated on row count), its latency-free
+//!   projection `serve_events.canonical.jsonl` and the service's final
+//!   stats snapshot `serve_stats.json` (both hash-gated and byte-identical
+//!   at any `QJO_THREADS`). `--min-embed-speedup X` is its gate: a cached
+//!   Pegasus embedding must serve at least `X`× faster (p50) than a cold
+//!   embed.
+//! * `robust` runs the cardinality-misestimation degradation sweep
+//!   (`robustness_report.csv`, `robustness_curve.csv`) and always checks
+//!   its unity gate: every q-error-1 cell must degrade by exactly 1.0.
+//!
+//! Both run their one committed profile (seed 7) in every mode. For the
+//! paper stages, defaults are scaled to simulator throughput; `--full`
+//! raises the knobs toward the paper's exact parameters (slower), and
+//! `--smoke` lowers them to a CI-sized sweep. `--csv DIR` additionally
+//! writes each result into `DIR`.
+//!
+//! Every run also writes a machine-readable **run manifest** (see
+//! `EXPERIMENTS.md`) to `DIR/run_manifest.json`, or to
+//! `results/run_manifest.json` without `--csv`: per-stage durations and
+//! counter deltas, final metrics, and a content fingerprint of every
+//! artifact. `manifest-diff` compares the deterministic sections of two
+//! manifests and exits non-zero on drift — CI's drift gate. A stage whose
+//! gate fails does not stop the run: every output is still written, and
+//! then the process exits 1.
 //!
 //! Resilience (all deterministic, see `EXPERIMENTS.md`):
 //!
-//! * `--faults SPEC` (or the `QJO_FAULTS` env var) installs a seeded
-//!   fault-injection plan; every injection and recovery event lands in
-//!   the manifest's `resilience` section, so chaos runs drift-gate like
-//!   any other sweep.
-//! * The driver checkpoints each completed stage under
-//!   `DIR/.checkpoints/`; `--resume` replays completed stages from those
-//!   checkpoints and reproduces the exact final manifest an uninterrupted
-//!   run would have written. `--halt-after STAGE` exits cleanly after
-//!   checkpointing STAGE — a deterministic stand-in for a mid-sweep kill.
+//! * `--faults SPEC` installs a seeded fault-injection plan; every
+//!   injection and recovery event lands in the manifest's `resilience`
+//!   section, so chaos runs drift-gate like any other sweep.
+//! * The driver checkpoints each completed stage that passed its gate
+//!   under `DIR/.checkpoints/`; `--resume` replays completed stages from
+//!   those checkpoints and reproduces the exact final manifest an
+//!   uninterrupted run would have written. `--halt-after STAGE` exits
+//!   after checkpointing STAGE — a deterministic stand-in for a
+//!   mid-sweep kill.
 //! * Every artifact is written atomically (temp file + rename), so a real
 //!   crash never leaves a torn CSV/JSON behind.
 //!
@@ -51,45 +67,31 @@
 //!   `trace-check` re-parses such a file and verifies slice nesting.
 //! * `--convergence` turns on the solver convergence recorder (energy
 //!   curves, acceptance rates, chain breaks, optimiser trajectories),
-//!   exported as deterministic `convergence_*.csv` artifacts. `--smoke`
-//!   implies it, so the smoke baseline gates on the curves too.
-//! * `bench` (or `--bench-out PATH`) emits `BENCH.json`: per-stage wall
-//!   time, counter-derived work rates, span percentiles, and trace-buffer
-//!   statistics — the perf-trajectory record CI uploads per PR.
-//!   `bench-compare` diffs the work rates of two snapshots and fails when
-//!   a gated rate (the noisy-sampling `shots/s`) regresses beyond the 2×
-//!   noise allowance, or when the run's total wall time exceeds 2× the
-//!   baseline's — CI's perf and wall-clock-budget gate against the
-//!   committed smoke baseline.
-//!
-//! Serving (see `EXPERIMENTS.md` § Serving): `serve-bench` replays the
-//! seeded smoke request mixes against the `qjo-serve` service and emits
-//! the drift-gated `serve_report.csv`, the volatile `serve_latency.csv`,
-//! a run manifest, and (with `--bench-out`) a `BENCH.json` carrying the
-//! gated `serve.requests_per_sec` and `serve.cache_hit_rate` rates.
-//! `--min-embed-speedup X` additionally fails the run unless a cached
-//! Pegasus embedding served at least `X`× faster than a cold embed.
+//!   exported as deterministic `convergence_*.csv` artifacts. The smoke
+//!   baselines were recorded with it, so smoke runs pass it.
+//! * `--bench-out PATH` emits `BENCH.json`: per-stage wall time,
+//!   counter-derived work rates, span percentiles, and trace-buffer
+//!   statistics. `bench-compare` diffs the work rates of two snapshots
+//!   and fails when a gated rate regresses beyond the 2× noise allowance,
+//!   or when the run's total wall time exceeds 2× the baseline's — CI's
+//!   perf and wall-clock-budget gate against the committed baselines.
 //!
 //! Serving telemetry (see `EXPERIMENTS.md` § Serving telemetry):
-//! `serve-bench` also writes the per-request event log
-//! `serve_events.jsonl` (volatile — it carries wall-clock latencies;
-//! gated on row count) and its latency-free projection
-//! `serve_events.canonical.jsonl` (deterministic, hash-gated and
-//! byte-identical at any `QJO_THREADS`), plus the service's final stats
-//! snapshot `serve_stats.json` (deterministic and hash-gated too).
-//! `events-check` re-parses an event log and verifies the schema and
-//! cross-record invariants (exit 0 valid / 1 invalid / 2 unreadable);
-//! `--canonical OUT` additionally writes the canonical projection for
-//! byte-diffing. `stats-render` formats a stats
-//! snapshot (from `serve_stats.json` or an in-band `{"cmd": "stats"}`
-//! response line) as Prometheus-style exposition plus a human table.
+//! `events-check` re-parses a `serve_events.jsonl` log and verifies the
+//! schema and cross-record invariants (exit 0 valid / 1 invalid / 2
+//! unreadable). `stats-render` formats a stats snapshot (from
+//! `serve_stats.json` or an in-band `{"cmd": "stats"}` response line) as
+//! Prometheus-style exposition plus a human table.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use qjo_bench::report::Table;
-use qjo_bench::{ablation, fig2, fig3, fig4, fig5, scaling, table1, table2, table3, timing};
+use qjo_bench::{
+    ablation, fig2, fig3, fig4, fig5, robustness, scaling, serve_bench, table1, table2, table3,
+    timing,
+};
 use qjo_obs::json::Json;
 use qjo_obs::manifest::{Artifact, RunManifest, StageRecord};
 
@@ -112,52 +114,47 @@ impl Mode {
     }
 }
 
-/// Every stage the driver knows, in `all` execution order.
-const STAGE_NAMES: &[&str] = &[
+/// The paper stages, in `all` execution order.
+const PAPER_STAGES: &[&str] = &[
     "table1", "fig2", "table2", "fig3", "table3", "fig4", "fig5", "timing", "ablation", "scaling",
 ];
+
+/// The extension suites: stages that run only when named.
+const EXTENSION_STAGES: &[&str] = &["serve", "robust"];
 
 #[derive(Debug)]
 struct Options {
     which: Vec<String>,
     mode: Mode,
     csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     bench_out: Option<PathBuf>,
     convergence: bool,
     faults: Option<String>,
     resume: bool,
     halt_after: Option<String>,
+    /// The `serve` stage's gate: cold-over-warm embed p50 floor.
+    min_embed_speedup: Option<f64>,
 }
 
-const USAGE: &str = "usage: experiments [table1|fig2|table2|fig3|table3|fig4|fig5|timing|ablation|scaling|all]... \
-     [--full|--smoke] [--csv DIR] [--metrics-out PATH] [--trace-out PATH] [--bench-out PATH] [--convergence] \
-     [--faults SPEC] [--resume] [--halt-after STAGE]\n       \
-     experiments bench [STAGES]... (as above; BENCH.json unless --bench-out)\n       \
-     experiments serve-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH] [--bench-out PATH] \
+const USAGE: &str =
+    "usage: experiments [STAGE|all]... [--full|--smoke] [--csv DIR] [--trace-out PATH] \
+     [--bench-out PATH] [--convergence] [--faults SPEC] [--resume] [--halt-after STAGE] \
      [--min-embed-speedup X]\n       \
-     experiments robustness-bench [--smoke] [--seed N] [--instances N] [--csv DIR] [--metrics-out PATH] \
-     [--bench-out PATH] [--faults SPEC]\n       \
+     STAGE: table1|fig2|table2|fig3|table3|fig4|fig5|timing|ablation|scaling (`all`: these ten) \
+     or serve|robust\n       \
      experiments manifest-diff BASELINE CURRENT\n       \
      experiments trace-check TRACE\n       \
      experiments bench-compare BASELINE CURRENT\n       \
-     experiments events-check EVENTS [--canonical OUT]\n       \
+     experiments events-check EVENTS\n       \
      experiments stats-render STATS";
 
 /// Subcommands with their own argument grammar. They are recognised only
 /// in first position; anywhere later is a usage error (not a stage name),
 /// so `experiments --smoke bench-compare A B` fails loudly instead of
 /// being misread as an unknown experiment.
-const SUBCOMMANDS: &[&str] = &[
-    "manifest-diff",
-    "trace-check",
-    "bench-compare",
-    "serve-bench",
-    "robustness-bench",
-    "events-check",
-    "stats-render",
-];
+const SUBCOMMANDS: &[&str] =
+    &["manifest-diff", "trace-check", "bench-compare", "events-check", "stats-render"];
 
 /// Where a command line leads: one of the subcommands, or the sweep.
 #[derive(Debug)]
@@ -165,9 +162,7 @@ enum Route {
     ManifestDiff(String, String),
     TraceCheck(String),
     BenchCompare(String, String),
-    ServeBench(ServeBenchOptions),
-    RobustnessBench(RobustBenchOptions),
-    EventsCheck { events: String, canonical: Option<String> },
+    EventsCheck(String),
     StatsRender(String),
     Sweep(Options),
 }
@@ -190,18 +185,10 @@ fn route(raw: &[String]) -> Result<Route, String> {
             [_, baseline, current] => Ok(Route::BenchCompare(baseline.clone(), current.clone())),
             _ => Err("bench-compare takes exactly two BENCH.json paths".to_string()),
         },
-        Some("serve-bench") => parse_serve_args(&raw[1..]).map(Route::ServeBench),
-        Some("robustness-bench") => parse_robust_args(&raw[1..]).map(Route::RobustnessBench),
-        Some("events-check") => {
-            match raw {
-                [_, events] => Ok(Route::EventsCheck { events: events.clone(), canonical: None }),
-                [_, events, flag, out] if flag == "--canonical" => {
-                    Ok(Route::EventsCheck { events: events.clone(), canonical: Some(out.clone()) })
-                }
-                _ => Err("events-check takes an event-log path and optionally --canonical OUT"
-                    .to_string()),
-            }
-        }
+        Some("events-check") => match raw {
+            [_, events] => Ok(Route::EventsCheck(events.clone())),
+            _ => Err("events-check takes exactly one event-log path".to_string()),
+        },
         Some("stats-render") => match raw {
             [_, stats] => Ok(Route::StatsRender(stats.clone())),
             _ => Err("stats-render takes exactly one stats-snapshot path".to_string()),
@@ -219,16 +206,16 @@ fn route(raw: &[String]) -> Result<Route, String> {
 /// the usage text and exits 2) instead of panicking on malformed input.
 fn parse_args(raw: &[String]) -> Result<Options, String> {
     let mut which = Vec::new();
+    let mut all = false;
     let mut mode = Mode::Default;
     let mut csv_dir = None;
-    let mut metrics_out = None;
     let mut trace_out = None;
     let mut bench_out = None;
-    let mut bench = false;
     let mut convergence = false;
     let mut faults = None;
     let mut resume = false;
     let mut halt_after: Option<String> = None;
+    let mut min_embed_speedup = None;
     let mut args = raw.iter();
     while let Some(arg) = args.next() {
         let mut value =
@@ -238,25 +225,33 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
             "--smoke" => mode = Mode::Smoke,
             "--convergence" => convergence = true,
             "--resume" => resume = true,
-            "bench" => bench = true,
             "--csv" => csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
             "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--bench-out" => bench_out = Some(PathBuf::from(value("--bench-out")?)),
             "--faults" => faults = Some(value("--faults")?),
             "--halt-after" => halt_after = Some(value("--halt-after")?),
+            "--min-embed-speedup" => {
+                let v: f64 = value("--min-embed-speedup")?
+                    .parse()
+                    .map_err(|e| format!("--min-embed-speedup must be a number: {e}"))?;
+                if !(v.is_finite() && v >= 1.0) {
+                    return Err("--min-embed-speedup must be a finite factor >= 1".to_string());
+                }
+                min_embed_speedup = Some(v);
+            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
-            stage if STAGE_NAMES.contains(&stage) || stage == "all" => {
+            "all" => all = true,
+            stage if PAPER_STAGES.contains(&stage) || EXTENSION_STAGES.contains(&stage) => {
                 which.push(stage.to_string());
             }
             other => return Err(format!("unknown experiment '{other}'")),
         }
     }
-    if bench && bench_out.is_none() {
-        bench_out = Some(PathBuf::from("BENCH.json"));
-    }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = STAGE_NAMES.iter().map(|s| s.to_string()).collect();
+    if all || which.is_empty() {
+        // `all` is the paper stages in their canonical order; extension
+        // stages named alongside it run after them.
+        which.retain(|w| EXTENSION_STAGES.contains(&w.as_str()));
+        which.splice(0..0, PAPER_STAGES.iter().map(|s| s.to_string()));
     }
     // Stage names double as convergence phases and checkpoint keys, both
     // of which must be unique: drop repeats, keeping first-run order.
@@ -267,25 +262,32 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
             return Err(format!("--halt-after '{halt}' is not part of this sweep"));
         }
     }
+    if min_embed_speedup.is_some() && !which.iter().any(|w| w == "serve") {
+        return Err("--min-embed-speedup gates the serve stage, which is not run".to_string());
+    }
     Ok(Options {
         which,
         mode,
         csv_dir,
-        metrics_out,
         trace_out,
         bench_out,
         convergence,
         faults,
         resume,
         halt_after,
+        min_embed_speedup,
     })
 }
 
 /// Collects the tables a run produces: prints them, optionally writes the
-/// CSVs, and fingerprints every artifact for the run manifest.
+/// CSVs, fingerprints every artifact for the run manifest, and records
+/// the findings of every stage gate that failed.
 struct Driver {
     options: Options,
     artifacts: Vec<Artifact>,
+    /// Gate findings so far. Any finding makes the process exit 1 once
+    /// every output is written.
+    gate_failures: Vec<String>,
 }
 
 /// Tables whose cells contain wall-clock measurements; their manifest
@@ -293,31 +295,17 @@ struct Driver {
 const VOLATILE_ARTIFACTS: &[&str] = &["scaling_classical", "serve_latency"];
 
 impl Driver {
+    /// Prints `table` under `title` and records it as `<name>.csv`.
     fn emit(&mut self, name: &str, title: &str, table: Table) {
         println!("== {title} ==\n");
         println!("{}", table.render());
-        let csv = table.to_csv();
-        self.artifacts.push(Artifact {
-            name: format!("{name}.csv"),
-            rows: table.num_rows() as u64,
-            bytes: csv.len() as u64,
-            hash: qjo_obs::fnv1a64_hex(csv.as_bytes()),
-            volatile: VOLATILE_ARTIFACTS.contains(&name),
-        });
-        if let Some(dir) = &self.options.csv_dir {
-            let path = dir.join(format!("{name}.csv"));
-            match table.write_csv(&path) {
-                Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-                Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-            }
-        }
+        let volatile = VOLATILE_ARTIFACTS.contains(&name);
+        self.emit_raw(&format!("{name}.csv"), &table.to_csv(), table.num_rows() as u64, volatile);
     }
 
-    /// Like [`Driver::emit`] for non-tabular artifacts (the serving
-    /// event logs): fingerprints `text` into the manifest under
-    /// `file_name` (verbatim — no `.csv` suffix) and, under `--csv`,
-    /// writes it atomically into the output directory. `rows` is the
-    /// record count the volatile gate checks.
+    /// Fingerprints `text` into the manifest under `file_name` and, under
+    /// `--csv`, writes it atomically into the output directory. `rows` is
+    /// the record count the volatile gate checks.
     fn emit_raw(&mut self, file_name: &str, text: &str, rows: u64, volatile: bool) {
         self.artifacts.push(Artifact {
             name: file_name.to_string(),
@@ -328,10 +316,6 @@ impl Driver {
         });
         if let Some(dir) = &self.options.csv_dir {
             let path = dir.join(file_name);
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                qjo_obs::error!("failed to create {}: {e}", dir.display());
-                return;
-            }
             match qjo_resil::atomic_write(&path, text.as_bytes()) {
                 Ok(()) => qjo_obs::info!("wrote {}", path.display()),
                 Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
@@ -549,6 +533,85 @@ impl Driver {
                     timing::render(&timing::run(&cfg)),
                 );
             }
+            "serve" => {
+                let cfg = serve_bench::ServeBenchConfig::default();
+                let result = serve_bench::run(&cfg, qjo_exec::Parallelism::auto());
+                self.emit(
+                    "serve_report",
+                    "Serving: deterministic per-backend report",
+                    serve_bench::render_report(&result.report),
+                );
+                self.emit(
+                    "serve_latency",
+                    "Serving: wall-clock latency percentiles (volatile)",
+                    serve_bench::render_latency(&result.latency),
+                );
+                // The full event log carries wall-clock latencies (volatile,
+                // gated on record count); its canonical projection and the
+                // final stats snapshot are pure functions of the request
+                // stream and drift-gate byte-for-byte.
+                let rows = result.events.len() as u64;
+                let log = qjo_serve::events::render_log(&result.events);
+                self.emit_raw("serve_events.jsonl", &log, rows, true);
+                let canonical = qjo_serve::events::render_canonical(&result.events);
+                self.emit_raw("serve_events.canonical.jsonl", &canonical, rows, false);
+                let stats = format!("{}\n", result.stats.render());
+                self.emit_raw("serve_stats.json", &stats, 1, false);
+                qjo_obs::info!("serve: {} requests", result.requests);
+                match result.embed_speedup {
+                    Some(speedup) => qjo_obs::info!(
+                        "embedding cache speedup: cold p50 / warm p50 = {speedup:.1}×"
+                    ),
+                    None => {
+                        qjo_obs::info!("embedding cache speedup: not observed (no cold/warm pair)")
+                    }
+                }
+                if let Some(min) = self.options.min_embed_speedup {
+                    match result.embed_speedup {
+                        Some(speedup) if speedup < min => self.gate_failures.push(format!(
+                            "embedding cache speedup {speedup:.1}× is below the required {min:.1}×"
+                        )),
+                        None => self.gate_failures.push(format!(
+                            "embedding speedup gate ({min:.1}×) requires both cold and warm \
+                             annealer requests, but the mix produced no such pair"
+                        )),
+                        Some(_) => {}
+                    }
+                }
+            }
+            "robust" => {
+                let cfg = robustness::RobustnessConfig::default();
+                let result = robustness::run(&cfg, qjo_exec::Parallelism::auto());
+                self.emit(
+                    "robustness_report",
+                    "Robustness: plan-cost degradation under cardinality misestimation",
+                    robustness::render_report(&result.report),
+                );
+                self.emit(
+                    "robustness_curve",
+                    "Robustness: per-instance degradation curve",
+                    robustness::render_curve(&result.curve),
+                );
+                let gate = &result.gate;
+                qjo_obs::info!(
+                    "robust: {} cells, worst q-error {:.2}; unity gate: {} q-error-1 cells \
+                     checked, {} violations",
+                    result.report.len(),
+                    qjo_obs::gauge("robust.qerror").get(),
+                    gate.checked,
+                    gate.violations.len()
+                );
+                if !gate.pass {
+                    for v in &gate.violations {
+                        qjo_obs::error!("unity violation: {v}");
+                    }
+                    self.gate_failures.push(
+                        "robustness unity gate failed: every backend must degrade by exactly \
+                         1.0 when the estimates equal the truth"
+                            .to_string(),
+                    );
+                }
+            }
             other => unreachable!("stage names are validated in parse_args: {other}"),
         }
     }
@@ -573,24 +636,28 @@ fn git_rev() -> String {
 /// Checkpoint document layout version.
 const CHECKPOINT_SCHEMA: u64 = 1;
 
-/// Where stage checkpoints live for this invocation's output directory.
-fn checkpoint_dir(options: &Options) -> PathBuf {
-    options.csv_dir.as_deref().unwrap_or(Path::new("results")).join(".checkpoints")
+/// The output directory: `--csv DIR`, else `results/`. The manifest and
+/// the stage checkpoints live here.
+fn out_dir(options: &Options) -> &Path {
+    options.csv_dir.as_deref().unwrap_or(Path::new("results"))
 }
 
-/// Fingerprint of everything that shapes a stage's deterministic output.
+/// Fingerprint of everything that shapes a stage's deterministic output
+/// or its gate.
 ///
 /// A `--resume` only replays checkpoints carrying the same fingerprint:
-/// same mode, same stage list, same fault plan, and the same convergence
-/// setting. Deliberately excludes the thread count — results are
-/// thread-count invariant, so a sweep may resume at a different
-/// `QJO_THREADS`.
-fn config_fingerprint(options: &Options, convergence_on: bool) -> String {
+/// same mode, same stage list, same fault plan, same convergence setting
+/// and the same gate floor. Deliberately excludes the thread count —
+/// results are thread-count invariant, so a sweep may resume at a
+/// different `QJO_THREADS`.
+fn config_fingerprint(options: &Options) -> String {
     let faults = qjo_resil::fault::active().map(|p| p.render()).unwrap_or_default();
+    let floor = options.min_embed_speedup.map(|x| x.to_string()).unwrap_or_default();
     let text = format!(
-        "v{CHECKPOINT_SCHEMA}|{}|{}|{faults}|{convergence_on}",
+        "v{CHECKPOINT_SCHEMA}|{}|{}|{faults}|{}|{floor}",
         options.mode.name(),
-        options.which.join(",")
+        options.which.join(","),
+        options.convergence
     );
     qjo_obs::fnv1a64_hex(text.as_bytes())
 }
@@ -603,28 +670,6 @@ struct StageCheckpoint {
     artifacts: Vec<Artifact>,
     /// Header-stripped convergence CSV rows, by group.
     convergence: BTreeMap<String, String>,
-}
-
-fn artifact_to_json(a: &Artifact) -> Json {
-    let mut obj = BTreeMap::new();
-    obj.insert("name".to_string(), Json::from(a.name.as_str()));
-    obj.insert("rows".to_string(), Json::from(a.rows));
-    obj.insert("bytes".to_string(), Json::from(a.bytes));
-    obj.insert("hash".to_string(), Json::from(a.hash.as_str()));
-    if a.volatile {
-        obj.insert("volatile".to_string(), Json::Bool(true));
-    }
-    Json::Obj(obj)
-}
-
-fn artifact_from_json(a: &Json) -> Option<Artifact> {
-    Some(Artifact {
-        name: a.get("name")?.as_str()?.to_string(),
-        rows: a.get("rows")?.as_u64()?,
-        bytes: a.get("bytes")?.as_u64()?,
-        hash: a.get("hash")?.as_str()?.to_string(),
-        volatile: matches!(a.get("volatile"), Some(Json::Bool(true))),
-    })
 }
 
 fn checkpoint_doc(
@@ -649,7 +694,7 @@ fn checkpoint_doc(
     );
     root.insert(
         "artifacts".to_string(),
-        Json::Arr(artifacts.iter().map(artifact_to_json).collect()),
+        Json::Arr(artifacts.iter().map(Artifact::to_json).collect()),
     );
     root.insert(
         "convergence".to_string(),
@@ -680,8 +725,12 @@ fn load_stage_checkpoint(path: &Path, fingerprint: &str, stage: &str) -> Option<
         .iter()
         .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
         .collect::<Option<_>>()?;
-    let artifacts =
-        doc.get("artifacts")?.as_arr()?.iter().map(artifact_from_json).collect::<Option<_>>()?;
+    let artifacts = doc
+        .get("artifacts")?
+        .as_arr()?
+        .iter()
+        .map(|a| Artifact::from_json(a).ok())
+        .collect::<Option<_>>()?;
     let convergence = doc
         .get("convergence")?
         .as_obj()?
@@ -723,8 +772,8 @@ fn replay_stage(ckpt: &StageCheckpoint, name: &str, driver: &mut Driver) -> Stag
 /// checkpointable; because rows sort by phase first and each stage is one
 /// phase, per-stage blocks concatenated in phase order are byte-identical
 /// to a single end-of-run drain.
-fn drain_stage_convergence(convergence_on: bool) -> BTreeMap<String, String> {
-    if !convergence_on {
+fn drain_stage_convergence(convergence: bool) -> BTreeMap<String, String> {
+    if !convergence {
         return BTreeMap::new();
     }
     let blocks = qjo_obs::convergence::drain_csv()
@@ -748,38 +797,13 @@ fn assemble_convergence(driver: &mut Driver, blocks: &BTreeMap<String, BTreeMap<
         for block in phases.values() {
             csv.push_str(block);
         }
-        let name = format!("convergence_{group}.csv");
-        driver.artifacts.push(Artifact {
-            name: name.clone(),
-            rows: csv.lines().count().saturating_sub(1) as u64,
-            bytes: csv.len() as u64,
-            hash: qjo_obs::fnv1a64_hex(csv.as_bytes()),
-            volatile: false,
-        });
-        if let Some(dir) = &driver.options.csv_dir {
-            let path = dir.join(&name);
-            match qjo_resil::atomic_write(&path, csv.as_bytes()) {
-                Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-                Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-            }
-        }
+        let rows = csv.lines().count().saturating_sub(1) as u64;
+        driver.emit_raw(&format!("convergence_{group}.csv"), &csv, rows, false);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Final outputs
-
-/// Where the manifest goes; `None` when `QJO_MANIFEST` opts out.
-fn manifest_path(options: &Options) -> Option<PathBuf> {
-    if let Ok(v) = std::env::var("QJO_MANIFEST") {
-        if matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false" | "no") {
-            return None;
-        }
-    }
-    Some(options.metrics_out.clone().unwrap_or_else(|| {
-        options.csv_dir.as_deref().unwrap_or(Path::new("results")).join("run_manifest.json")
-    }))
-}
 
 fn write_manifest(
     options: &Options,
@@ -787,10 +811,7 @@ fn write_manifest(
     artifacts: Vec<Artifact>,
     total: f64,
 ) {
-    let Some(path) = manifest_path(options) else {
-        qjo_obs::debug!("run manifest disabled via QJO_MANIFEST");
-        return;
-    };
+    let path = out_dir(options).join("run_manifest.json");
     let mut manifest = RunManifest::default();
     manifest.run.insert("git_rev".to_string(), Json::from(git_rev()));
     manifest
@@ -1045,12 +1066,10 @@ fn check_events_text(text: &str) -> Result<Vec<qjo_serve::ServeEvent>, Vec<Strin
     }
 }
 
-/// `events-check EVENTS [--canonical OUT]`: validate a per-request event
-/// log (schema + cross-record invariants). Exit 0 on a valid log, 1 on
-/// an invalid one, 2 if a file cannot be read or written. With
-/// `--canonical OUT`, additionally writes the latency-free canonical
-/// projection — the byte-diffable deterministic view.
-fn events_check(path: &str, canonical: Option<&str>) -> ! {
+/// `events-check EVENTS`: validate a per-request event log (schema +
+/// cross-record invariants). Exit 0 on a valid log, 1 on an invalid one,
+/// 2 if the file cannot be read.
+fn events_check(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         qjo_obs::error!("cannot read event log {path}: {e}");
         std::process::exit(2);
@@ -1071,14 +1090,6 @@ fn events_check(path: &str, canonical: Option<&str>) -> ! {
         "events OK: {} records ({slo_classed} SLO-classed, {degraded} degraded) in {path}",
         events.len()
     );
-    if let Some(out) = canonical {
-        let rendered = qjo_serve::events::render_canonical(&events);
-        if let Err(e) = qjo_resil::atomic_write(Path::new(out), rendered.as_bytes()) {
-            qjo_obs::error!("cannot write canonical projection {out}: {e}");
-            std::process::exit(2);
-        }
-        qjo_obs::info!("wrote {out}");
-    }
     std::process::exit(0);
 }
 
@@ -1295,294 +1306,6 @@ fn write_bench(
     }
 }
 
-/// Arguments of the `serve-bench` subcommand.
-#[derive(Debug)]
-struct ServeBenchOptions {
-    seed: u64,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    /// Fail the run unless a cached embedding served at least this many
-    /// times faster (p50) than a cold embed. `None` reports only.
-    min_embed_speedup: Option<f64>,
-}
-
-/// Parses `serve-bench` arguments. `--smoke` is accepted (and implied:
-/// the committed smoke mixes are the only profile) so the subcommand
-/// composes with CI recipes that pass the mode everywhere.
-fn parse_serve_args(raw: &[String]) -> Result<ServeBenchOptions, String> {
-    let mut opts = ServeBenchOptions {
-        seed: 7,
-        csv_dir: None,
-        metrics_out: None,
-        bench_out: None,
-        min_embed_speedup: None,
-    };
-    let mut args = raw.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--smoke" => {}
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an unsigned integer: {e}"))?;
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            "--min-embed-speedup" => {
-                let v: f64 = value("--min-embed-speedup")?
-                    .parse()
-                    .map_err(|e| format!("--min-embed-speedup must be a number: {e}"))?;
-                if !(v.is_finite() && v >= 1.0) {
-                    return Err("--min-embed-speedup must be a finite factor >= 1".to_string());
-                }
-                opts.min_embed_speedup = Some(v);
-            }
-            other => return Err(format!("serve-bench: unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-/// `serve-bench`: run the seeded serving benchmark and emit its
-/// artifacts through the same driver machinery as the sweep (report +
-/// latency CSVs, run manifest, optional `BENCH.json`). Exits 1 when
-/// `--min-embed-speedup` is given and the embedding cache under-delivers.
-fn run_serve_bench(sopts: ServeBenchOptions) -> ! {
-    let options = Options {
-        which: vec!["serve".to_string()],
-        mode: Mode::Smoke,
-        csv_dir: sopts.csv_dir,
-        metrics_out: sopts.metrics_out,
-        trace_out: None,
-        bench_out: sopts.bench_out,
-        convergence: false,
-        faults: None,
-        resume: false,
-        halt_after: None,
-    };
-    let run_start = Instant::now();
-    let before = qjo_obs::global().snapshot();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg = qjo_bench::serve_bench::ServeBenchConfig { seed: sopts.seed };
-    let stage_start = Instant::now();
-    let result = {
-        let _span = qjo_obs::span!("experiments.stage");
-        qjo_bench::serve_bench::run(&cfg, qjo_exec::Parallelism::auto())
-    };
-    let elapsed = stage_start.elapsed();
-    driver.emit(
-        "serve_report",
-        "Serving: deterministic per-backend report",
-        qjo_bench::serve_bench::render_report(&result.report),
-    );
-    driver.emit(
-        "serve_latency",
-        "Serving: wall-clock latency percentiles (volatile)",
-        qjo_bench::serve_bench::render_latency(&result.latency),
-    );
-    // The per-request telemetry: the full event log carries wall-clock
-    // latencies (volatile, gated on record count); its canonical
-    // projection and the final stats snapshot are pure functions of the
-    // request stream and drift-gate byte-for-byte.
-    let rows = result.events.len() as u64;
-    driver.emit_raw(
-        "serve_events.jsonl",
-        &qjo_serve::events::render_log(&result.events),
-        rows,
-        true,
-    );
-    driver.emit_raw(
-        "serve_events.canonical.jsonl",
-        &qjo_serve::events::render_canonical(&result.events),
-        rows,
-        false,
-    );
-    driver.emit_raw("serve_stats.json", &format!("{}\n", result.stats.render()), 1, false);
-    let stages = vec![StageRecord {
-        name: "serve".to_string(),
-        duration_ms: elapsed.as_secs_f64() * 1e3,
-        counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-    }];
-    qjo_obs::info!("[serve took {elapsed:.1?}] ({} requests)", result.requests);
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, None);
-    write_manifest(&options, stages, artifacts, total_ms);
-    match result.embed_speedup {
-        Some(speedup) => {
-            qjo_obs::info!("embedding cache speedup: cold p50 / warm p50 = {speedup:.1}×");
-            if let Some(min) = sopts.min_embed_speedup {
-                if speedup < min {
-                    qjo_obs::error!(
-                        "embedding cache speedup {speedup:.1}× is below the required {min:.1}×"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => {
-            if let Some(min) = sopts.min_embed_speedup {
-                qjo_obs::error!(
-                    "embedding speedup gate ({min:.1}×) requires both cold and warm annealer \
-                     requests, but the mix produced no such pair"
-                );
-                std::process::exit(1);
-            }
-            qjo_obs::info!("embedding cache speedup: not observed (no cold/warm pair)");
-        }
-    }
-    std::process::exit(0);
-}
-
-#[derive(Debug)]
-struct RobustBenchOptions {
-    seed: u64,
-    instances: usize,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    faults: Option<String>,
-}
-
-/// Parses `robustness-bench` arguments. `--smoke` is accepted and
-/// implied — the q-error sweep is the only profile. `--faults` is
-/// honoured here (unlike the other benches) because the chaos-compose
-/// CI step runs this subcommand under the committed fault plan.
-fn parse_robust_args(raw: &[String]) -> Result<RobustBenchOptions, String> {
-    let mut opts = RobustBenchOptions {
-        seed: 7,
-        instances: 2,
-        csv_dir: None,
-        metrics_out: None,
-        bench_out: None,
-        faults: None,
-    };
-    let mut args = raw.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--smoke" => {}
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an unsigned integer: {e}"))?;
-            }
-            "--instances" => {
-                opts.instances = value("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances must be a positive integer: {e}"))?;
-                if opts.instances == 0 {
-                    return Err("--instances must be at least 1".to_string());
-                }
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            "--faults" => opts.faults = Some(value("--faults")?),
-            other => return Err(format!("robustness-bench: unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-/// `robustness-bench`: the cardinality-misestimation degradation sweep.
-/// Every backend (`auto` included) optimises each schema
-/// instance under the true statistics and under q-error-injected
-/// estimates; both plans re-cost under the truth and the report carries
-/// the degradation ratios. Exits 1 when any q-error-1 cell deviates from
-/// a degradation of exactly 1.0 — the sweep's built-in self-check.
-fn run_robustness_bench(ropts: RobustBenchOptions) -> ! {
-    // The main() fault hook only covers the sweep route, so this
-    // subcommand installs its own plan: --faults wins over QJO_FAULTS.
-    if let Some(spec) = &ropts.faults {
-        match qjo_resil::FaultPlan::parse(spec) {
-            Ok(plan) => qjo_resil::fault::install(plan),
-            Err(e) => {
-                eprintln!("error: --faults: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else if let Err(e) = qjo_resil::fault::install_from_env() {
-        eprintln!("error: QJO_FAULTS: {e}");
-        std::process::exit(2);
-    }
-    if let Some(plan) = qjo_resil::fault::active() {
-        qjo_obs::info!("fault injection active: {}", plan.render());
-    }
-    let options = Options {
-        which: vec!["robust".to_string()],
-        mode: Mode::Smoke,
-        csv_dir: ropts.csv_dir,
-        metrics_out: ropts.metrics_out,
-        trace_out: None,
-        bench_out: ropts.bench_out,
-        convergence: false,
-        faults: None,
-        resume: false,
-        halt_after: None,
-    };
-    let run_start = Instant::now();
-    let before = qjo_obs::global().snapshot();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg = qjo_bench::robustness::RobustnessConfig {
-        seed: ropts.seed,
-        instances: ropts.instances,
-        ..Default::default()
-    };
-    let stage_start = Instant::now();
-    let result = {
-        let _span = qjo_obs::span!("experiments.stage");
-        qjo_bench::robustness::run(&cfg, qjo_exec::Parallelism::auto())
-    };
-    let elapsed = stage_start.elapsed();
-    driver.emit(
-        "robustness_report",
-        "Robustness: plan-cost degradation under cardinality misestimation",
-        qjo_bench::robustness::render_report(&result.report),
-    );
-    driver.emit(
-        "robustness_curve",
-        "Robustness: per-instance degradation curve",
-        qjo_bench::robustness::render_curve(&result.curve),
-    );
-    let stages = vec![StageRecord {
-        name: "robust".to_string(),
-        duration_ms: elapsed.as_secs_f64() * 1e3,
-        counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-    }];
-    qjo_obs::info!(
-        "[robust took {elapsed:.1?}] ({} cells, worst q-error {:.2})",
-        result.report.len(),
-        qjo_obs::gauge("robust.qerror").get()
-    );
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, None);
-    write_manifest(&options, stages, artifacts, total_ms);
-    let gate = &result.gate;
-    qjo_obs::info!(
-        "unity gate: {} q-error-1 cells checked, {} violations",
-        gate.checked,
-        gate.violations.len()
-    );
-    if !gate.pass {
-        for v in &gate.violations {
-            qjo_obs::error!("unity violation: {v}");
-        }
-        qjo_obs::error!(
-            "robustness unity gate failed: every backend must degrade by exactly 1.0 \
-             when the estimates equal the truth"
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.iter().any(|a| a == "--help" || a == "-h") {
@@ -1597,51 +1320,43 @@ fn main() {
         Route::ManifestDiff(baseline, current) => manifest_diff(&baseline, &current),
         Route::TraceCheck(trace) => trace_check(&trace),
         Route::BenchCompare(baseline, current) => bench_compare(&baseline, &current),
-        Route::ServeBench(sopts) => run_serve_bench(sopts),
-        Route::RobustnessBench(ropts) => run_robustness_bench(ropts),
-        Route::EventsCheck { events, canonical } => events_check(&events, canonical.as_deref()),
+        Route::EventsCheck(events) => events_check(&events),
         Route::StatsRender(stats) => stats_render(&stats),
         Route::Sweep(options) => options,
     };
 
-    // Fault plan: --faults wins over QJO_FAULTS; a malformed spec from
-    // either source is a usage error.
+    // A malformed fault spec is a usage error.
     if let Some(spec) = &options.faults {
         match qjo_resil::FaultPlan::parse(spec) {
-            Ok(plan) => qjo_resil::fault::install(plan),
+            Ok(plan) => {
+                qjo_obs::info!("fault injection active: {}", plan.render());
+                qjo_resil::fault::install(plan);
+            }
             Err(e) => {
                 eprintln!("error: --faults: {e}");
                 std::process::exit(2);
             }
         }
-    } else if let Err(e) = qjo_resil::fault::install_from_env() {
-        eprintln!("error: QJO_FAULTS: {e}");
-        std::process::exit(2);
-    }
-    if let Some(plan) = qjo_resil::fault::active() {
-        qjo_obs::info!("fault injection active: {}", plan.render());
     }
 
     let tracing = options.trace_out.is_some();
     if tracing {
         qjo_obs::trace::start(qjo_obs::trace::DEFAULT_THREAD_CAPACITY);
     }
-    // Smoke runs always record convergence so the committed smoke baseline
-    // gates on the curves; other modes opt in with --convergence.
-    let convergence_on = options.convergence || options.mode == Mode::Smoke;
-    if convergence_on {
+    let convergence = options.convergence;
+    if convergence {
         qjo_obs::convergence::start(qjo_obs::convergence::DEFAULT_STRIDE);
     }
 
-    let ckpt_dir = checkpoint_dir(&options);
-    let fingerprint = config_fingerprint(&options, convergence_on);
+    let ckpt_dir = out_dir(&options).join(".checkpoints");
+    let fingerprint = config_fingerprint(&options);
     if !options.resume {
         // A fresh run owes nothing to previous partial sweeps.
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
 
     let run_start = Instant::now();
-    let mut driver = Driver { options, artifacts: Vec::new() };
+    let mut driver = Driver { options, artifacts: Vec::new(), gate_failures: Vec::new() };
     let mut stages = Vec::new();
     // group -> phase (stage) -> header-stripped CSV rows.
     let mut convergence_blocks: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
@@ -1670,18 +1385,19 @@ fn main() {
             replaying = false;
         }
         let artifacts_before = driver.artifacts.len();
+        let failures_before = driver.gate_failures.len();
         let before = qjo_obs::global().snapshot();
         let start = Instant::now();
         {
             let _span = qjo_obs::span!("experiments.stage");
             let _slice = tracing.then(|| qjo_obs::trace::slice_scope(format!("stage:{which}")));
-            if convergence_on {
+            if convergence {
                 qjo_obs::convergence::set_phase(&which);
             }
             driver.run_stage(&which);
         }
         let elapsed = start.elapsed();
-        let stage_blocks = drain_stage_convergence(convergence_on);
+        let stage_blocks = drain_stage_convergence(convergence);
         for (group, block) in &stage_blocks {
             convergence_blocks
                 .entry(group.clone())
@@ -1693,14 +1409,15 @@ fn main() {
             duration_ms: elapsed.as_secs_f64() * 1e3,
             counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
         };
-        let doc = checkpoint_doc(
-            &fingerprint,
-            &record,
-            &driver.artifacts[artifacts_before..],
-            &stage_blocks,
-        );
-        if let Err(e) = qjo_resil::checkpoint::save(&ckpt_path, &doc) {
-            qjo_obs::warn!("failed to checkpoint {which}: {e}");
+        if driver.gate_failures.len() > failures_before {
+            // Never replay a failed gate as a pass: `--resume` reruns it.
+            qjo_obs::warn!("{which} failed its gate; not checkpointed");
+        } else {
+            let artifacts = &driver.artifacts[artifacts_before..];
+            let doc = checkpoint_doc(&fingerprint, &record, artifacts, &stage_blocks);
+            if let Err(e) = qjo_resil::checkpoint::save(&ckpt_path, &doc) {
+                qjo_obs::warn!("failed to checkpoint {which}: {e}");
+            }
         }
         stages.push(record);
         qjo_obs::info!("[{which} took {elapsed:.1?}]");
@@ -1714,17 +1431,32 @@ fn main() {
         // exactly what a kill -9 after the last checkpoint write leaves.
         let halt = driver.options.halt_after.as_deref().unwrap_or_default();
         qjo_obs::info!("halted after {halt}; resume with --resume");
+        exit_if_gates_failed(&driver.gate_failures);
         return;
     }
     assemble_convergence(&mut driver, &convergence_blocks);
     let trace_stats = finish_trace(&driver.options);
     let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
+    let Driver { options, artifacts, gate_failures } = driver;
     write_bench(&options, &stages, total_ms, trace_stats);
     write_manifest(&options, stages, artifacts, total_ms);
     // The sweep finished and every output is on disk: the checkpoints
     // have served their purpose.
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+    exit_if_gates_failed(&gate_failures);
+}
+
+/// Exits 1 when a stage gate failed. Called once the run's outputs are
+/// written (or the sweep halted), so a failed gate never costs an
+/// artifact.
+fn exit_if_gates_failed(failures: &[String]) {
+    if failures.is_empty() {
+        return;
+    }
+    for failure in failures {
+        qjo_obs::error!("gate failed: {failure}");
+    }
+    std::process::exit(1);
 }
 
 #[cfg(test)]
@@ -1738,7 +1470,7 @@ mod tests {
     #[test]
     fn no_args_expands_to_every_stage() {
         let opts = parse_args(&[]).unwrap();
-        assert_eq!(opts.which, STAGE_NAMES.to_vec());
+        assert_eq!(opts.which, PAPER_STAGES.to_vec());
         assert_eq!(opts.mode, Mode::Default);
         assert!(opts.csv_dir.is_none() && opts.faults.is_none() && !opts.resume);
     }
@@ -1767,14 +1499,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_keyword_defaults_the_bench_output() {
-        let opts = parse_args(&args(&["bench", "table1"])).unwrap();
-        assert_eq!(opts.bench_out.as_deref(), Some(Path::new("BENCH.json")));
-        let opts = parse_args(&args(&["bench", "--bench-out", "x.json"])).unwrap();
-        assert_eq!(opts.bench_out.as_deref(), Some(Path::new("x.json")));
-    }
-
-    #[test]
     fn repeated_stages_are_deduplicated_in_order() {
         let opts = parse_args(&args(&["fig3", "table1", "fig3", "table1"])).unwrap();
         assert_eq!(opts.which, vec!["fig3", "table1"]);
@@ -1782,9 +1506,14 @@ mod tests {
 
     #[test]
     fn missing_flag_values_are_errors_not_panics() {
-        for flag in
-            ["--csv", "--metrics-out", "--trace-out", "--bench-out", "--faults", "--halt-after"]
-        {
+        for flag in [
+            "--csv",
+            "--trace-out",
+            "--bench-out",
+            "--faults",
+            "--halt-after",
+            "--min-embed-speedup",
+        ] {
             let err = parse_args(&args(&[flag])).unwrap_err();
             assert!(err.contains(flag), "{flag}: {err}");
             assert!(err.contains("requires a value"), "{flag}: {err}");
@@ -1850,15 +1579,14 @@ mod tests {
             route(&args(&["bench-compare", "a", "b"])).unwrap(),
             Route::BenchCompare(_, _)
         ));
-        assert!(matches!(route(&args(&["serve-bench", "--seed", "9"])).unwrap(),
-            Route::ServeBench(o) if o.seed == 9));
         assert!(matches!(route(&args(&["table1", "--smoke"])).unwrap(), Route::Sweep(_)));
+        assert!(matches!(route(&args(&["serve", "robust"])).unwrap(), Route::Sweep(_)));
         // A subcommand buried behind flags or stages is a usage error,
         // not a misparsed experiment name.
         for cmdline in [
             &["--smoke", "bench-compare", "a", "b"][..],
             &["table1", "manifest-diff", "a", "b"],
-            &["--csv", "out", "serve-bench"],
+            &["--csv", "out", "events-check", "e.jsonl"],
         ] {
             let err = route(&args(cmdline)).unwrap_err();
             assert!(err.contains("must be the first argument"), "{cmdline:?}: {err}");
@@ -1876,11 +1604,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_args_parse_and_validate() {
-        let o = parse_serve_args(&args(&[
-            "--smoke",
-            "--seed",
-            "11",
+    fn one_grammar_runs_paper_and_extension_stages() {
+        let opts = parse_args(&args(&[
+            "serve",
+            "robust",
             "--csv",
             "out",
             "--bench-out",
@@ -1889,63 +1616,43 @@ mod tests {
             "50",
         ]))
         .unwrap();
-        assert_eq!(o.seed, 11);
-        assert_eq!(o.csv_dir.as_deref(), Some(Path::new("out")));
-        assert_eq!(o.bench_out.as_deref(), Some(Path::new("B.json")));
-        assert_eq!(o.min_embed_speedup, Some(50.0));
-        assert!(parse_serve_args(&args(&["--seed"])).unwrap_err().contains("requires a value"));
-        assert!(parse_serve_args(&args(&["--seed", "x"])).unwrap_err().contains("unsigned"));
-        assert!(parse_serve_args(&args(&["--min-embed-speedup", "0.5"]))
-            .unwrap_err()
-            .contains(">= 1"));
-        assert!(parse_serve_args(&args(&["table1"])).unwrap_err().contains("unknown argument"));
-    }
-
-    #[test]
-    fn robustness_bench_args_parse_and_validate() {
-        let o = parse_robust_args(&args(&[
-            "--smoke",
-            "--seed",
-            "13",
-            "--instances",
-            "3",
-            "--csv",
-            "out",
-            "--bench-out",
-            "B.json",
-            "--faults",
-            "seed=1;io.write=0.1",
-        ]))
-        .unwrap();
-        assert_eq!(o.seed, 13);
-        assert_eq!(o.instances, 3);
-        assert_eq!(o.csv_dir.as_deref(), Some(Path::new("out")));
-        assert_eq!(o.bench_out.as_deref(), Some(Path::new("B.json")));
-        assert_eq!(o.faults.as_deref(), Some("seed=1;io.write=0.1"));
-        assert!(parse_robust_args(&args(&["--seed"])).unwrap_err().contains("requires a value"));
-        assert!(parse_robust_args(&args(&["--seed", "x"])).unwrap_err().contains("unsigned"));
-        assert!(parse_robust_args(&args(&["--instances", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_robust_args(&args(&["table1"])).unwrap_err().contains("unknown argument"));
-        assert!(matches!(route(&args(&["robustness-bench", "--seed", "9"])).unwrap(),
-            Route::RobustnessBench(o) if o.seed == 9));
-        let err = route(&args(&["--smoke", "robustness-bench"])).unwrap_err();
-        assert!(err.contains("must be the first argument"), "{err}");
+        assert_eq!(opts.which, vec!["serve", "robust"]);
+        assert_eq!(opts.csv_dir.as_deref(), Some(Path::new("out")));
+        assert_eq!(opts.bench_out.as_deref(), Some(Path::new("B.json")));
+        assert_eq!(opts.min_embed_speedup, Some(50.0));
+        // `all` is the ten paper stages only; extension stages named
+        // alongside it run after them.
+        assert_eq!(parse_args(&args(&["all"])).unwrap().which, PAPER_STAGES.to_vec());
+        let opts = parse_args(&args(&["robust", "fig3", "all"])).unwrap();
+        assert_eq!(opts.which[..PAPER_STAGES.len()], *PAPER_STAGES);
+        assert_eq!(opts.which[PAPER_STAGES.len()..], ["robust"]);
+        // The gate floor is a finite factor >= 1, and only the serve stage
+        // has an embedding gate.
+        for bad in ["0.5", "inf", "NaN", "x"] {
+            let err = parse_args(&args(&["serve", "--min-embed-speedup", bad])).expect_err(bad);
+            assert!(err.contains("--min-embed-speedup"), "{bad}: {err}");
+        }
+        for stages in [&["robust"][..], &["all"], &[]] {
+            let mut cmdline = args(stages);
+            cmdline.extend(args(&["--min-embed-speedup", "50"]));
+            let err = parse_args(&cmdline).unwrap_err();
+            assert!(err.contains("serve stage"), "{stages:?}: {err}");
+        }
+        // The old suite subcommands and the `bench` keyword are gone.
+        for word in ["serve-bench", "robustness-bench", "bench"] {
+            let err = route(&args(&[word, "--smoke"])).unwrap_err();
+            assert!(err.contains("unknown experiment"), "{word}: {err}");
+        }
     }
 
     #[test]
     fn telemetry_subcommands_route_with_their_grammar() {
         assert!(matches!(
             route(&args(&["events-check", "e.jsonl"])).unwrap(),
-            Route::EventsCheck { events, canonical: None } if events == "e.jsonl"
+            Route::EventsCheck(events) if events == "e.jsonl"
         ));
-        assert!(matches!(
-            route(&args(&["events-check", "e.jsonl", "--canonical", "c.jsonl"])).unwrap(),
-            Route::EventsCheck { canonical: Some(out), .. } if out == "c.jsonl"
-        ));
-        assert!(route(&args(&["events-check"])).unwrap_err().contains("event-log path"));
-        assert!(route(&args(&["events-check", "e", "--nope", "c"])).is_err());
+        assert!(route(&args(&["events-check"])).unwrap_err().contains("exactly one"));
+        assert!(route(&args(&["events-check", "e", "--canonical", "c"])).is_err());
         assert!(matches!(
             route(&args(&["stats-render", "s.json"])).unwrap(),
             Route::StatsRender(p) if p == "s.json"

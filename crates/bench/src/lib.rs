@@ -16,9 +16,11 @@
 //! | [`fig5`] | Fig. 5 — co-design topology/gate-set extrapolation |
 //! | [`timing`] | §4.2.1 — `t_s` vs. `t_qpu` decomposition |
 //!
-//! [`serve_bench`] is not a paper artefact: it replays the committed
-//! serving smoke mixes against `qjo-serve` and backs the
-//! `experiments serve-bench` subcommand (see `EXPERIMENTS.md`).
+//! [`serve_bench`] and [`robustness`] are not paper artefacts. They back
+//! the `experiments` driver's two extension stages, which `all` leaves
+//! out: `serve` replays the committed serving smoke mixes against
+//! `qjo-serve`, and `robust` sweeps cardinality misestimation across every
+//! serving backend (see `EXPERIMENTS.md`).
 
 pub mod ablation;
 pub mod fig2;

@@ -1,7 +1,6 @@
 //! Plain-text table rendering and CSV output for experiment results.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -98,14 +97,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the CSV to `path`, creating parent directories.
-    ///
-    /// Goes through [`qjo_resil::atomic_write`] (temp file + rename), so a
-    /// crash mid-write never leaves a truncated artifact behind.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        qjo_resil::atomic_write(path, self.to_csv().as_bytes())
     }
 }
 
@@ -213,19 +204,6 @@ mod tests {
         assert!(message.contains("row width mismatch"), "{message}");
         assert!(message.contains("alpha") && message.contains("beta"), "{message}");
         assert!(message.contains("lonely-cell"), "{message}");
-    }
-
-    #[test]
-    fn write_csv_creates_parent_directories() {
-        let dir = std::env::temp_dir()
-            .join(format!("qjo-report-test-{}", std::process::id()))
-            .join("nested/deeper");
-        let path = dir.join("out.csv");
-        let mut t = Table::new(vec!["a"]);
-        t.push_row(vec!["1"]);
-        t.write_csv(&path).expect("parent dirs are created on demand");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a\n1\n");
-        std::fs::remove_dir_all(dir.parent().unwrap().parent().unwrap()).ok();
     }
 
     #[test]

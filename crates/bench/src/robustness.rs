@@ -1,4 +1,4 @@
-//! `experiments robustness-bench`: cardinality-misestimation robustness.
+//! The `experiments robust` stage: cardinality-misestimation robustness.
 //!
 //! A *dual-cost* sweep: for every schema shape and instance, each backend
 //! first optimises the query under its **true** statistics, then again

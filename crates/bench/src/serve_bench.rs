@@ -1,4 +1,4 @@
-//! `experiments serve-bench`: the seeded serving load benchmark.
+//! The `experiments serve` stage: the seeded serving load benchmark.
 //!
 //! Replays the committed smoke request mixes (closed loop, then the
 //! open-loop batching companion) against a fresh [`Service`] and splits

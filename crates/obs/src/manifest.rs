@@ -42,6 +42,36 @@ pub struct Artifact {
     pub volatile: bool,
 }
 
+impl Artifact {
+    /// The artifact's JSON record, as the manifest's `artifacts` array
+    /// and the driver's stage checkpoints both store it. `volatile` is
+    /// written only when set.
+    pub fn to_json(&self) -> Json {
+        let mut obj = BTreeMap::new();
+        obj.insert("name".to_string(), Json::from(self.name.as_str()));
+        obj.insert("rows".to_string(), Json::from(self.rows));
+        obj.insert("bytes".to_string(), Json::from(self.bytes));
+        obj.insert("hash".to_string(), Json::from(self.hash.as_str()));
+        if self.volatile {
+            obj.insert("volatile".to_string(), Json::Bool(true));
+        }
+        Json::Obj(obj)
+    }
+
+    /// Parses a record written by [`Artifact::to_json`].
+    pub fn from_json(doc: &Json) -> Result<Artifact, String> {
+        let str_field = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
+        let u64_field = |key: &str| doc.get(key).and_then(Json::as_u64);
+        Ok(Artifact {
+            name: str_field("name").ok_or("artifact lacks a name")?,
+            rows: u64_field("rows").ok_or("artifact lacks rows")?,
+            bytes: u64_field("bytes").ok_or("artifact lacks bytes")?,
+            hash: str_field("hash").ok_or("artifact lacks a hash")?,
+            volatile: matches!(doc.get("volatile"), Some(Json::Bool(true))),
+        })
+    }
+}
+
 /// One pipeline stage of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageRecord {
@@ -170,22 +200,10 @@ impl RunManifest {
             })
             .collect();
         root.insert("spans".to_string(), Json::Obj(spans));
-        let artifacts = self
-            .artifacts
-            .iter()
-            .map(|a| {
-                let mut obj = BTreeMap::new();
-                obj.insert("name".to_string(), Json::from(a.name.as_str()));
-                obj.insert("rows".to_string(), Json::from(a.rows));
-                obj.insert("bytes".to_string(), Json::from(a.bytes));
-                obj.insert("hash".to_string(), Json::from(a.hash.as_str()));
-                if a.volatile {
-                    obj.insert("volatile".to_string(), Json::Bool(true));
-                }
-                Json::Obj(obj)
-            })
-            .collect();
-        root.insert("artifacts".to_string(), Json::Arr(artifacts));
+        root.insert(
+            "artifacts".to_string(),
+            Json::Arr(self.artifacts.iter().map(Artifact::to_json).collect()),
+        );
         root.insert(
             "volatile_counters".to_string(),
             Json::Arr(
@@ -272,23 +290,7 @@ impl RunManifest {
             .and_then(Json::as_arr)
             .ok_or("manifest lacks an artifacts array")?
             .iter()
-            .map(|a| {
-                Ok(Artifact {
-                    name: a
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("artifact lacks a name")?
-                        .to_string(),
-                    rows: a.get("rows").and_then(Json::as_u64).ok_or("artifact lacks rows")?,
-                    bytes: a.get("bytes").and_then(Json::as_u64).ok_or("artifact lacks bytes")?,
-                    hash: a
-                        .get("hash")
-                        .and_then(Json::as_str)
-                        .ok_or("artifact lacks a hash")?
-                        .to_string(),
-                    volatile: matches!(a.get("volatile"), Some(Json::Bool(true))),
-                })
-            })
+            .map(Artifact::from_json)
             .collect::<Result<Vec<_>, String>>()?;
         let volatile_counters = doc
             .get("volatile_counters")

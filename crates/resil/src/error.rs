@@ -24,7 +24,7 @@ pub enum QjoError {
     Embedding(String),
     /// An annealer sampling failure (message of an `AnnealError`).
     Anneal(String),
-    /// A malformed `QJO_FAULTS` / `--faults` spec.
+    /// A malformed `--faults` spec.
     FaultSpec(FaultSpecError),
     /// An artifact/checkpoint IO failure.
     Io(String),

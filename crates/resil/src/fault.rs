@@ -15,8 +15,7 @@
 //!
 //! # Spec grammar
 //!
-//! Plans are parsed from the `QJO_FAULTS` environment variable or the
-//! `--faults` flag of the `experiments` driver:
+//! Plans are parsed from the `--faults` flag of the `experiments` driver:
 //!
 //! ```text
 //! seed=7;anneal.embed=0.25;transpile.route=0.2;io.write=0.15
@@ -192,20 +191,6 @@ pub fn active() -> Option<Arc<FaultPlan>> {
         return None;
     }
     plan_slot().read().unwrap_or_else(|p| p.into_inner()).clone()
-}
-
-/// Installs the plan described by the `QJO_FAULTS` environment variable.
-///
-/// Returns `Ok(true)` if a plan was installed, `Ok(false)` if the
-/// variable is unset or empty.
-pub fn install_from_env() -> Result<bool, FaultSpecError> {
-    match std::env::var("QJO_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            install(FaultPlan::parse(&spec)?);
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
 }
 
 /// Serialises tests (and other scoped users) that install a plan: the

@@ -8,8 +8,8 @@
 //! reproducible*:
 //!
 //! - [`fault`] draws per-site/per-unit fault decisions from a seeded
-//!   [`FaultPlan`] (parsed from the `QJO_FAULTS` spec or the `--faults`
-//!   flag of the `experiments` driver). A decision is a pure function of
+//!   [`FaultPlan`] (parsed from the `--faults` flag of the `experiments`
+//!   driver). A decision is a pure function of
 //!   `(plan seed, site, salt, unit)` — never of wall-clock time, thread
 //!   count, or global event order — so a chaos run is bit-identical at
 //!   any `QJO_THREADS`.

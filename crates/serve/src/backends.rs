@@ -11,8 +11,9 @@
 //!
 //! A decode failure is retried with a reseeded solve under the
 //! `resil.serve.solve.*` taxonomy; when the budget is exhausted the
-//! backend degrades to the greedy plan (`serve.solve.fallback`) rather
-//! than erroring — the serving contract is "always an executable order".
+//! backend degrades to the greedy plan (a [`Plan`] marked `fallback`,
+//! which the service counts as `serve.solve.fallback`) rather than
+//! erroring — the serving contract is "always an executable order".
 
 use std::sync::Arc;
 
@@ -68,7 +69,6 @@ fn plan_via_cache(
             Plan { order, cost, cache: Some(status), embed: None, fallback: false }
         }
         Err(_) => {
-            qjo_obs::counter!("serve.solve.fallback").incr();
             let (jo, cost) = greedy_min_cost(query);
             Plan { order: jo.order, cost, cache: Some(status), embed: None, fallback: true }
         }

@@ -101,8 +101,7 @@ pub fn serve_lines(
             flush_batch(service, &mut pending, &mut output, &mut stats)?;
             match cmd.as_str() {
                 "stats" => {
-                    qjo_obs::counter!("serve.stats.requests").incr();
-                    service.telemetry().add("serve.stats.requests", 1);
+                    service.count("serve.stats.requests", 1);
                     writeln!(output, "{}", service.stats_snapshot().render_compact())?;
                 }
                 other => {

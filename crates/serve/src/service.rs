@@ -181,8 +181,8 @@ impl Service {
 
     /// Increments a global counter and the local telemetry tally under
     /// the same name, keeping the stats snapshot reconcilable with the
-    /// run manifest.
-    fn count(&self, name: &str, n: u64) {
+    /// run manifest. The only writer of either for `serve.*` counters.
+    pub(crate) fn count(&self, name: &str, n: u64) {
         qjo_obs::counter(name).add(n);
         self.telemetry.add(name, n);
     }
@@ -395,9 +395,7 @@ impl Service {
             Ok(Plan { order, cost, cache, embed, fallback }) => {
                 if fallback {
                     self.count("serve.fallback", 1);
-                    // `plan_via_cache` already bumped the global
-                    // `serve.solve.fallback`; mirror it locally.
-                    self.telemetry.add("serve.solve.fallback", 1);
+                    self.count("serve.solve.fallback", 1);
                 }
                 let resp = Response {
                     id: req.id.clone(),
@@ -450,8 +448,7 @@ impl Service {
                 g + 1
             }
         };
-        qjo_obs::counter!("serve.batch.groups").add(groups);
-        self.telemetry.add("serve.batch.groups", groups);
+        self.count("serve.batch.groups", groups);
         let mut out: Vec<Option<Response>> = vec![None; reqs.len()];
         for &i in &idx {
             out[i] = Some(self.handle(&reqs[i]));

@@ -2,11 +2,11 @@
 //!
 //! The global `qjo-obs` registry aggregates every service in the process
 //! (tests included), which makes it useless for a *per-service* stats
-//! snapshot. [`Telemetry`] therefore keeps its own tallies, incremented
-//! by [`Service`](crate::service::Service) alongside the global
-//! counters under the **same names** — so a stats snapshot reconciles
-//! exactly with the run manifest whenever one service owns the process
-//! (the `qjo-serve` binary and `serve-bench` both do).
+//! snapshot. [`Telemetry`] therefore keeps its own tallies under the
+//! **same names** as the global counters. `Service::count` is their one
+//! writer and bumps both at once, so a stats snapshot reconciles exactly
+//! with the run manifest whenever one service owns the process (the
+//! `qjo-serve` binary and the `experiments serve` stage both do).
 //!
 //! Events accumulate until drained. Their wall-clock latencies are
 //! recorded, never read back: admission runs on the static model.
@@ -45,8 +45,9 @@ impl Telemetry {
         }
     }
 
-    /// Adds `n` to the local tally `name` (mirrors a global counter).
-    pub fn add(&self, name: &str, n: u64) {
+    /// Adds `n` to the local tally `name` (mirrors a global counter;
+    /// only `Service::count` calls it).
+    pub(crate) fn add(&self, name: &str, n: u64) {
         let mut state = self.state.lock().expect("telemetry lock");
         *state.counters.entry(name.to_string()).or_insert(0) += n;
     }

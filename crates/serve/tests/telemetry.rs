@@ -10,6 +10,7 @@ use qjo_serve::events::{render_canonical, validate_events};
 use qjo_serve::loadgen::{self, LoadMix, LoadMode};
 use qjo_serve::server::serve_lines;
 use qjo_serve::service::Service;
+use qjo_serve::Request;
 
 /// Serialises tests: they all mutate the process-global metrics
 /// registry, and the reconciliation test needs exclusive deltas.
@@ -45,14 +46,43 @@ fn deterministic_event_fields_are_identical_across_thread_counts() {
     assert_eq!(sequential, wide, "deterministic event projection drifted across thread counts");
 }
 
+/// One request as a wire line, deadline included when it has one.
+fn request_line(req: &Request) -> String {
+    let deadline = req.deadline_ms.map(|d| format!(", \"deadline_ms\": {d}")).unwrap_or_default();
+    format!(
+        "{{\"id\": \"{}\", \"backend\": \"{}\"{deadline}, \"relations\": {:?}, \"predicates\": [{}]}}\n",
+        req.id,
+        req.backend,
+        req.query.log_cards(),
+        req.query
+            .predicates()
+            .iter()
+            .map(|p| format!(
+                "{{\"rel_a\": {}, \"rel_b\": {}, \"log_sel\": {}}}",
+                p.rel_a, p.rel_b, p.log_sel
+            ))
+            .collect::<Vec<_>>()
+            .join(", ")
+    )
+}
+
 #[test]
 fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
     let _guard = serial();
     let service = Service::smoke(13, Parallelism::sequential());
     let before = qjo_obs::global().snapshot();
     let mix = fast_mix(13);
-    let requests = loadgen::generate_requests(&mix);
-    loadgen::run(&service, &requests, mix.mode);
+    // The whole wire path: batched requests, a stats command and a
+    // malformed line, so the loop's own counters reconcile too.
+    let mut input = String::new();
+    for (i, req) in loadgen::generate_requests(&mix).iter().enumerate() {
+        input.push_str(&request_line(req));
+        if i == 9 {
+            input.push_str("{\"cmd\": \"stats\"}\nnot json\n");
+        }
+    }
+    let stats = serve_lines(&service, input.as_bytes(), std::io::sink(), 4).expect("io");
+    assert_eq!((stats.commands, stats.parse_errors), (1, 1));
     let deltas = qjo_obs::global().snapshot().counter_deltas_since(&before);
     let snap = service.stats_snapshot();
     let counters = snap.get("counters").and_then(|c| c.as_obj()).expect("counters object");
@@ -73,6 +103,9 @@ fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
     for (name, value) in local.iter().filter(|(_, v)| **v > 0) {
         assert_eq!(deltas.get(name), Some(value), "snapshot tally {name} not present globally");
     }
+    for name in ["serve.stats.requests", "serve.requests.malformed", "serve.batch.groups"] {
+        assert!(local.get(name).is_some_and(|&v| v > 0), "{name} never counted: {local:?}");
+    }
 }
 
 #[test]
@@ -83,21 +116,7 @@ fn a_mid_batch_stats_request_is_internally_consistent() {
     let requests = loadgen::generate_requests(&mix);
     let mut input = String::new();
     for (i, req) in requests.iter().enumerate().take(9) {
-        input.push_str(&format!(
-            "{{\"id\": \"{}\", \"backend\": \"{}\", \"relations\": {:?}, \"predicates\": [{}]}}\n",
-            req.id,
-            req.backend,
-            req.query.log_cards(),
-            req.query
-                .predicates()
-                .iter()
-                .map(|p| format!(
-                    "{{\"rel_a\": {}, \"rel_b\": {}, \"log_sel\": {}}}",
-                    p.rel_a, p.rel_b, p.log_sel
-                ))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        input.push_str(&request_line(req));
         if i == 5 {
             input.push_str("{\"cmd\": \"stats\"}\n");
         }
