@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! experiments [STAGE|all]... [--full|--smoke] [--csv DIR] [--trace-out PATH]
-//!             [--bench-out PATH] [--convergence] [--faults SPEC] [--resume]
-//!             [--halt-after STAGE] [--min-embed-speedup X]
+//!             [--convergence] [--faults SPEC] [--resume] [--halt-after STAGE]
 //! experiments manifest-diff BASELINE CURRENT
 //! experiments trace-check TRACE
 //! experiments bench-compare BASELINE CURRENT
@@ -24,9 +23,9 @@
 //!   wall-clock latencies; gated on row count), its latency-free
 //!   projection `serve_events.canonical.jsonl` and the service's final
 //!   stats snapshot `serve_stats.json` (both hash-gated and byte-identical
-//!   at any `QJO_THREADS`). `--min-embed-speedup X` is its gate: a cached
-//!   Pegasus embedding must serve at least `X`× faster (p50) than a cold
-//!   embed.
+//!   at any `QJO_THREADS`). Its embedding cache is gated exactly: a cache
+//!   hit runs the embedder zero times, so an extra embed shows as
+//!   `embed.tries` drift in the manifest.
 //! * `robust` runs the cardinality-misestimation degradation sweep
 //!   (`robustness_report.csv`, `robustness_curve.csv`) and always checks
 //!   its unity gate: every q-error-1 cell must degrade by exactly 1.0.
@@ -42,9 +41,13 @@
 //! `results/run_manifest.json` without `--csv`: per-stage durations and
 //! counter deltas, final metrics, and a content fingerprint of every
 //! artifact. `manifest-diff` compares the deterministic sections of two
-//! manifests and exits non-zero on drift — CI's drift gate. A stage whose
-//! gate fails does not stop the run: every output is still written, and
-//! then the process exits 1.
+//! manifests and exits non-zero on drift — CI's drift gate.
+//! `bench-compare` derives work rates (counter over span time) from two
+//! manifests and fails when a gated rate regresses beyond the 2× noise
+//! allowance, or when the run's total wall time exceeds 2× the
+//! baseline's — CI's perf and wall-clock-budget gate. A stage whose gate
+//! fails does not stop the run: every output is still written, and then
+//! the process exits 1.
 //!
 //! Resilience (all deterministic, see `EXPERIMENTS.md`):
 //!
@@ -63,18 +66,13 @@
 //! Observability extras (all opt-in, see `EXPERIMENTS.md`):
 //!
 //! * `--trace-out PATH` records a Chrome `trace_event` JSON of every span
-//!   and `par_map` work unit — open it in Perfetto or `chrome://tracing`.
+//!   and `par_map` work unit — open it in Perfetto or `chrome://tracing` —
+//!   and puts the trace-buffer statistics in the manifest's `run.trace`.
 //!   `trace-check` re-parses such a file and verifies slice nesting.
 //! * `--convergence` turns on the solver convergence recorder (energy
 //!   curves, acceptance rates, chain breaks, optimiser trajectories),
 //!   exported as deterministic `convergence_*.csv` artifacts. The smoke
 //!   baselines were recorded with it, so smoke runs pass it.
-//! * `--bench-out PATH` emits `BENCH.json`: per-stage wall time,
-//!   counter-derived work rates, span percentiles, and trace-buffer
-//!   statistics. `bench-compare` diffs the work rates of two snapshots
-//!   and fails when a gated rate regresses beyond the 2× noise allowance,
-//!   or when the run's total wall time exceeds 2× the baseline's — CI's
-//!   perf and wall-clock-budget gate against the committed baselines.
 //!
 //! Serving telemetry (see `EXPERIMENTS.md` § Serving telemetry):
 //! `events-check` re-parses a `serve_events.jsonl` log and verifies the
@@ -128,19 +126,15 @@ struct Options {
     mode: Mode,
     csv_dir: Option<PathBuf>,
     trace_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
     convergence: bool,
     faults: Option<String>,
     resume: bool,
     halt_after: Option<String>,
-    /// The `serve` stage's gate: cold-over-warm embed p50 floor.
-    min_embed_speedup: Option<f64>,
 }
 
 const USAGE: &str =
     "usage: experiments [STAGE|all]... [--full|--smoke] [--csv DIR] [--trace-out PATH] \
-     [--bench-out PATH] [--convergence] [--faults SPEC] [--resume] [--halt-after STAGE] \
-     [--min-embed-speedup X]\n       \
+     [--convergence] [--faults SPEC] [--resume] [--halt-after STAGE]\n       \
      STAGE: table1|fig2|table2|fig3|table3|fig4|fig5|timing|ablation|scaling (`all`: these ten) \
      or serve|robust\n       \
      experiments manifest-diff BASELINE CURRENT\n       \
@@ -183,7 +177,7 @@ fn route(raw: &[String]) -> Result<Route, String> {
         },
         Some("bench-compare") => match raw {
             [_, baseline, current] => Ok(Route::BenchCompare(baseline.clone(), current.clone())),
-            _ => Err("bench-compare takes exactly two BENCH.json paths".to_string()),
+            _ => Err("bench-compare takes exactly two manifest paths".to_string()),
         },
         Some("events-check") => match raw {
             [_, events] => Ok(Route::EventsCheck(events.clone())),
@@ -210,12 +204,10 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
     let mut mode = Mode::Default;
     let mut csv_dir = None;
     let mut trace_out = None;
-    let mut bench_out = None;
     let mut convergence = false;
     let mut faults = None;
     let mut resume = false;
     let mut halt_after: Option<String> = None;
-    let mut min_embed_speedup = None;
     let mut args = raw.iter();
     while let Some(arg) = args.next() {
         let mut value =
@@ -227,18 +219,8 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
             "--resume" => resume = true,
             "--csv" => csv_dir = Some(PathBuf::from(value("--csv")?)),
             "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--bench-out" => bench_out = Some(PathBuf::from(value("--bench-out")?)),
             "--faults" => faults = Some(value("--faults")?),
             "--halt-after" => halt_after = Some(value("--halt-after")?),
-            "--min-embed-speedup" => {
-                let v: f64 = value("--min-embed-speedup")?
-                    .parse()
-                    .map_err(|e| format!("--min-embed-speedup must be a number: {e}"))?;
-                if !(v.is_finite() && v >= 1.0) {
-                    return Err("--min-embed-speedup must be a finite factor >= 1".to_string());
-                }
-                min_embed_speedup = Some(v);
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             "all" => all = true,
             stage if PAPER_STAGES.contains(&stage) || EXTENSION_STAGES.contains(&stage) => {
@@ -262,21 +244,7 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
             return Err(format!("--halt-after '{halt}' is not part of this sweep"));
         }
     }
-    if min_embed_speedup.is_some() && !which.iter().any(|w| w == "serve") {
-        return Err("--min-embed-speedup gates the serve stage, which is not run".to_string());
-    }
-    Ok(Options {
-        which,
-        mode,
-        csv_dir,
-        trace_out,
-        bench_out,
-        convergence,
-        faults,
-        resume,
-        halt_after,
-        min_embed_speedup,
-    })
+    Ok(Options { which, mode, csv_dir, trace_out, convergence, faults, resume, halt_after })
 }
 
 /// Collects the tables a run produces: prints them, optionally writes the
@@ -558,26 +526,6 @@ impl Driver {
                 let stats = format!("{}\n", result.stats.render());
                 self.emit_raw("serve_stats.json", &stats, 1, false);
                 qjo_obs::info!("serve: {} requests", result.requests);
-                match result.embed_speedup {
-                    Some(speedup) => qjo_obs::info!(
-                        "embedding cache speedup: cold p50 / warm p50 = {speedup:.1}×"
-                    ),
-                    None => {
-                        qjo_obs::info!("embedding cache speedup: not observed (no cold/warm pair)")
-                    }
-                }
-                if let Some(min) = self.options.min_embed_speedup {
-                    match result.embed_speedup {
-                        Some(speedup) if speedup < min => self.gate_failures.push(format!(
-                            "embedding cache speedup {speedup:.1}× is below the required {min:.1}×"
-                        )),
-                        None => self.gate_failures.push(format!(
-                            "embedding speedup gate ({min:.1}×) requires both cold and warm \
-                             annealer requests, but the mix produced no such pair"
-                        )),
-                        Some(_) => {}
-                    }
-                }
             }
             "robust" => {
                 let cfg = robustness::RobustnessConfig::default();
@@ -646,15 +594,14 @@ fn out_dir(options: &Options) -> &Path {
 /// or its gate.
 ///
 /// A `--resume` only replays checkpoints carrying the same fingerprint:
-/// same mode, same stage list, same fault plan, same convergence setting
-/// and the same gate floor. Deliberately excludes the thread count —
+/// same mode, same stage list, same fault plan and same convergence
+/// setting. Deliberately excludes the thread count —
 /// results are thread-count invariant, so a sweep may resume at a
 /// different `QJO_THREADS`.
 fn config_fingerprint(options: &Options) -> String {
     let faults = qjo_resil::fault::active().map(|p| p.render()).unwrap_or_default();
-    let floor = options.min_embed_speedup.map(|x| x.to_string()).unwrap_or_default();
     let text = format!(
-        "v{CHECKPOINT_SCHEMA}|{}|{}|{faults}|{}|{floor}",
+        "v{CHECKPOINT_SCHEMA}|{}|{}|{faults}|{}",
         options.mode.name(),
         options.which.join(","),
         options.convergence
@@ -810,6 +757,7 @@ fn write_manifest(
     stages: Vec<StageRecord>,
     artifacts: Vec<Artifact>,
     total: f64,
+    trace_stats: Option<qjo_obs::trace::TraceStats>,
 ) {
     let path = out_dir(options).join("run_manifest.json");
     let mut manifest = RunManifest::default();
@@ -829,6 +777,15 @@ fn write_manifest(
         manifest.run.insert("resumed".to_string(), Json::Bool(true));
     }
     manifest.run.insert("total_duration_ms".to_string(), Json::from((total * 1e3).round() / 1e3));
+    if let Some(stats) = trace_stats {
+        let trace = BTreeMap::from([
+            ("events".to_string(), Json::from(stats.stored)),
+            ("recorded".to_string(), Json::from(stats.recorded)),
+            ("dropped".to_string(), Json::from(stats.dropped)),
+            ("peak_occupancy".to_string(), Json::from(stats.peak_occupancy)),
+        ]);
+        manifest.run.insert("trace".to_string(), Json::Obj(trace));
+    }
     manifest.stages = stages;
     manifest.set_metrics(&qjo_obs::global().snapshot());
     manifest.artifacts = artifacts;
@@ -838,21 +795,26 @@ fn write_manifest(
     }
 }
 
+/// Reads and parses a run manifest for `manifest-diff` and
+/// `bench-compare`, exiting 2 when the file is unreadable or is not a
+/// manifest.
+fn load_manifest(path: &str) -> RunManifest {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        qjo_obs::error!("cannot read manifest {path}: {e}");
+        std::process::exit(2);
+    });
+    RunManifest::parse(&text).unwrap_or_else(|e| {
+        qjo_obs::error!("cannot parse manifest {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `manifest-diff BASELINE CURRENT`: compare deterministic sections, exit
 /// 1 on drift. Drift is reported as a per-key table of expected
 /// (baseline) vs. actual (current) values.
 fn manifest_diff(baseline_path: &str, current_path: &str) -> ! {
-    let load = |p: &str| -> RunManifest {
-        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-            qjo_obs::error!("cannot read manifest {p}: {e}");
-            std::process::exit(2);
-        });
-        RunManifest::parse(&text).unwrap_or_else(|e| {
-            qjo_obs::error!("cannot parse manifest {p}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let entries = qjo_obs::manifest::diff_entries(&load(baseline_path), &load(current_path));
+    let (baseline, current) = (load_manifest(baseline_path), load_manifest(current_path));
+    let entries = qjo_obs::manifest::diff_entries(&baseline, &current);
     if entries.is_empty() {
         qjo_obs::info!("no drift: {current_path} matches {baseline_path}");
         std::process::exit(0);
@@ -867,25 +829,35 @@ fn manifest_diff(baseline_path: &str, current_path: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Counter / span pairs whose ratio is a meaningful work rate, and the
+/// rate's name (work units per wall-clock second spent inside the span).
+const RATE_PAIRS: &[(&str, &str, &str)] = &[
+    ("anneal.reads", "anneal.sample", "anneal.reads_per_sec"),
+    ("gatesim.gd_iterations", "gatesim.optim.gd", "gatesim.gd_iterations_per_sec"),
+    ("gatesim.shots", "gatesim.noisy.sample", "gatesim.shots_per_sec"),
+    ("robust.evals", "robust.eval", "robust.evals_per_sec"),
+    ("sa.sweeps", "qubo.sa.sample", "sa.sweeps_per_sec"),
+    ("serve.requests", "serve.request", "serve.requests_per_sec"),
+    ("sqa.sweeps", "anneal.sample", "sqa.sweeps_per_sec"),
+    ("tabu.iterations", "qubo.tabu.solve", "tabu.iterations_per_sec"),
+    ("transpile.runs", "transpile.run", "transpile.runs_per_sec"),
+];
+
 /// Work rates whose regression fails `bench-compare`. The shot hot path
 /// dominates the smoke profile's quantum stages; the gradient-descent
 /// iteration rate gates the QAOA parameter loop and its level-indexed
 /// cost layer; the SQA sweep and anneal read rates gate the packed
 /// bit-parallel annealing kernel. Each floor keeps a future change from
-/// silently giving back its speedup. The two serving rates
-/// gate the request loop: `serve.requests_per_sec` is its throughput and
-/// `serve.cache_hit_rate` the fraction of formulations answered from the
-/// content-addressed cache (a ratio in [0, 1], not a per-second rate —
-/// the same 2× allowance applies). All are stable enough that a 2× drop
-/// clears run-to-run noise on the 1-core CI runner. The other
-/// `RATE_PAIRS` are reported informationally.
+/// silently giving back its speedup. `serve.requests_per_sec` gates the
+/// request loop's throughput. All are stable enough that a 2× drop clears
+/// run-to-run noise on the 1-core CI runner. The other `RATE_PAIRS` are
+/// reported informationally.
 const GATED_RATES: &[&str] = &[
     "gatesim.shots_per_sec",
     "gatesim.gd_iterations_per_sec",
     "sqa.sweeps_per_sec",
     "anneal.reads_per_sec",
     "serve.requests_per_sec",
-    "serve.cache_hit_rate",
     "robust.evals_per_sec",
 ];
 
@@ -901,6 +873,28 @@ const MAX_REGRESSION: f64 = 2.0;
 /// every individual work rate stays inside its own allowance.
 const WALL_BUDGET_FACTOR: f64 = 2.0;
 
+/// The work rates a manifest implies: for each of [`RATE_PAIRS`] whose
+/// counter and span both recorded work, the counter's final value over
+/// the seconds spent inside the span.
+fn work_rates(manifest: &RunManifest) -> BTreeMap<&'static str, f64> {
+    RATE_PAIRS
+        .iter()
+        .filter_map(|&(counter, span, rate)| {
+            let work = *manifest.counters.get(counter)?;
+            // Spans nest into slash-separated paths (one histogram per call
+            // path), so total the span's time across every path it ends.
+            let suffix = format!("/{span}");
+            let span_ms: f64 = manifest
+                .spans
+                .iter()
+                .filter(|(path, _)| path.as_str() == span || path.ends_with(&suffix))
+                .map(|(_, summary)| summary.total_ms)
+                .sum();
+            (work > 0 && span_ms > 0.0).then(|| (rate, work as f64 / (span_ms / 1e3)))
+        })
+        .collect()
+}
+
 /// What one `bench-compare` concluded: informational lines plus the
 /// findings that fail the gate.
 #[derive(Debug, Default)]
@@ -909,28 +903,21 @@ struct BenchComparison {
     failures: Vec<String>,
 }
 
-/// The testable core of `bench-compare`: diff the work rates of two
-/// parsed `BENCH.json` documents and check the wall-clock budget.
-/// `Err` means a snapshot is structurally unusable (no rates section).
-fn compare_bench_docs(baseline: &Json, current: &Json) -> Result<BenchComparison, String> {
-    let rates_of = |doc: &Json, which: &str| -> Result<BTreeMap<String, f64>, String> {
-        let obj = doc
-            .get("rates")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| format!("{which} snapshot has no rates section"))?;
-        Ok(obj.iter().filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f))).collect())
-    };
-    let base_rates = rates_of(baseline, "baseline")?;
-    let cur_rates = rates_of(current, "current")?;
+/// The testable core of `bench-compare`: diff the work rates two
+/// manifests imply and check the wall-clock budget.
+fn compare_manifests(baseline: &RunManifest, current: &RunManifest) -> BenchComparison {
+    let base_rates = work_rates(baseline);
+    let cur_rates = work_rates(current);
     let mut out = BenchComparison::default();
-    for (name, &base) in &base_rates {
+    for (&name, &base) in &base_rates {
+        let gated = GATED_RATES.contains(&name);
         let Some(&cur) = cur_rates.get(name) else {
             // A *gated* rate vanishing is worse than it regressing: the
             // instrumented path stopped reporting (renamed counter, dead
             // span, dropped stage), which is exactly what the gate exists
             // to catch — an informational note here would let the gate
             // silently stop gating.
-            if GATED_RATES.contains(&name.as_str()) {
+            if gated {
                 out.failures.push(format!(
                     "rate {name}: gate disappeared — present in baseline ({base:.1}), missing from current"
                 ));
@@ -940,8 +927,7 @@ fn compare_bench_docs(baseline: &Json, current: &Json) -> Result<BenchComparison
             continue;
         };
         let ratio = cur / base;
-        let gated = GATED_RATES.contains(&name.as_str());
-        if gated && base > 0.0 && ratio < 1.0 / MAX_REGRESSION {
+        if gated && ratio < 1.0 / MAX_REGRESSION {
             out.failures.push(format!(
                 "rate {name} regressed {:.2}×: {base:.1} -> {cur:.1} (gated, allowance {MAX_REGRESSION}×)",
                 base / cur
@@ -956,8 +942,7 @@ fn compare_bench_docs(baseline: &Json, current: &Json) -> Result<BenchComparison
     for name in cur_rates.keys().filter(|n| !base_rates.contains_key(*n)) {
         out.notes.push(format!("rate {name}: new in current"));
     }
-    let total_ms =
-        |doc: &Json| doc.get("run").and_then(|r| r.get("total_ms")).and_then(Json::as_f64);
+    let total_ms = |m: &RunManifest| m.run.get("total_duration_ms").and_then(Json::as_f64);
     match (total_ms(baseline), total_ms(current)) {
         (Some(base), Some(cur)) if base > 0.0 => {
             if cur > base * WALL_BUDGET_FACTOR {
@@ -970,33 +955,19 @@ fn compare_bench_docs(baseline: &Json, current: &Json) -> Result<BenchComparison
                 ));
             }
         }
-        _ => out
-            .notes
-            .push("wall clock: total_ms missing from a snapshot, budget not checked".to_string()),
+        _ => out.notes.push(
+            "wall clock: total_duration_ms missing from a manifest, budget not checked".to_string(),
+        ),
     }
-    Ok(out)
+    out
 }
 
 /// `bench-compare BASELINE CURRENT`: compare the work rates and total
-/// wall time of two `BENCH.json` snapshots. Exits 1 if a gated rate
-/// regressed by more than the 2× noise allowance or the wall-clock
-/// budget is blown, 2 if either file is unreadable, 0 otherwise.
+/// wall time of two run manifests. Exits 1 if a gated rate regressed by
+/// more than the 2× noise allowance or the wall-clock budget is blown, 2
+/// if either file is unreadable or not a manifest, 0 otherwise.
 fn bench_compare(baseline_path: &str, current_path: &str) -> ! {
-    let load = |p: &str| -> Json {
-        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-            qjo_obs::error!("cannot read bench snapshot {p}: {e}");
-            std::process::exit(2);
-        });
-        Json::parse(&text).unwrap_or_else(|e| {
-            qjo_obs::error!("cannot parse bench snapshot {p}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let comparison =
-        compare_bench_docs(&load(baseline_path), &load(current_path)).unwrap_or_else(|e| {
-            qjo_obs::error!("bench-compare: {e}");
-            std::process::exit(2);
-        });
+    let comparison = compare_manifests(&load_manifest(baseline_path), &load_manifest(current_path));
     for note in &comparison.notes {
         qjo_obs::info!("{note}");
     }
@@ -1165,7 +1136,7 @@ fn stats_render(path: &str) -> ! {
 
 /// Stops the trace collector and writes the Chrome trace when requested
 /// (atomically, like every other artifact), returning collector
-/// statistics for `BENCH.json`.
+/// statistics for the manifest's `run.trace`.
 fn finish_trace(options: &Options) -> Option<qjo_obs::trace::TraceStats> {
     options.trace_out.as_ref().map(|path| {
         qjo_obs::trace::stop();
@@ -1182,128 +1153,6 @@ fn finish_trace(options: &Options) -> Option<qjo_obs::trace::TraceStats> {
         }
         stats
     })
-}
-
-/// Counter / span pairs whose ratio is a meaningful work rate, and the
-/// rate's name in `BENCH.json` (work units per wall-clock second spent
-/// inside the span).
-const RATE_PAIRS: &[(&str, &str, &str)] = &[
-    ("anneal.reads", "anneal.sample", "anneal.reads_per_sec"),
-    ("gatesim.gd_iterations", "gatesim.optim.gd", "gatesim.gd_iterations_per_sec"),
-    ("gatesim.shots", "gatesim.noisy.sample", "gatesim.shots_per_sec"),
-    ("robust.evals", "robust.eval", "robust.evals_per_sec"),
-    ("sa.sweeps", "qubo.sa.sample", "sa.sweeps_per_sec"),
-    ("serve.requests", "serve.request", "serve.requests_per_sec"),
-    ("sqa.sweeps", "anneal.sample", "sqa.sweeps_per_sec"),
-    ("tabu.iterations", "qubo.tabu.solve", "tabu.iterations_per_sec"),
-    ("transpile.runs", "transpile.run", "transpile.runs_per_sec"),
-];
-
-/// Schema version of `BENCH.json`.
-const BENCH_SCHEMA_VERSION: u64 = 1;
-
-fn round3(v: f64) -> f64 {
-    (v * 1e3).round() / 1e3
-}
-
-/// Writes `BENCH.json`: the per-run performance trajectory record (wall
-/// times, work rates, span percentiles, trace-buffer statistics). All
-/// values here are timing-derived and therefore volatile — `BENCH.json`
-/// is never diffed, only archived per PR for trend analysis.
-fn write_bench(
-    options: &Options,
-    stages: &[StageRecord],
-    total_ms: f64,
-    trace_stats: Option<qjo_obs::trace::TraceStats>,
-) {
-    let Some(path) = &options.bench_out else {
-        return;
-    };
-    let snapshot = qjo_obs::global().snapshot();
-    let mut root = BTreeMap::new();
-    root.insert("schema_version".to_string(), Json::from(BENCH_SCHEMA_VERSION));
-
-    let mut run = BTreeMap::new();
-    run.insert("git_rev".to_string(), Json::from(git_rev()));
-    run.insert("threads".to_string(), Json::from(qjo_exec::Parallelism::auto().resolve() as u64));
-    run.insert("mode".to_string(), Json::from(options.mode.name()));
-    run.insert("total_ms".to_string(), Json::from(round3(total_ms)));
-    root.insert("run".to_string(), Json::Obj(run));
-
-    let stage_list = stages
-        .iter()
-        .map(|stage| {
-            let mut obj = BTreeMap::new();
-            obj.insert("name".to_string(), Json::from(stage.name.as_str()));
-            obj.insert("duration_ms".to_string(), Json::from(round3(stage.duration_ms)));
-            Json::Obj(obj)
-        })
-        .collect();
-    root.insert("stages".to_string(), Json::Arr(stage_list));
-
-    let mut rates = BTreeMap::new();
-    for &(counter, span, rate) in RATE_PAIRS {
-        let Some(&work) = snapshot.counters.get(counter) else { continue };
-        // Spans nest into slash-separated paths (one histogram per call
-        // path), so total the span's time across every path it appears in.
-        let suffix = format!("/{span}");
-        let span_ns: u64 = snapshot
-            .histograms
-            .iter()
-            .filter(|(path, _)| path.as_str() == span || path.ends_with(&suffix))
-            .map(|(_, h)| h.sum_ns)
-            .sum();
-        if work == 0 || span_ns == 0 {
-            continue;
-        }
-        rates.insert(rate.to_string(), Json::from(round3(work as f64 / (span_ns as f64 / 1e9))));
-    }
-    // Not a counter/span pair: the formulation-cache hit *ratio*,
-    // hits / (hits + misses). It rides in the rates section so
-    // `bench-compare` gates it with the same machinery.
-    let cache = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-    let (hits, misses) = (cache("serve.cache.hit"), cache("serve.cache.miss"));
-    if hits + misses > 0 {
-        rates.insert(
-            "serve.cache_hit_rate".to_string(),
-            Json::from(round3(hits as f64 / (hits + misses) as f64)),
-        );
-    }
-    root.insert("rates".to_string(), Json::Obj(rates));
-
-    let spans = snapshot
-        .histograms
-        .iter()
-        .map(|(span_path, h)| {
-            let mut obj = BTreeMap::new();
-            obj.insert("count".to_string(), Json::from(h.count));
-            obj.insert("total_ms".to_string(), Json::from(round3(h.sum_ns as f64 / 1e6)));
-            obj.insert("p50_ms".to_string(), Json::from(round3(h.percentile_ms(0.50))));
-            obj.insert("p90_ms".to_string(), Json::from(round3(h.percentile_ms(0.90))));
-            obj.insert("p99_ms".to_string(), Json::from(round3(h.percentile_ms(0.99))));
-            (span_path.clone(), Json::Obj(obj))
-        })
-        .collect();
-    root.insert("spans".to_string(), Json::Obj(spans));
-
-    root.insert(
-        "counters".to_string(),
-        Json::Obj(snapshot.counters.iter().map(|(k, &v)| (k.clone(), Json::from(v))).collect()),
-    );
-
-    if let Some(stats) = trace_stats {
-        let mut t = BTreeMap::new();
-        t.insert("events".to_string(), Json::from(stats.stored));
-        t.insert("recorded".to_string(), Json::from(stats.recorded));
-        t.insert("dropped".to_string(), Json::from(stats.dropped));
-        t.insert("peak_occupancy".to_string(), Json::from(stats.peak_occupancy));
-        root.insert("trace".to_string(), Json::Obj(t));
-    }
-
-    match qjo_resil::atomic_write(path, Json::Obj(root).render().as_bytes()) {
-        Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-        Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-    }
 }
 
 fn main() {
@@ -1438,8 +1287,7 @@ fn main() {
     let trace_stats = finish_trace(&driver.options);
     let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
     let Driver { options, artifacts, gate_failures } = driver;
-    write_bench(&options, &stages, total_ms, trace_stats);
-    write_manifest(&options, stages, artifacts, total_ms);
+    write_manifest(&options, stages, artifacts, total_ms, trace_stats);
     // The sweep finished and every output is on disk: the checkpoints
     // have served their purpose.
     let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -1506,14 +1354,7 @@ mod tests {
 
     #[test]
     fn missing_flag_values_are_errors_not_panics() {
-        for flag in [
-            "--csv",
-            "--trace-out",
-            "--bench-out",
-            "--faults",
-            "--halt-after",
-            "--min-embed-speedup",
-        ] {
+        for flag in ["--csv", "--trace-out", "--faults", "--halt-after"] {
             let err = parse_args(&args(&[flag])).unwrap_err();
             assert!(err.contains(flag), "{flag}: {err}");
             assert!(err.contains("requires a value"), "{flag}: {err}");
@@ -1605,38 +1446,21 @@ mod tests {
 
     #[test]
     fn one_grammar_runs_paper_and_extension_stages() {
-        let opts = parse_args(&args(&[
-            "serve",
-            "robust",
-            "--csv",
-            "out",
-            "--bench-out",
-            "B.json",
-            "--min-embed-speedup",
-            "50",
-        ]))
-        .unwrap();
+        let opts = parse_args(&args(&["serve", "robust", "--csv", "out"])).unwrap();
         assert_eq!(opts.which, vec!["serve", "robust"]);
         assert_eq!(opts.csv_dir.as_deref(), Some(Path::new("out")));
-        assert_eq!(opts.bench_out.as_deref(), Some(Path::new("B.json")));
-        assert_eq!(opts.min_embed_speedup, Some(50.0));
         // `all` is the ten paper stages only; extension stages named
         // alongside it run after them.
         assert_eq!(parse_args(&args(&["all"])).unwrap().which, PAPER_STAGES.to_vec());
         let opts = parse_args(&args(&["robust", "fig3", "all"])).unwrap();
         assert_eq!(opts.which[..PAPER_STAGES.len()], *PAPER_STAGES);
         assert_eq!(opts.which[PAPER_STAGES.len()..], ["robust"]);
-        // The gate floor is a finite factor >= 1, and only the serve stage
-        // has an embedding gate.
-        for bad in ["0.5", "inf", "NaN", "x"] {
-            let err = parse_args(&args(&["serve", "--min-embed-speedup", bad])).expect_err(bad);
-            assert!(err.contains("--min-embed-speedup"), "{bad}: {err}");
-        }
-        for stages in [&["robust"][..], &["all"], &[]] {
-            let mut cmdline = args(stages);
-            cmdline.extend(args(&["--min-embed-speedup", "50"]));
-            let err = parse_args(&cmdline).unwrap_err();
-            assert!(err.contains("serve stage"), "{stages:?}: {err}");
+        // The run manifest is the one run record and the embedding cache
+        // is gated by exact counters, so neither a BENCH.json output nor a
+        // wall-clock embed-speedup floor is accepted.
+        for flag in ["--bench-out", "--min-embed-speedup"] {
+            let err = parse_args(&args(&["serve", flag, "50"])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
         }
         // The old suite subcommands and the `bench` keyword are gone.
         for word in ["serve-bench", "robustness-bench", "bench"] {
@@ -1711,24 +1535,45 @@ mod tests {
         assert!(render_stats(&Json::parse("{}").unwrap()).is_err());
     }
 
-    fn bench_doc(total_ms: f64, rates: &[(&str, f64)]) -> Json {
-        let body: Vec<String> = rates.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        Json::parse(&format!(
-            "{{\"run\": {{\"total_ms\": {total_ms}}}, \"rates\": {{{}}}}}",
-            body.join(", ")
-        ))
-        .unwrap()
+    /// A manifest of `total_ms` wall time whose counters and span totals
+    /// are `(counter, work)` and `(span path, ms)`.
+    fn manifest(total_ms: f64, counters: &[(&str, u64)], spans: &[(&str, f64)]) -> RunManifest {
+        let mut m = RunManifest::default();
+        m.run.insert("total_duration_ms".to_string(), Json::from(total_ms));
+        for &(name, work) in counters {
+            m.counters.insert(name.to_string(), work);
+        }
+        for &(path, ms) in spans {
+            let summary = qjo_obs::manifest::SpanSummary {
+                count: 1,
+                total_ms: ms,
+                p50_ms: ms,
+                p90_ms: ms,
+                p99_ms: ms,
+            };
+            m.spans.insert(path.to_string(), summary);
+        }
+        m
+    }
+
+    /// One second of shots (gated) and of transpiler runs (ungated).
+    fn shots_and_runs(total_ms: f64, shots: u64, runs: u64) -> RunManifest {
+        manifest(
+            total_ms,
+            &[("gatesim.shots", shots), ("transpile.runs", runs)],
+            &[("gatesim.noisy.sample", 1000.0), ("transpile.run", 1000.0)],
+        )
     }
 
     #[test]
     fn gated_rate_regressions_fail_the_comparison() {
-        let baseline = bench_doc(1000.0, &[("gatesim.shots_per_sec", 100.0), ("other", 100.0)]);
+        let baseline = shots_and_runs(1000.0, 100, 100);
         // An ungated rate may crater freely; a gated one may not.
-        let ok = bench_doc(1500.0, &[("gatesim.shots_per_sec", 51.0), ("other", 1.0)]);
-        let cmp = compare_bench_docs(&baseline, &ok).unwrap();
+        let ok = shots_and_runs(1500.0, 51, 1);
+        let cmp = compare_manifests(&baseline, &ok);
         assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
-        let bad = bench_doc(1500.0, &[("gatesim.shots_per_sec", 49.0), ("other", 100.0)]);
-        let cmp = compare_bench_docs(&baseline, &bad).unwrap();
+        let bad = shots_and_runs(1500.0, 49, 100);
+        let cmp = compare_manifests(&baseline, &bad);
         assert_eq!(cmp.failures.len(), 1);
         assert!(cmp.failures[0].contains("gatesim.shots_per_sec"), "{:?}", cmp.failures);
     }
@@ -1738,10 +1583,17 @@ mod tests {
         // Regression: a missing entry for a gated rate used to be an
         // informational note, so a renamed counter or dead span silently
         // turned the gate off. It must be an explicit failure.
-        let baseline =
-            bench_doc(100.0, &[("serve.requests_per_sec", 40.0), ("transpile.runs_per_sec", 5.0)]);
-        let current = bench_doc(100.0, &[]);
-        let cmp = compare_bench_docs(&baseline, &current).unwrap();
+        let baseline = manifest(
+            100.0,
+            &[("serve.requests", 40), ("transpile.runs", 5)],
+            &[("serve.request", 1000.0), ("transpile.run", 1000.0)],
+        );
+        let renamed = manifest(
+            100.0,
+            &[("serve.requests.total", 40)],
+            &[("serve.request", 1000.0), ("transpile.run", 1000.0)],
+        );
+        let cmp = compare_manifests(&baseline, &renamed);
         assert_eq!(cmp.failures.len(), 1, "{:?}", cmp.failures);
         assert!(
             cmp.failures[0].contains("serve.requests_per_sec")
@@ -1759,27 +1611,40 @@ mod tests {
     }
 
     #[test]
-    fn serve_rates_are_gated() {
-        let baseline =
-            bench_doc(100.0, &[("serve.requests_per_sec", 40.0), ("serve.cache_hit_rate", 0.6)]);
-        let bad =
-            bench_doc(100.0, &[("serve.requests_per_sec", 40.0), ("serve.cache_hit_rate", 0.2)]);
-        let cmp = compare_bench_docs(&baseline, &bad).unwrap();
-        assert_eq!(cmp.failures.len(), 1);
-        assert!(cmp.failures[0].contains("serve.cache_hit_rate"), "{:?}", cmp.failures);
+    fn a_rate_totals_its_span_across_call_paths() {
+        // `anneal.sample` runs at the root and under `serve.request`; its
+        // own child span and a longer name that merely starts alike are
+        // not the span.
+        let m = manifest(
+            1000.0,
+            &[("anneal.reads", 600), ("tabu.iterations", 10)],
+            &[
+                ("anneal.sample", 100.0),
+                ("serve.request/anneal.sample", 200.0),
+                ("anneal.sample/sqa.sweep", 50.0),
+                ("anneal.sampler", 50.0),
+            ],
+        );
+        let rates = work_rates(&m);
+        assert_eq!(rates.get("anneal.reads_per_sec"), Some(&2000.0), "{rates:?}");
+        // A span without its counter (`sqa.sweeps`), or a counter without
+        // its span (`qubo.tabu.solve`), implies no rate.
+        assert_eq!(rates.len(), 1, "{rates:?}");
     }
 
     #[test]
     fn wall_clock_budget_is_enforced() {
-        let baseline = bench_doc(1000.0, &[("other", 1.0)]);
-        let inside = bench_doc(1999.0, &[("other", 1.0)]);
-        assert!(compare_bench_docs(&baseline, &inside).unwrap().failures.is_empty());
-        let outside = bench_doc(2001.0, &[("other", 1.0)]);
-        let cmp = compare_bench_docs(&baseline, &outside).unwrap();
+        let baseline = shots_and_runs(1000.0, 100, 100);
+        let inside = shots_and_runs(1999.0, 100, 100);
+        assert!(compare_manifests(&baseline, &inside).failures.is_empty());
+        let outside = shots_and_runs(2001.0, 100, 100);
+        let cmp = compare_manifests(&baseline, &outside);
         assert_eq!(cmp.failures.len(), 1);
         assert!(cmp.failures[0].contains("wall-clock budget"), "{:?}", cmp.failures);
-        // A snapshot without rates is structurally unusable.
-        let bare = Json::parse("{\"run\": {\"total_ms\": 1.0}}").unwrap();
-        assert!(compare_bench_docs(&bare, &baseline).is_err());
+        // A BENCH.json snapshot is not a manifest: `bench-compare` refuses
+        // it (exit 2) instead of reading it.
+        let bench = "{\"schema_version\": 1, \"run\": {\"total_ms\": 1.0}, \
+                     \"stages\": [], \"rates\": {}, \"counters\": {}, \"spans\": {}}";
+        assert!(RunManifest::parse(bench).unwrap_err().contains("artifacts"));
     }
 }

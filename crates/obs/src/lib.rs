@@ -8,8 +8,8 @@
 //!   taken, trajectories simulated, SWAPs inserted, …).
 //! * **Gauges** — last-written `f64`s for quantities that are levels, not
 //!   totals (chain-break fraction of the most recent job, …).
-//! * **Histograms** — log-bucketed (powers of two of nanoseconds) duration
-//!   distributions, fed by [`ScopedTimer`]/[`span!`].
+//! * **Histograms** — log-linear duration distributions (four buckets per
+//!   decade of nanoseconds), fed by [`ScopedTimer`]/[`span!`].
 //!
 //! # Determinism
 //!
@@ -55,34 +55,15 @@ pub mod log;
 pub mod manifest;
 pub mod trace;
 
-/// Number of log2 buckets in a duration histogram: bucket `b` counts
-/// durations with `floor(log2(ns)) + 1 == b` (bucket 0 holds exact zeros),
-/// so the full `u64` nanosecond range is covered.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// How a [`Histogram`] buckets nanosecond durations.
-///
-/// [`BucketMode::Log2`] is the default everywhere (and what the committed
-/// BENCH.json percentiles were baselined against); its resolution is a
-/// factor of 2. [`BucketMode::QuarterDecade`] is log-linear — four buckets
-/// per decade, upper bounds `round(10^(k/4))` — for a ~1.33× resolution on
-/// sub-millisecond serving latencies without re-baselining anything that
-/// stays log2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BucketMode {
-    /// Powers-of-two buckets (bucket `b` holds `[2^(b-1), 2^b - 1]`).
-    #[default]
-    Log2,
-    /// Quarter-decade (log-linear) buckets: `round(10^(k/4))` upper bounds.
-    QuarterDecade,
-}
-
-/// Upper bounds (inclusive, nanoseconds) of the quarter-decade buckets.
+/// Upper bounds (inclusive, nanoseconds) of the duration-histogram
+/// buckets: quarter-decade (log-linear), four per decade, `round(10^(k/4))`
+/// — 1, 2, 3, 6, 10, 18, 32, 56, 100, … — so a percentile resolved to a
+/// bucket's upper bound over-estimates by at most about 1.78×.
 ///
 /// Built from exact `f64` constants and IEEE multiplies only, so the table
 /// is identical on every platform. Index 0 is the exact-zero bucket; the
 /// last entry is a `u64::MAX` catch-all.
-fn quarter_decade_bounds() -> &'static [u64] {
+fn bucket_bounds() -> &'static [u64] {
     static BOUNDS: OnceLock<Vec<u64>> = OnceLock::new();
     BOUNDS.get_or_init(|| {
         // 10^(k/4) for k = 0..4: the within-decade multipliers.
@@ -109,46 +90,10 @@ fn quarter_decade_bounds() -> &'static [u64] {
     })
 }
 
-impl BucketMode {
-    /// Number of buckets a histogram in this mode carries.
-    pub fn bucket_count(self) -> usize {
-        match self {
-            BucketMode::Log2 => HISTOGRAM_BUCKETS,
-            BucketMode::QuarterDecade => quarter_decade_bounds().len(),
-        }
-    }
-
-    /// Index of the bucket a duration of `ns` nanoseconds falls into.
-    #[inline]
-    pub fn bucket_index(self, ns: u64) -> usize {
-        match self {
-            BucketMode::Log2 => (64 - ns.leading_zeros()) as usize,
-            BucketMode::QuarterDecade => quarter_decade_bounds().partition_point(|&b| b < ns),
-        }
-    }
-
-    /// Inclusive upper bound of bucket `bucket`, in nanoseconds — what
-    /// [`HistogramSnapshot::percentile_ns`] resolves quantiles to.
-    pub fn bucket_upper_bound_ns(self, bucket: usize) -> u64 {
-        match self {
-            BucketMode::Log2 => match bucket {
-                0 => 0,
-                64.. => u64::MAX,
-                b => (1u64 << b) - 1,
-            },
-            BucketMode::QuarterDecade => {
-                quarter_decade_bounds().get(bucket).copied().unwrap_or(u64::MAX)
-            }
-        }
-    }
-
-    /// Lower-case name used in snapshots and docs.
-    pub fn name(self) -> &'static str {
-        match self {
-            BucketMode::Log2 => "log2",
-            BucketMode::QuarterDecade => "quarter_decade",
-        }
-    }
+/// Index of the bucket a duration of `ns` nanoseconds falls into.
+#[inline]
+fn bucket_index(ns: u64) -> usize {
+    bucket_bounds().partition_point(|&b| b < ns)
 }
 
 /// A monotonically increasing counter handle.
@@ -193,42 +138,23 @@ impl Gauge {
     }
 }
 
-/// Lock-free log-bucketed duration histogram.
+/// Lock-free quarter-decade-bucketed duration histogram.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,
     sum_ns: AtomicU64,
-    mode: BucketMode,
     buckets: Vec<AtomicU64>,
 }
 
 impl Histogram {
-    /// Creates an empty log2-bucketed histogram (prefer the registry's
+    /// Creates an empty histogram (prefer the registry's
     /// [`Registry::histogram`] for named metrics).
     pub fn new() -> Self {
-        Histogram::with_mode(BucketMode::Log2)
-    }
-
-    /// Creates an empty histogram bucketed by `mode`.
-    pub fn with_mode(mode: BucketMode) -> Self {
         Histogram {
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
-            mode,
-            buckets: (0..mode.bucket_count()).map(|_| AtomicU64::new(0)).collect(),
+            buckets: bucket_bounds().iter().map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// Index of the **log2** bucket a duration of `ns` nanoseconds falls
-    /// into (see [`BucketMode::bucket_index`] for mode-aware indexing).
-    #[inline]
-    pub fn bucket_index(ns: u64) -> usize {
-        BucketMode::Log2.bucket_index(ns)
-    }
-
-    /// This histogram's bucketing mode.
-    pub fn mode(&self) -> BucketMode {
-        self.mode
     }
 
     /// Records one observation of `ns` nanoseconds.
@@ -236,14 +162,13 @@ impl Histogram {
     pub fn record_ns(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[self.mode.bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            mode: self.mode,
             buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
         }
     }
@@ -262,9 +187,7 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Total nanoseconds across all observations.
     pub sum_ns: u64,
-    /// How [`buckets`](Self::buckets) are bounded.
-    pub mode: BucketMode,
-    /// Per-bucket observation counts ([`BucketMode::bucket_count`] long).
+    /// Per-bucket observation counts, one per quarter-decade bucket.
     pub buckets: Vec<u64>,
 }
 
@@ -280,8 +203,8 @@ impl HistogramSnapshot {
 
     /// The `q`-quantile (`0 < q <= 1`) in nanoseconds, resolved to the
     /// **upper bound** of the bucket holding that observation — an
-    /// over-estimate by at most the mode's resolution (2× for log2, ~1.78×
-    /// for quarter-decade). Returns 0 when the histogram is empty.
+    /// over-estimate by at most the bucket resolution, about 1.78×.
+    /// Returns 0 when the histogram is empty.
     pub fn percentile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -291,7 +214,7 @@ impl HistogramSnapshot {
         for (bucket, &observations) in self.buckets.iter().enumerate() {
             cumulative += observations;
             if cumulative >= target {
-                return self.mode.bucket_upper_bound_ns(bucket);
+                return bucket_bounds().get(bucket).copied().unwrap_or(u64::MAX);
             }
         }
         u64::MAX
@@ -343,22 +266,13 @@ impl Registry {
         g
     }
 
-    /// Returns (registering on first use) the histogram `name`, bucketed
-    /// log2.
+    /// Returns (registering on first use) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with_mode(name, BucketMode::Log2)
-    }
-
-    /// Returns (registering on first use) the histogram `name`, created
-    /// with `mode` on first use. The first registration wins: a histogram
-    /// that already exists keeps its mode, so declare non-default modes
-    /// before the first observation (e.g. at service construction).
-    pub fn histogram_with_mode(&self, name: &str, mode: BucketMode) -> Arc<Histogram> {
         let mut map = self.histograms.lock().expect("no panic while holding the histogram map");
         if let Some(h) = map.get(name) {
             return Arc::clone(h);
         }
-        let h = Arc::new(Histogram::with_mode(mode));
+        let h = Arc::new(Histogram::new());
         map.insert(name.to_string(), Arc::clone(&h));
         h
     }
@@ -569,13 +483,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+    fn histogram_buckets_are_quarter_decades() {
+        // Zero bucket, then round(10^(k/4)): 1, 2, 3, 6, 10, 18, 32, 56, …
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 3);
+        assert_eq!(bucket_index(4), 4);
+        assert_eq!(bucket_index(6), 4);
+        assert_eq!(bucket_index(7), 5);
+        assert_eq!(bucket_index(10), 5);
+        // The table covers the full u64 range with a MAX catch-all, and its
+        // bounds strictly increase (no empty or overlapping buckets).
+        let bounds = bucket_bounds();
+        assert_eq!(bounds.last(), Some(&u64::MAX));
+        assert_eq!(bucket_index(u64::MAX), bounds.len() - 1);
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
+        // Resolution: each decade is cut four ways, so below the catch-all
+        // no bucket's upper bound exceeds its smallest member by 1.78×.
+        for w in bounds[..bounds.len() - 1].windows(2) {
+            let overstatement = w[1] as f64 / (w[0] + 1) as f64;
+            assert!(overstatement < 1.78, "bucket ({}, {}]", w[0], w[1]);
+        }
         let h = Histogram::new();
         h.record_ns(0);
         h.record_ns(3);
@@ -583,76 +512,33 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 3);
         assert_eq!(snap.sum_ns, 6);
+        assert_eq!(snap.buckets.len(), bounds.len());
         assert_eq!(snap.buckets[0], 1);
-        assert_eq!(snap.buckets[2], 2);
+        assert_eq!(snap.buckets[3], 2);
         assert_eq!(snap.mean_ms(), 6.0 / 3.0 / 1e6);
     }
 
     #[test]
     fn percentiles_resolve_to_bucket_upper_bounds() {
         let h = Histogram::new();
-        // Buckets: 1 → [1,1]; 2,3 → [2,3]; 4 → [4,7].
-        for ns in [1, 2, 3, 4] {
+        // Buckets: 1 → [1,1]; 4,6 → [4,6]; 7 → [7,10].
+        for ns in [1, 4, 6, 7] {
             h.record_ns(ns);
         }
         let snap = h.snapshot();
-        // Rank ceil(0.25·4) = 1 lands in bucket 1 (upper bound 1).
+        // Rank ceil(0.25·4) = 1 lands in bucket [1,1].
         assert_eq!(snap.percentile_ns(0.25), 1);
-        // Rank 2 and 3 land in bucket 2 (upper bound 3).
-        assert_eq!(snap.percentile_ns(0.5), 3);
-        assert_eq!(snap.percentile_ns(0.75), 3);
-        // Ranks beyond land in bucket 3 (upper bound 7).
-        assert_eq!(snap.percentile_ns(0.9), 7);
-        assert_eq!(snap.percentile_ns(1.0), 7);
-        assert_eq!(snap.percentile_ms(1.0), 7.0 / 1e6);
-    }
-
-    #[test]
-    fn quarter_decade_buckets_are_log_linear() {
-        let qd = BucketMode::QuarterDecade;
-        // Zero bucket, then round(10^(k/4)): 1, 2, 3, 6, 10, 18, 32, 56, …
-        assert_eq!(qd.bucket_index(0), 0);
-        assert_eq!(qd.bucket_index(1), 1);
-        assert_eq!(qd.bucket_index(2), 2);
-        assert_eq!(qd.bucket_index(3), 3);
-        assert_eq!(qd.bucket_index(4), 4);
-        assert_eq!(qd.bucket_index(6), 4);
-        assert_eq!(qd.bucket_index(7), 5);
-        assert_eq!(qd.bucket_index(10), 5);
-        assert_eq!(qd.bucket_upper_bound_ns(4), 6);
-        assert_eq!(qd.bucket_upper_bound_ns(5), 10);
-        // The table covers the full u64 range with a MAX catch-all.
-        let last = qd.bucket_count() - 1;
-        assert_eq!(qd.bucket_upper_bound_ns(last), u64::MAX);
-        assert_eq!(qd.bucket_index(u64::MAX), last);
-        // Bounds are strictly increasing (no empty or overlapping buckets).
-        for b in 1..qd.bucket_count() {
-            assert!(qd.bucket_upper_bound_ns(b) > qd.bucket_upper_bound_ns(b - 1), "bucket {b}");
-        }
-        // Resolution: each decade is cut four ways, so a quarter-decade
-        // percentile over-estimates by < 1.8x where log2 allows 2x.
-        let h = Histogram::with_mode(BucketMode::QuarterDecade);
-        h.record_ns(450_000); // 0.45 ms → bucket with upper bound 562_341
-        let snap = h.snapshot();
-        assert_eq!(snap.mode, BucketMode::QuarterDecade);
-        assert_eq!(snap.percentile_ns(0.5), 562_341);
-        let log2 = Histogram::new();
-        log2.record_ns(450_000); // log2 resolves to 2^19 - 1 = 524_287
-        assert_eq!(log2.snapshot().percentile_ns(0.5), (1 << 19) - 1);
-    }
-
-    #[test]
-    fn histogram_with_mode_first_registration_wins() {
-        let reg = Registry::new();
-        let qd = reg.histogram_with_mode("h", BucketMode::QuarterDecade);
-        assert_eq!(qd.mode(), BucketMode::QuarterDecade);
-        // Plain lookups and repeat registrations see the original mode.
-        assert_eq!(reg.histogram("h").mode(), BucketMode::QuarterDecade);
-        assert_eq!(
-            reg.histogram_with_mode("h", BucketMode::Log2).mode(),
-            BucketMode::QuarterDecade
-        );
-        assert_eq!(reg.histogram("h2").mode(), BucketMode::Log2);
+        // Ranks 2 and 3 land in bucket [4,6].
+        assert_eq!(snap.percentile_ns(0.5), 6);
+        assert_eq!(snap.percentile_ns(0.75), 6);
+        // Ranks beyond land in bucket [7,10].
+        assert_eq!(snap.percentile_ns(0.9), 10);
+        assert_eq!(snap.percentile_ns(1.0), 10);
+        assert_eq!(snap.percentile_ms(1.0), 10.0 / 1e6);
+        // A sub-millisecond latency: 0.45 ms resolves to 10^5.75 ns.
+        let h = Histogram::new();
+        h.record_ns(450_000);
+        assert_eq!(h.snapshot().percentile_ns(0.5), 562_341);
     }
 
     #[test]

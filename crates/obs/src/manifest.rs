@@ -85,10 +85,10 @@ pub struct StageRecord {
 
 /// Span timing summary (timing-dependent; ignored by [`diff`]).
 ///
-/// Percentiles come from the log2-bucketed histogram, resolved to bucket
-/// upper bounds (see
+/// Percentiles come from the quarter-decade-bucketed histogram, resolved
+/// to bucket upper bounds (see
 /// [`HistogramSnapshot::percentile_ns`](crate::HistogramSnapshot::percentile_ns)),
-/// so they over-estimate by at most 2×.
+/// so they over-estimate by at most about 1.78×.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanSummary {
     /// Observations recorded under this span path.
@@ -828,8 +828,8 @@ mod tests {
         assert_eq!(manifest.gauges["g"], 2.5);
         assert_eq!(manifest.spans["h"].count, 1);
         assert_eq!(manifest.spans["h"].total_ms, 2.0);
-        // 2 ms lands in bucket 21 ([2^20, 2^21) ns): upper bound 2^21 - 1.
-        let expected = ((1u64 << 21) - 1) as f64 / 1e6;
+        // 2 ms lands in the quarter-decade bucket (10^6.25, 10^6.5] ns.
+        let expected = 3.162278;
         assert_eq!(manifest.spans["h"].p50_ms, expected);
         assert_eq!(manifest.spans["h"].p99_ms, expected);
     }

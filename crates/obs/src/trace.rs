@@ -188,7 +188,8 @@ fn saturating_ns(ns: u128) -> u64 {
     u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
-/// Collection statistics, for `BENCH.json` and capacity tuning.
+/// Collection statistics, for the run manifest's `run.trace` and capacity
+/// tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStats {
     /// Events offered since [`start`] (stored + dropped).

@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes: temp file + rename.
 //!
 //! Every artifact the workspace emits (CSV tables, run manifests,
-//! traces, BENCH.json, checkpoints) goes through [`atomic_write`]: the
+//! traces, checkpoints) goes through [`atomic_write`]: the
 //! bytes land in a `<name>.tmp` sibling first and are renamed over the
 //! destination only once fully written. A crash — or an injected
 //! `io.write` fault — therefore never leaves a torn file at the

@@ -5,8 +5,9 @@
 //! derives from it: the MILP→BILP→QUBO formulation (built from the
 //! *canonical bucketed* query, so it is byte-identical across the whole
 //! fingerprint class) and, on demand, the minor-embedding of that QUBO
-//! onto the annealer topology — the dominant serving cost (`anneal.embed`
-//! p90 ≈ 2.1 s in smoke BENCH vs ~0.07 ms to formulate).
+//! onto the annealer topology — the dominant serving cost (in the
+//! committed smoke-serve run manifest, 6 cold embeds take 86.2 s of the
+//! 86.4 s run, against 0.9 ms for all 12 formulations).
 //!
 //! Eviction is LRU with a fixed capacity. Every lookup lands in the
 //! `serve.cache.{hit,miss,evict}` counters, which flow into the run

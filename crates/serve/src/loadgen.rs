@@ -348,17 +348,6 @@ pub fn aggregate_latency(outcomes: &[RequestOutcome]) -> Vec<LatencyRow> {
         .collect()
 }
 
-/// Cold-embed p50 over warm-embed p50 for `backend` — the headline
-/// number the embedding cache exists for. `None` until both classes
-/// have been observed.
-pub fn embed_speedup(latency: &[LatencyRow], backend: &str) -> Option<f64> {
-    let p50 = |suffix: &str| {
-        latency.iter().find(|r| r.key == format!("{backend}:{suffix}")).map(|r| r.p50_us)
-    };
-    let (cold, warm) = (p50("cold")?, p50("warm")?);
-    Some(cold as f64 / warm.max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,27 +425,5 @@ mod tests {
         assert_eq!((r.deadline_misses, r.fallbacks, r.errors), (1, 1, 0));
         assert_eq!((r.slo_met, r.slo_degraded, r.slo_missed), (1, 1, 0));
         assert!((r.mean_cost - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn embed_speedup_needs_both_classes() {
-        let rows = vec![
-            LatencyRow {
-                key: "annealer:cold".into(),
-                count: 2,
-                p50_us: 5000,
-                p99_us: 6000,
-                max_us: 6000,
-            },
-            LatencyRow {
-                key: "annealer:warm".into(),
-                count: 3,
-                p50_us: 50,
-                p99_us: 80,
-                max_us: 80,
-            },
-        ];
-        assert_eq!(embed_speedup(&rows, "annealer"), Some(100.0));
-        assert_eq!(embed_speedup(&rows[..1], "annealer"), None);
     }
 }

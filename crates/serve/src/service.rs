@@ -20,7 +20,6 @@ use qjo_anneal::AnnealerSampler;
 use qjo_core::JoEncoder;
 use qjo_exec::Parallelism;
 use qjo_obs::json::Json;
-use qjo_obs::BucketMode;
 use qjo_qubo::solve::{SimulatedAnnealing, TabuSearch};
 
 use crate::backends::{
@@ -65,10 +64,6 @@ impl Service {
         backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>>,
         cache: Arc<FormulationCache>,
     ) -> Self {
-        // Serve latencies live in sub-ms to multi-second territory;
-        // quarter-decade buckets keep their percentiles honest where
-        // log2 would quantise to the nearest power of two.
-        qjo_obs::global().histogram_with_mode("serve.latency", BucketMode::QuarterDecade);
         Service { backends, fallback: GreedyBackend, cache, telemetry: Telemetry::new() }
     }
 
@@ -273,9 +268,7 @@ impl Service {
         let (resp, meta) = self.handle_inner(req);
         let cache_after = self.cache.stats();
         let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        qjo_obs::global()
-            .histogram_with_mode("serve.latency", BucketMode::QuarterDecade)
-            .record_ns(latency_us.saturating_mul(1000));
+        qjo_obs::global().histogram("serve.latency").record_ns(latency_us.saturating_mul(1000));
         // Embedding attribution: prefer what the plan itself reported
         // (the actual under-lock outcome of *this* solve), falling back
         // to the stats delta between the two reads — correct only while

@@ -171,7 +171,20 @@ fn one_annealer_class_embeds_once_then_hits() {
         ..LoadMix::smoke(7)
     };
     let requests = loadgen::generate_requests(&mix);
-    let (outcomes, events) = loadgen::run_with_events(&service, &requests, LoadMode::Closed);
+    // Every test in this file holds `serial()`, so the global embedder
+    // counter moves only for this service's requests.
+    let tries = || qjo_obs::counter("embed.tries").get();
+    let before = tries();
+    let (mut outcomes, mut events) =
+        loadgen::run_with_events(&service, &requests[..1], LoadMode::Closed);
+    let after_cold = tries();
+    assert!(after_cold > before, "the cold request never ran the embedder");
+    let (warm_outcomes, warm_events) =
+        loadgen::run_with_events(&service, &requests[1..], LoadMode::Closed);
+    // What the embedding cache saves, exactly: a hit does zero embed work.
+    assert_eq!(tries(), after_cold, "a cache hit ran the embedder");
+    outcomes.extend(warm_outcomes);
+    events.extend(warm_events);
     assert_eq!(validate_events(&events), Vec::<String>::new());
     assert_eq!(outcomes.iter().filter(|o| o.embed == Some("cold")).count(), 1);
     assert!(outcomes.iter().filter(|o| o.embed == Some("hit")).count() >= 3);
