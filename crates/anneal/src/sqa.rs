@@ -35,6 +35,12 @@
 //!   costs O(1) instead of the O(degree) field recomputation the previous
 //!   implementation paid per proposal, and per-slice problem energies are
 //!   maintained incrementally alongside.
+//! * **Branch-free spin reads.** A slice bit is random, so branching on
+//!   it (`if bit { 1 } else { −1 }`) mispredicts about half the time.
+//!   The sweep's sign `s` sets the sign bit of `1.0` from the cleared
+//!   slice bit, and `±1` spins are `2·bit − 1`. Both are exact: each
+//!   yields exactly `+1`/`−1` (`±1.0` differ from each other only in the
+//!   sign bit), so every ΔE, acceptance and RNG draw is unchanged.
 //!
 //! The model itself is walked through [`CompiledIsing`] CSR adjacency, so
 //! no per-anneal `Vec<Vec<…>>` neighbour tables are rebuilt.
@@ -141,6 +147,21 @@ fn better_energy(a: f64, b: f64) -> std::cmp::Ordering {
     a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(&b))
 }
 
+/// Spin `k` of a packed word as `±1`: bit 1 → `+1`, bit 0 → `−1`, by
+/// arithmetic rather than a branch on the (random) bit.
+#[inline]
+fn spin_of(w: u64, k: usize) -> i8 {
+    2 * (w >> k & 1) as i8 - 1
+}
+
+/// Spin `k` of a packed word as `±1.0`: the cleared bit becomes the sign
+/// bit of `1.0`, so the result is exactly `1.0` or `−1.0` with no branch.
+#[inline]
+fn spin_sign(w: u64, k: usize) -> f64 {
+    const ONE: u64 = 0x3ff0_0000_0000_0000; // 1.0f64.to_bits()
+    f64::from_bits(ONE | (!(w >> k) & 1) << 63)
+}
+
 /// The shared SQA spin lattice: `P` Trotter slices of `n` problem spins,
 /// packed one word per site.
 struct Lattice<'a> {
@@ -229,11 +250,7 @@ impl<'a> Lattice<'a> {
 
     #[inline]
     fn spin(&self, i: usize, k: usize) -> i8 {
-        if self.words[i] >> k & 1 == 1 {
-            1
-        } else {
-            -1
-        }
+        spin_of(self.words[i], k)
     }
 
     /// Coupling field of `(i, k)` summed from scratch (test / init path).
@@ -280,7 +297,7 @@ impl<'a> Lattice<'a> {
                 let mut flips = 0u64;
                 for &k in batch {
                     let a = ((agree_up >> k) & 1) + ((agree_down >> k) & 1);
-                    let s = if w >> k & 1 == 1 { 1.0 } else { -1.0 };
+                    let s = spin_sign(w, k);
                     let local = hi + self.local[row + k];
                     // Problem term: s·local flips sign (−2·s·local, scaled
                     // by the 1/P slice weight); inter-slice term from the
@@ -820,6 +837,22 @@ mod tests {
                 }
                 assert_eq!(packed.local, scalar.local, "p={p} sweep={sweep}");
                 assert_eq!(packed.slice_energy, scalar.slice_energy, "p={p} sweep={sweep}");
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_spin_reads_match_the_branchy_selects() {
+        for k in 0..64 {
+            for bit in [0u64, 1] {
+                // The bit alone, and the bit amid all-ones neighbours, so a
+                // wrong shift or a missing mask shows as a wrong sign.
+                for w in [bit << k, !(1u64 << k) | bit << k] {
+                    let branchy: i8 = if w >> k & 1 == 1 { 1 } else { -1 };
+                    let branchy_f: f64 = if w >> k & 1 == 1 { 1.0 } else { -1.0 };
+                    assert_eq!(spin_of(w, k), branchy, "k={k} w={w:#x}");
+                    assert_eq!(spin_sign(w, k).to_bits(), branchy_f.to_bits(), "k={k} w={w:#x}");
+                }
             }
         }
     }

@@ -242,3 +242,49 @@ fn embedder_handles_disconnected_targets_gracefully() {
         assert!(e.validate(&edges, &target).is_ok());
     }
 }
+
+/// `has_edge` (a search of the sorted neighbour row) agrees with edge-set
+/// membership for every ordered pair, `a == b` included, and answers
+/// `false` for any index outside the graph, on every hardware family.
+#[test]
+fn has_edge_matches_edge_set_membership() {
+    use qjo_anneal::hardware::zephyr_like;
+    use qjo_transpile::device::Device;
+    use qjo_transpile::heavy_hex::{eagle_127, falcon_27, heavy_hex};
+    use std::collections::BTreeSet;
+
+    let graphs = [
+        ("pegasus_like(8)", pegasus_like(8)),
+        ("chimera(6)", chimera(6)),
+        ("zephyr_like(5)", zephyr_like(5)),
+        ("heavy_hex(3,3,4)", heavy_hex(3, 3, 4)),
+        ("falcon_27", falcon_27()),
+        ("eagle_127", eagle_127()),
+        ("ibm_auckland", Device::ibm_auckland().topology),
+        ("ibm_washington", Device::ibm_washington().topology),
+        ("grid(5,4)", Topology::grid(5, 4)),
+        ("line(7)", Topology::line(7)),
+        ("ring(9)", Topology::ring(9)),
+        ("complete(8)", Topology::complete(8)),
+    ];
+    for (name, t) in &graphs {
+        let n = t.num_qubits();
+        let edges: BTreeSet<(usize, usize)> = t.edges().collect();
+        for a in 0..n {
+            for b in 0..n {
+                let member = edges.contains(&(a.min(b), a.max(b)));
+                assert_eq!(t.has_edge(a, b), member, "{name}: ({a},{b})");
+            }
+        }
+        // Out-of-range indices are never coupled, including one that
+        // aliases qubit 1 when truncated to 32 bits (and (0, 1) is an
+        // edge of several of these graphs).
+        let mut outside = vec![n, n + 1, usize::MAX];
+        outside.extend(usize::try_from(1u64 << 32 | 1).ok());
+        for &o in &outside {
+            for q in [0, n - 1, o] {
+                assert!(!t.has_edge(o, q) && !t.has_edge(q, o), "{name}: ({o},{q})");
+            }
+        }
+    }
+}

@@ -847,7 +847,9 @@ const RATE_PAIRS: &[(&str, &str, &str)] = &[
 /// dominates the smoke profile's quantum stages; the gradient-descent
 /// iteration rate gates the QAOA parameter loop and its level-indexed
 /// cost layer; the SQA sweep and anneal read rates gate the packed
-/// bit-parallel annealing kernel. Each floor keeps a future change from
+/// bit-parallel annealing kernel; the SA sweep rate gates the classical
+/// single-flip kernel and its branch-free flip gain, which serving's `sa`
+/// backend runs on each of its requests. Each floor keeps a future change from
 /// silently giving back its speedup. `serve.requests_per_sec` gates the
 /// request loop's throughput. All are stable enough that a 2× drop clears
 /// run-to-run noise on the 1-core CI runner. The other `RATE_PAIRS` are
@@ -856,6 +858,7 @@ const GATED_RATES: &[&str] = &[
     "gatesim.shots_per_sec",
     "gatesim.gd_iterations_per_sec",
     "sqa.sweeps_per_sec",
+    "sa.sweeps_per_sec",
     "anneal.reads_per_sec",
     "serve.requests_per_sec",
     "robust.evals_per_sec",

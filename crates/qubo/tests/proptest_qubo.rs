@@ -12,7 +12,7 @@ use qjo_exec::Parallelism;
 use qjo_qubo::io::{from_text, to_text};
 use qjo_qubo::preprocess::fix_variables;
 use qjo_qubo::solve::{ExactSolver, SimulatedAnnealing, SteepestDescent, TabuSearch};
-use qjo_qubo::{ising, Qubo};
+use qjo_qubo::{ising, CompiledQubo, Qubo};
 
 /// Draws a dense random QUBO with `1..=max_vars` variables.
 fn arb_qubo(rng: &mut StdRng, max_vars: usize) -> Qubo {
@@ -117,6 +117,66 @@ fn flip_gains_agree_with_energy_deltas() {
             assert!((c.flip_gain(&x, i) - delta).abs() < 1e-9, "case {case} var {i}");
         }
     });
+}
+
+/// Draws a sparse QUBO with small integer coefficients, a quarter of its
+/// linear terms `+0.0` and a quarter `−0.0` (which the additive builder
+/// stores as `+0.0`: `0.0 + −0.0 = +0.0`). Integer couplings cancel
+/// exactly, so zero partial sums, and zero gains of both signs, are common.
+fn arb_signed_zero_qubo(rng: &mut StdRng, max_vars: usize) -> Qubo {
+    let n = rng.random_range(1..=max_vars);
+    let mut q = Qubo::new(n);
+    for i in 0..n {
+        let lin = match rng.random_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => f64::from(rng.random_range(-3..=3i32)),
+        };
+        q.add_linear(i, lin);
+        for j in i + 1..n {
+            if rng.random_bool(0.3) {
+                q.add_quadratic(i, j, f64::from(rng.random_range(-2..=2i32)));
+            }
+        }
+    }
+    q
+}
+
+/// The branch-free flip gain equals the branchy neighbour loop it replaced
+/// in every bit, signed zeros included.
+#[test]
+fn flip_gain_is_bit_identical_to_the_branchy_loop() {
+    fn branchy(q: &Qubo, c: &CompiledQubo, x: &[bool], i: usize) -> f64 {
+        let mut partial = q.linear(i);
+        for (j, w) in c.neighbors(i) {
+            if x[j] {
+                partial += w;
+            }
+        }
+        if x[i] {
+            -partial
+        } else {
+            partial
+        }
+    }
+    let mut signed_zeros = 0usize;
+    for_cases(256, |rng, case| {
+        let q = arb_signed_zero_qubo(rng, 12);
+        let c = q.compile();
+        let n = q.num_vars();
+        // Sparse, dense, all-false and all-true assignments: sparse ones
+        // leave whole neighbourhoods false.
+        for density in [0.0, 0.15, 0.5, 1.0] {
+            let x: Vec<bool> = (0..n).map(|_| rng.random_bool(density)).collect();
+            for i in 0..n {
+                let got = c.flip_gain(&x, i);
+                let want = branchy(&q, &c, &x, i);
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case} var {i}: {got} vs {want}");
+                signed_zeros += usize::from(got == 0.0);
+            }
+        }
+    });
+    assert!(signed_zeros > 100, "only {signed_zeros} zero gains: the ±0.0 case went unexercised");
 }
 
 /// Steepest descent ends in a true local minimum and never beats the
