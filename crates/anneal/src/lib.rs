@@ -35,4 +35,4 @@ pub use clique::pegasus_clique_embedding;
 pub use embed::{Embedder, Embedding, EmbeddingError};
 pub use ice::IceNoise;
 pub use sampler::{AnnealError, AnnealOutcome, AnnealerSampler};
-pub use sqa::{anneal_compiled, reverse_anneal_once, SqaConfig, MIN_SWEEPS};
+pub use sqa::{anneal_compiled, SqaConfig, MIN_SWEEPS};

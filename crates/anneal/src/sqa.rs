@@ -18,9 +18,8 @@
 //!
 //! # The packed kernel
 //!
-//! Both the forward anneal and reverse annealing run on one shared
-//! `Lattice` kernel with two structural optimisations over a naive
-//! slice-by-slice Metropolis loop:
+//! The anneal runs on a packed `Lattice` kernel with three optimisations
+//! over a naive slice-by-slice Metropolis loop:
 //!
 //! * **Multi-spin coding.** The `P ≤ 64` Trotter slices of each problem
 //!   spin live in a single `u64` word (bit `k` set ⇔ slice `k` is `+1`).
@@ -33,8 +32,7 @@
 //!   `Σ_j J_ij s_j^(k)`, is cached per `(site, slice)` and updated in
 //!   O(degree) only when a neighbouring flip is *accepted*. A proposal
 //!   costs O(1) instead of the O(degree) field recomputation the previous
-//!   implementation paid per proposal, and per-slice problem energies are
-//!   maintained incrementally alongside.
+//!   implementation paid per proposal.
 //! * **Branch-free spin reads.** A slice bit is random, so branching on
 //!   it (`if bit { 1 } else { −1 }`) mispredicts about half the time.
 //!   The sweep's sign `s` sets the sign bit of `1.0` from the cleared
@@ -52,12 +50,8 @@ use rand::RngExt;
 
 use qjo_qubo::{CompiledIsing, IsingModel};
 
-/// Floor on the number of Monte-Carlo sweeps in any anneal.
-///
-/// Forward and reverse anneals historically disagreed (2 vs 4); the shared
-/// kernel pins both to this single documented value. Four sweeps is the
-/// minimum for the triangle (reverse) schedule to visit the ramp-up, the
-/// reversal point, and the ramp-down with at least one sweep each.
+/// Floor on the number of Monte-Carlo sweeps in any anneal, so even a
+/// zero-time anneal ramps Γ down over a few sweeps.
 pub const MIN_SWEEPS: usize = 4;
 
 /// SQA parameters.
@@ -101,32 +95,9 @@ pub fn trotter_coupling(gamma: f64, slices: usize, temperature: f64) -> f64 {
 }
 
 /// Number of Metropolis sweeps for a given annealing time, floored at
-/// [`MIN_SWEEPS`]. Both [`anneal_once`] and [`reverse_anneal_once`] route
-/// through this.
+/// [`MIN_SWEEPS`].
 pub fn sweep_count(annealing_time_us: f64, sweeps_per_us: f64) -> usize {
     ((annealing_time_us * sweeps_per_us).ceil() as usize).max(MIN_SWEEPS)
-}
-
-/// Transverse-field schedule over the normalised sweep fraction `s ∈ [0,1]`.
-#[derive(Debug, Clone, Copy)]
-enum GammaSchedule {
-    /// Forward anneal: linear ramp from `gamma0` down to 0.
-    Ramp { gamma0: f64 },
-    /// Reverse anneal: Γ rises to `peak` at the midpoint, then falls back
-    /// to ~0 (clamped away from exactly zero).
-    Triangle { peak: f64 },
-}
-
-impl GammaSchedule {
-    fn gamma(self, s_frac: f64) -> f64 {
-        match self {
-            GammaSchedule::Ramp { gamma0 } => gamma0 * (1.0 - s_frac),
-            GammaSchedule::Triangle { peak } => {
-                if s_frac < 0.5 { peak * (s_frac * 2.0) } else { peak * (2.0 - s_frac * 2.0) }
-                    .max(1e-9)
-            }
-        }
-    }
 }
 
 /// Metropolis rejection cutoff on `x = ΔE/T`: beyond `ln(2⁵³)` the
@@ -176,8 +147,6 @@ struct Lattice<'a> {
     /// so one site's slice row is contiguous). Fields `h_i` are excluded —
     /// they are constants read from the model.
     local: Vec<f64>,
-    /// Incrementally maintained problem energy of each slice.
-    slice_energy: Vec<f64>,
     /// Scratch site visiting order, reshuffled every sweep.
     site_order: Vec<usize>,
     /// Checkerboard slice batches: same-parity slices are never
@@ -188,19 +157,10 @@ struct Lattice<'a> {
 }
 
 impl<'a> Lattice<'a> {
-    /// Builds a lattice with every slice set to the given classical state.
-    fn from_state(model: &'a CompiledIsing, p: usize, initial: &[i8]) -> Self {
-        let n = model.num_spins();
-        debug_assert_eq!(initial.len(), n);
-        let slice_mask = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
-        let words =
-            initial.iter().map(|&s| if s > 0 { slice_mask } else { 0 }).collect::<Vec<u64>>();
-        Self::finish(model, p, slice_mask, words)
-    }
-
     /// Builds a lattice with independently random spins, consuming one
     /// `random_bool` draw per `(site, slice)` in site-major order.
     fn random(model: &'a CompiledIsing, p: usize, rng: &mut StdRng) -> Self {
+        assert!((2..=64).contains(&p), "trotter slices must be in 2..=64, got {p}");
         let n = model.num_spins();
         let slice_mask = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
         let words = (0..n)
@@ -214,12 +174,6 @@ impl<'a> Lattice<'a> {
                 w
             })
             .collect();
-        Self::finish(model, p, slice_mask, words)
-    }
-
-    fn finish(model: &'a CompiledIsing, p: usize, slice_mask: u64, words: Vec<u64>) -> Self {
-        assert!((2..=64).contains(&p), "trotter slices must be in 2..=64, got {p}");
-        let n = model.num_spins();
         let mut batches: Vec<Vec<usize>> = vec![
             (0..p).step_by(2).filter(|&k| p.is_multiple_of(2) || k != p - 1).collect(),
             (1..p).step_by(2).collect(),
@@ -233,7 +187,6 @@ impl<'a> Lattice<'a> {
             slice_mask,
             words,
             local: vec![0.0; n * p],
-            slice_energy: vec![0.0; p],
             site_order: (0..n).collect(),
             batches,
         };
@@ -241,9 +194,6 @@ impl<'a> Lattice<'a> {
             for k in 0..p {
                 lattice.local[i * p + k] = lattice.recompute_local(i, k);
             }
-        }
-        for k in 0..p {
-            lattice.slice_energy[k] = model.energy(&lattice.extract_slice(k));
         }
         lattice
     }
@@ -312,7 +262,6 @@ impl<'a> Lattice<'a> {
                         for (j, jij) in model.neighbors(i) {
                             self.local[j * p + k] += 2.0 * jij * s_new;
                         }
-                        self.slice_energy[k] += -2.0 * s * local;
                     }
                 }
                 // Same-parity slices are not neighbours, so deferring the
@@ -348,8 +297,8 @@ impl<'a> Lattice<'a> {
         self.extract_slice(k)
     }
 
-    /// Worst-case drift of the incremental caches against from-scratch
-    /// recomputation; exercised by the property tests.
+    /// Worst-case drift of the incremental field cache against
+    /// from-scratch recomputation; exercised by the property tests.
     #[cfg(test)]
     fn consistency_error(&self) -> f64 {
         let mut err = 0.0f64;
@@ -358,31 +307,7 @@ impl<'a> Lattice<'a> {
                 err = err.max((self.local[i * self.p + k] - self.recompute_local(i, k)).abs());
             }
         }
-        for (k, &e) in self.slice_energy.iter().enumerate() {
-            let truth = self.model.energy(&self.extract_slice(k));
-            err = err.max((e - truth).abs() / (1.0 + truth.abs()));
-        }
         err
-    }
-}
-
-/// Runs `sweeps` Metropolis sweeps under the given Γ schedule, invoking
-/// `after_sweep` with the lattice after each one. The single inner loop
-/// both [`anneal_once`] and [`reverse_anneal_once`] share.
-fn run_schedule(
-    lattice: &mut Lattice<'_>,
-    schedule: GammaSchedule,
-    sweeps: usize,
-    temp: f64,
-    rng: &mut StdRng,
-    mut after_sweep: impl FnMut(&Lattice<'_>, usize),
-) {
-    for sweep in 0..sweeps {
-        let s_frac = sweep as f64 / (sweeps - 1).max(1) as f64;
-        let gamma = schedule.gamma(s_frac);
-        let j_perp = trotter_coupling(gamma, lattice.p, temp);
-        lattice.sweep(j_perp, temp, rng);
-        after_sweep(lattice, sweep);
     }
 }
 
@@ -411,21 +336,18 @@ pub fn anneal_compiled(
     let replica_min = qjo_obs::convergence::exemplar_series("sqa", "replica_energy_min");
     let replica_mean = qjo_obs::convergence::exemplar_series("sqa", "replica_energy_mean");
 
-    run_schedule(
-        &mut lattice,
-        GammaSchedule::Ramp { gamma0: config.gamma0 },
-        sweeps,
-        temp,
-        rng,
-        |lattice, sweep| {
-            if replica_min.wants(sweep as u64) {
-                let energies = lattice.true_energies();
-                replica_min
-                    .record(sweep as u64, energies.iter().copied().fold(f64::INFINITY, f64::min));
-                replica_mean.record(sweep as u64, energies.iter().sum::<f64>() / p as f64);
-            }
-        },
-    );
+    for sweep in 0..sweeps {
+        // Forward anneal: Γ ramps linearly from `gamma0` down to 0.
+        let s_frac = sweep as f64 / (sweeps - 1).max(1) as f64;
+        let j_perp = trotter_coupling(config.gamma0 * (1.0 - s_frac), p, temp);
+        lattice.sweep(j_perp, temp, rng);
+        if replica_min.wants(sweep as u64) {
+            let energies = lattice.true_energies();
+            replica_min
+                .record(sweep as u64, energies.iter().copied().fold(f64::INFINITY, f64::min));
+            replica_mean.record(sweep as u64, energies.iter().sum::<f64>() / p as f64);
+        }
+    }
 
     // Γ ≈ 0 at the end: slices have (mostly) collapsed; report the best.
     lattice.best_slice()
@@ -458,62 +380,6 @@ pub fn sample(
     par_map_seeded(reads, config.seed, config.parallelism, |_, rng| {
         anneal_compiled(&compiled, config, annealing_time_us, rng)
     })
-}
-
-/// Reverse annealing (Venturelli & Kondratyev — the paper's ref \[81\]):
-/// starts from a known classical state, ramps the transverse field up to
-/// `reversal_gamma` (partially "melting" the state), pauses, and anneals
-/// back down. Refines a good classical solution by quantum-style local
-/// exploration instead of searching from scratch.
-pub fn reverse_anneal_once(
-    ising: &IsingModel,
-    config: &SqaConfig,
-    initial: &[i8],
-    reversal_gamma: f64,
-    annealing_time_us: f64,
-    rng: &mut StdRng,
-) -> Vec<i8> {
-    let n = ising.num_spins();
-    assert_eq!(initial.len(), n, "initial state must cover every spin");
-    assert!(reversal_gamma > 0.0, "reversal point must re-introduce fluctuations");
-    let p = config.trotter_slices.clamp(2, 64);
-    let sweeps = sweep_count(annealing_time_us, config.sweeps_per_us);
-    let temp = config.temperature.max(1e-9);
-
-    let model = ising.compile();
-    // All slices start in the given classical state.
-    let mut lattice = Lattice::from_state(&model, p, initial);
-
-    // Track the best configuration visited (the refinement semantics: the
-    // walk may wander past the reversal point; what matters is the best
-    // point it touched in the initial state's neighbourhood). The cheap
-    // incremental slice energies act as a filter; a candidate only pays
-    // for an exact recomputation when it might beat the best so far.
-    let mut best = initial.to_vec();
-    let mut best_energy = model.energy(initial);
-
-    run_schedule(
-        &mut lattice,
-        GammaSchedule::Triangle { peak: reversal_gamma },
-        sweeps,
-        temp,
-        rng,
-        |lattice, _| {
-            let guard = 1e-6 * (1.0 + best_energy.abs());
-            for k in 0..p {
-                if lattice.slice_energy[k] < best_energy + guard {
-                    let slice = lattice.extract_slice(k);
-                    let e = model.energy(&slice);
-                    if e < best_energy {
-                        best_energy = e;
-                        best.copy_from_slice(&slice);
-                    }
-                }
-            }
-        },
-    );
-
-    best
 }
 
 #[cfg(test)]
@@ -628,41 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_annealing_refines_a_near_optimal_state() {
-        // Start one flip away from the ferromagnetic ground state: reverse
-        // annealing must repair it.
-        let m = ferromagnetic_ring(10);
-        let mut initial = vec![1i8; 10];
-        initial[3] = -1;
-        let mut rng = StdRng::seed_from_u64(4);
-        let cfg = SqaConfig::default();
-        let refined = reverse_anneal_once(&m, &cfg, &initial, 1.0, 60.0, &mut rng);
-        assert_eq!(m.energy(&refined), -10.0, "one flip should be repaired");
-        assert!(m.energy(&refined) <= m.energy(&initial));
-    }
-
-    #[test]
-    fn reverse_annealing_with_tiny_gamma_stays_local() {
-        // A negligible reversal point re-introduces almost no fluctuation:
-        // the state should stay at (or improve on) the initial energy, not
-        // scramble to random.
-        let m = ferromagnetic_ring(8);
-        let initial = vec![1i8; 8]; // already the ground state
-        let mut rng = StdRng::seed_from_u64(9);
-        let cfg = SqaConfig { temperature: 0.02, ..Default::default() };
-        let out = reverse_anneal_once(&m, &cfg, &initial, 0.05, 40.0, &mut rng);
-        assert_eq!(m.energy(&out), -8.0, "ground state must survive a gentle reversal");
-    }
-
-    #[test]
-    #[should_panic(expected = "initial state must cover")]
-    fn reverse_annealing_rejects_wrong_length() {
-        let m = ferromagnetic_ring(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        reverse_anneal_once(&m, &SqaConfig::default(), &[1, 1], 1.0, 20.0, &mut rng);
-    }
-
-    #[test]
     fn reads_are_independent_samples() {
         let m = ferromagnetic_ring(6);
         let reads = sample(&m, &SqaConfig::default(), 50.0, 8);
@@ -679,8 +510,6 @@ mod tests {
 
     #[test]
     fn sweep_floor_is_unified_at_min_sweeps() {
-        // Regression pin: forward and reverse anneals once disagreed on
-        // their sweep floors (2 vs 4). Both now route through sweep_count.
         assert_eq!(MIN_SWEEPS, 4);
         assert_eq!(sweep_count(0.0, 2.0), MIN_SWEEPS);
         assert_eq!(sweep_count(0.5, 2.0), MIN_SWEEPS);
@@ -746,7 +575,6 @@ mod tests {
         /// `spins[i * p + k]`, site-major like the packed local cache.
         spins: Vec<i8>,
         local: Vec<f64>,
-        slice_energy: Vec<f64>,
         site_order: Vec<usize>,
         batches: Vec<Vec<usize>>,
     }
@@ -766,7 +594,6 @@ mod tests {
                 p,
                 spins,
                 local: lattice.local.clone(),
-                slice_energy: lattice.slice_energy.clone(),
                 site_order: lattice.site_order.clone(),
                 batches: lattice.batches.clone(),
             }
@@ -802,7 +629,6 @@ mod tests {
                             for (j, jij) in model.neighbors(i) {
                                 self.local[j * p + k] += 2.0 * jij * s_new;
                             }
-                            self.slice_energy[k] += -2.0 * s * local;
                         }
                     }
                 }
@@ -836,7 +662,6 @@ mod tests {
                     }
                 }
                 assert_eq!(packed.local, scalar.local, "p={p} sweep={sweep}");
-                assert_eq!(packed.slice_energy, scalar.slice_energy, "p={p} sweep={sweep}");
             }
         }
     }
@@ -860,8 +685,8 @@ mod tests {
     #[test]
     fn incremental_caches_agree_with_full_recomputation() {
         // After every sweep (i.e. after a few hundred accepted flips), the
-        // incrementally maintained local fields and slice energies must
-        // still agree with from-scratch recomputation.
+        // incrementally maintained local fields must still agree with
+        // from-scratch recomputation.
         for case in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(500 + case);
             let model = random_instance(12 + case as usize, &mut rng).compile();

@@ -17,8 +17,8 @@
 //! function of the seed and drift-gates byte-for-byte at any thread count.
 
 use qjo_core::{
-    BenchmarkGenerator, BenchmarkSchema, CostModel, JoinOrder, QErrorInjector, Query,
-    QueryGenerator, QueryGraph,
+    BenchmarkGenerator, BenchmarkSchema, JoinOrder, QErrorInjector, Query, QueryGenerator,
+    QueryGraph,
 };
 use qjo_exec::{stream_seed, Parallelism};
 use qjo_serve::{Request, Service};
@@ -206,7 +206,7 @@ pub fn run(cfg: &RobustnessConfig, parallelism: Parallelism) -> RobustnessResult
                 qjo_obs::counter!("robust.instances").add(1);
                 let (order, _) = solve(format!("{backend}-{}-t{i}", shape.name()), truth)
                     .expect("smoke backends answer t = 4 instances");
-                baselines.push(CostModel::Out.order_cost(&order, truth));
+                baselines.push(order.clamped_cost(truth));
             }
             for &q in &cfg.qerrors {
                 let inj = QErrorInjector::new(stream_seed(cfg.seed, 0xE5), q)
@@ -231,7 +231,7 @@ pub fn run(cfg: &RobustnessConfig, parallelism: Parallelism) -> RobustnessResult
                     let (order, fallback) =
                         solve(format!("{backend}-{}-q{q}-{i}", shape.name()), &est)
                             .expect("smoke backends answer t = 4 instances");
-                    let est_plan_cost = CostModel::Out.order_cost(&order, truth);
+                    let est_plan_cost = order.clamped_cost(truth);
                     let ratio = est_plan_cost / baselines[i];
                     log_sum += ratio.ln();
                     row.max_degradation = row.max_degradation.max(ratio);

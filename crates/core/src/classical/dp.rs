@@ -41,7 +41,10 @@ pub fn dp_optimal(query: &Query) -> (JoinOrder, f64) {
             rest &= rest - 1;
             let prev = set & !(1u64 << r);
             let cand = best_cost[prev as usize] + intermediate;
-            if cand < best {
+            // When every split overflows to +∞, keep the first one: an
+            // unset `arg` would leave the reconstruction below unable to
+            // clear a bit.
+            if cand < best || arg == usize::MAX {
                 best = cand;
                 arg = r;
             }
@@ -161,5 +164,16 @@ mod tests {
         assert_eq!(order.order.len(), 15);
         assert!(cost.is_finite());
         assert!((order.cost(&q) - cost).abs() / cost < 1e-9);
+    }
+
+    #[test]
+    fn overflowing_costs_still_yield_a_permutation() {
+        // A final join past log10 ≈ 308.25 costs +∞ along every split.
+        for t in [2, 3, 5] {
+            let q = crate::query::Query::new(vec![200.0; t], vec![]);
+            let (order, cost) = dp_optimal(&q);
+            assert_eq!(cost, f64::INFINITY, "t={t}");
+            assert!(JoinOrder::new(order.order.clone(), t).is_some(), "t={t}: {order:?}");
+        }
     }
 }

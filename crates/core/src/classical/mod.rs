@@ -10,5 +10,5 @@ mod greedy;
 mod randomized;
 
 pub use dp::{dp_optimal, exhaustive_optimal};
-pub use greedy::{greedy_min_cardinality, greedy_min_cost};
+pub use greedy::greedy_min_cost;
 pub use randomized::{iterative_improvement, simulated_annealing_jo};

@@ -87,8 +87,9 @@ impl JoQubo {
 
     /// Builds the exact BILP-feasible assignment encoding a join order —
     /// the inverse of [`crate::decode::decode_assignment`], including
-    /// predicate/threshold indicators and slack bits. Useful for warm
-    /// starts (e.g. reverse annealing from a classical solution).
+    /// predicate/threshold indicators and slack bits. Pushing every order
+    /// through it reads the energy each order gets under the encoding,
+    /// e.g. to count the orders that tie at the minimum.
     ///
     /// Returns `None` when a slack residual is not representable at the
     /// encoder's precision (possible for non-integer-log queries).

@@ -48,21 +48,16 @@
 
 pub mod bounds;
 pub mod classical;
-pub mod costmodel;
 pub mod decode;
 pub mod encode;
-pub mod explain;
 pub mod formulate;
 pub mod jointree;
-pub mod presets;
 pub mod query;
 pub mod querygen;
 
 pub use bounds::{qubit_upper_bound, qubit_upper_bound_raw, QubitBound};
-pub use costmodel::{dp_optimal_with, CostModel};
 pub use decode::{assess_samples, decode_assignment, SampleQuality};
 pub use encode::{JoEncoder, JoQubo, ThresholdSpec};
-pub use explain::{explain, summarize, EncodingSummary};
 pub use jointree::JoinOrder;
 pub use query::{Predicate, Query, QueryGraph};
 pub use querygen::{

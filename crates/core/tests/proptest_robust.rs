@@ -6,8 +6,8 @@
 
 use qjo_core::classical::{dp_optimal, greedy_min_cost};
 use qjo_core::{
-    BenchmarkGenerator, BenchmarkSchema, CostModel, GenParams, QErrorInjector, Query,
-    QueryGenerator, QueryGraph,
+    BenchmarkGenerator, BenchmarkSchema, GenParams, QErrorInjector, Query, QueryGenerator,
+    QueryGraph,
 };
 
 /// Union-find connectivity check over the predicate edges.
@@ -134,14 +134,14 @@ fn degradation_is_exactly_one_at_qerror_one() {
             let est = inj.inject(&truth, seed);
             let (true_plan, true_cost) = dp_optimal(&truth);
             let (est_plan, _) = dp_optimal(&est);
-            let recost = CostModel::Out.order_cost(&est_plan, &truth);
+            let recost = est_plan.clamped_cost(&truth);
             assert_eq!(est_plan, true_plan, "{schema:?} seed {seed}");
             assert_eq!(recost / true_cost, 1.0, "{schema:?} seed {seed}");
             // Greedy agrees with itself the same way.
             let (g_true, g_cost) = greedy_min_cost(&truth);
             let (g_est, _) = greedy_min_cost(&est);
             assert_eq!(g_est, g_true, "{schema:?} seed {seed} (greedy)");
-            assert_eq!(CostModel::Out.order_cost(&g_est, &truth) / g_cost, 1.0);
+            assert_eq!(g_est.clamped_cost(&truth) / g_cost, 1.0);
         }
     }
 }
@@ -158,7 +158,7 @@ fn degradation_is_bounded_below_by_one() {
             let est = inj.inject(&truth, seed);
             let (_, true_cost) = dp_optimal(&truth);
             let (est_plan, _) = dp_optimal(&est);
-            let recost = CostModel::Out.order_cost(&est_plan, &truth);
+            let recost = est_plan.clamped_cost(&truth);
             let ratio = recost / true_cost;
             assert!(ratio >= 1.0 - 1e-12, "q {target} seed {seed}: ratio {ratio}");
             assert!(ratio.is_finite());

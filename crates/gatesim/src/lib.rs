@@ -30,11 +30,9 @@
 pub mod circuit;
 pub mod complex;
 pub mod gate;
-pub mod mitigation;
 pub mod noise;
 pub mod optim;
 pub mod qaoa;
-pub mod qasm;
 pub mod statevector;
 pub mod timing;
 
@@ -45,10 +43,8 @@ pub use qjo_qubo::shots;
 pub use circuit::Circuit;
 pub use complex::C64;
 pub use gate::Gate;
-pub use mitigation::ReadoutMitigator;
 pub use noise::{NoiseModel, NoisySimulator};
 pub use qaoa::{qaoa_circuit, DiagonalHamiltonian, QaoaParams, QaoaSimulator};
-pub use qasm::to_qasm;
 pub use shots::ShotBuffer;
 pub use statevector::{BasisSampler, StateVector};
 pub use timing::QpuTimingModel;

@@ -3,21 +3,14 @@
 //! Each optimiser minimises a black-box objective `f: R^d → R` (the QAOA
 //! energy expectation as a function of the variational parameters). The
 //! paper uses Qiskit's AQGD (analytic quantum gradient descent); our
-//! [`GradientDescent`] plays that role with central-difference gradients,
-//! and [`NelderMead`], [`Spsa`], and [`GridSearch`] are provided as
-//! alternatives with different evaluation budgets.
-
-use qjo_exec::Parallelism;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+//! [`GradientDescent`] plays that role with central-difference gradients.
+//! The derivative-free [`NelderMead`] is the one alternative, and the
+//! only other series `convergence_optim.csv` records.
 
 /// Domain-separation salt of the `qaoa.step` fault site. Every
 /// `minimize` call rolls the same per-evaluation-index stream, which is
 /// deliberate: decisions stay pure in the plan and the index.
 const QAOA_STEP_SALT: u64 = 0x7161_6f61_2e73_7465;
-
-/// Domain-separation constant for SPSA's reseeded divergence restarts.
-const SPSA_RESTART_SALT: u64 = 0x7370_7361_5f72_7374;
 
 /// Wraps an objective with the `qaoa.step` fault site: a rolled
 /// evaluation returns NaN — a diverged/garbage energy estimate from the
@@ -158,177 +151,6 @@ impl GradientDescent {
     }
 }
 
-/// Simultaneous-perturbation stochastic approximation: two evaluations per
-/// iteration regardless of dimension.
-#[derive(Debug, Clone)]
-pub struct Spsa {
-    /// Number of iterations (2 evaluations each).
-    pub iterations: usize,
-    /// Initial step size `a` of the gain sequence `a_k = a / (k+1)^0.602`.
-    pub a: f64,
-    /// Initial perturbation size `c` of `c_k = c / (k+1)^0.101`.
-    pub c: f64,
-    /// RNG seed for the perturbation directions.
-    pub seed: u64,
-}
-
-impl Default for Spsa {
-    fn default() -> Self {
-        Spsa { iterations: 100, a: 0.2, c: 0.2, seed: 0 }
-    }
-}
-
-impl Spsa {
-    /// Minimises `f` starting from `x0`.
-    ///
-    /// Divergence recovery: a non-finite evaluation restarts the
-    /// iteration from the best known point with the perturbation RNG
-    /// reseeded (deterministically, from the iteration index), counted
-    /// under `resil.qaoa.step.divergences`.
-    pub fn minimize<F: FnMut(&[f64]) -> f64>(&self, f: F, x0: &[f64]) -> OptResult {
-        let d = x0.len();
-        let mut f = ChaosObjective::new(f);
-        let mut divergences = 0u64;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut x = x0.to_vec();
-        let mut evals = 0usize;
-        let mut best_x = x.clone();
-        let mut best_fx = f.eval(&x);
-        evals += 1;
-        if !best_fx.is_finite() {
-            divergences += 1;
-            best_fx = f64::INFINITY;
-        }
-        let mut history = Vec::with_capacity(self.iterations);
-
-        for k in 0..self.iterations {
-            let restart_seed = || {
-                StdRng::seed_from_u64(qjo_resil::stream_seed(
-                    self.seed ^ SPSA_RESTART_SALT,
-                    k as u64,
-                ))
-            };
-            let ak = self.a / ((k + 1) as f64).powf(0.602);
-            let ck = self.c / ((k + 1) as f64).powf(0.101);
-            let delta: Vec<f64> =
-                (0..d).map(|_| if rng.random_bool(0.5) { 1.0 } else { -1.0 }).collect();
-            let xp: Vec<f64> = x.iter().zip(&delta).map(|(v, s)| v + ck * s).collect();
-            let xm: Vec<f64> = x.iter().zip(&delta).map(|(v, s)| v - ck * s).collect();
-            let fp = f.eval(&xp);
-            let fm = f.eval(&xm);
-            evals += 2;
-            if !fp.is_finite() || !fm.is_finite() {
-                divergences += 1;
-                x.copy_from_slice(&best_x);
-                rng = restart_seed();
-                history.push(best_fx);
-                continue;
-            }
-            for i in 0..d {
-                let g = (fp - fm) / (2.0 * ck * delta[i]);
-                x[i] -= ak * g;
-            }
-            let fx = f.eval(&x);
-            evals += 1;
-            if !fx.is_finite() {
-                divergences += 1;
-                x.copy_from_slice(&best_x);
-                rng = restart_seed();
-            } else if fx < best_fx {
-                best_fx = fx;
-                best_x.copy_from_slice(&x);
-            }
-            history.push(best_fx);
-        }
-        record_divergences(divergences);
-        record_history("spsa", &history);
-        OptResult { x: best_x, fx: best_fx, evals, history }
-    }
-}
-
-/// Adam (adaptive-moment) gradient descent with central-difference
-/// gradients — more robust than plain gradient descent on the rugged QAOA
-/// landscapes that appear at larger `p`.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Iterations (each costs `2d + 1` evaluations).
-    pub iterations: usize,
-    /// Step size α.
-    pub learning_rate: f64,
-    /// First-moment decay β₁.
-    pub beta1: f64,
-    /// Second-moment decay β₂.
-    pub beta2: f64,
-    /// Finite-difference step.
-    pub fd_step: f64,
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Adam { iterations: 100, learning_rate: 0.05, beta1: 0.9, beta2: 0.999, fd_step: 1e-3 }
-    }
-}
-
-impl Adam {
-    /// Minimises `f` starting from `x0`.
-    ///
-    /// Divergence recovery: a coordinate whose gradient comes back
-    /// non-finite skips its moment update for that iteration; a
-    /// non-finite objective reverts the iterate to the best known point.
-    /// Both are counted under `resil.qaoa.step.divergences`.
-    pub fn minimize<F: FnMut(&[f64]) -> f64>(&self, f: F, x0: &[f64]) -> OptResult {
-        let d = x0.len();
-        let mut f = ChaosObjective::new(f);
-        let mut divergences = 0u64;
-        let mut x = x0.to_vec();
-        let mut m = vec![0.0; d];
-        let mut v = vec![0.0; d];
-        let mut evals = 0usize;
-        let mut best_x = x.clone();
-        let mut best_fx = f.eval(&x);
-        evals += 1;
-        if !best_fx.is_finite() {
-            divergences += 1;
-            best_fx = f64::INFINITY;
-        }
-        let mut history = Vec::with_capacity(self.iterations);
-        const EPS: f64 = 1e-8;
-
-        for t in 1..=self.iterations {
-            for k in 0..d {
-                let mut xp = x.clone();
-                xp[k] += self.fd_step;
-                let mut xm = x.clone();
-                xm[k] -= self.fd_step;
-                let g = (f.eval(&xp) - f.eval(&xm)) / (2.0 * self.fd_step);
-                evals += 2;
-                if !g.is_finite() {
-                    divergences += 1;
-                    continue;
-                }
-                m[k] = self.beta1 * m[k] + (1.0 - self.beta1) * g;
-                v[k] = self.beta2 * v[k] + (1.0 - self.beta2) * g * g;
-                let m_hat = m[k] / (1.0 - self.beta1.powi(t as i32));
-                let v_hat = v[k] / (1.0 - self.beta2.powi(t as i32));
-                x[k] -= self.learning_rate * m_hat / (v_hat.sqrt() + EPS);
-            }
-            let fx = f.eval(&x);
-            evals += 1;
-            if !fx.is_finite() {
-                divergences += 1;
-                x.copy_from_slice(&best_x);
-            } else if fx < best_fx {
-                best_fx = fx;
-                best_x.copy_from_slice(&x);
-            }
-            history.push(best_fx);
-        }
-        record_divergences(divergences);
-        record_history("adam", &history);
-        OptResult { x: best_x, fx: best_fx, evals, history }
-    }
-}
-
 /// Downhill-simplex (Nelder–Mead) derivative-free minimisation.
 #[derive(Debug, Clone)]
 pub struct NelderMead {
@@ -446,96 +268,6 @@ impl NelderMead {
     }
 }
 
-/// Exhaustive grid search over a box — practical for the `2p = 2` parameters
-/// of depth-1 QAOA, and deterministic.
-///
-/// Evaluations are independent work units and run in parallel under
-/// [`Parallelism`]; the argmin and the running-best history are reduced in
-/// grid order afterwards (first grid point wins ties), so the result is
-/// identical at any thread count. The objective must therefore be `Fn +
-/// Sync` — a pure function of its input.
-#[derive(Debug, Clone)]
-pub struct GridSearch {
-    /// Per-dimension `(low, high)` bounds.
-    pub bounds: Vec<(f64, f64)>,
-    /// Grid points per dimension.
-    pub resolution: usize,
-    /// Worker threads for the evaluation loop; affects wall-clock only,
-    /// never results.
-    pub parallelism: Parallelism,
-}
-
-impl Default for GridSearch {
-    /// A placeholder grid for struct-update syntax; `bounds` must be set
-    /// before calling [`GridSearch::minimize`].
-    fn default() -> Self {
-        GridSearch { bounds: Vec::new(), resolution: 2, parallelism: Parallelism::auto() }
-    }
-}
-
-impl GridSearch {
-    /// Minimises `f` over the grid.
-    pub fn minimize<F: Fn(&[f64]) -> f64 + Sync>(&self, f: F) -> OptResult {
-        let d = self.bounds.len();
-        assert!(d >= 1 && self.resolution >= 2, "degenerate grid");
-
-        // Enumerate grid points in odometer order (dimension 0 fastest),
-        // matching the sequential evaluation order exactly.
-        let mut points: Vec<Vec<f64>> = Vec::new();
-        let mut idx = vec![0usize; d];
-        'enumerate: loop {
-            points.push(
-                idx.iter()
-                    .zip(&self.bounds)
-                    .map(|(&i, &(lo, hi))| lo + (hi - lo) * i as f64 / (self.resolution - 1) as f64)
-                    .collect(),
-            );
-            let mut k = 0;
-            loop {
-                idx[k] += 1;
-                if idx[k] < self.resolution {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-                if k == d {
-                    break 'enumerate;
-                }
-            }
-        }
-
-        qjo_obs::counter!("gatesim.grid_evals").add(points.len() as u64);
-        // Injection is keyed by the grid index, so the decision is pure
-        // per point and the parallel map stays order-independent.
-        let indexed: Vec<(usize, Vec<f64>)> = points.iter().cloned().enumerate().collect();
-        let values = qjo_exec::par_map(indexed, self.parallelism, |(i, x)| {
-            if qjo_resil::should_inject("qaoa.step", QAOA_STEP_SALT, i as u64) {
-                f64::NAN
-            } else {
-                f(&x)
-            }
-        });
-
-        let mut best_x = Vec::new();
-        let mut best_fx = f64::INFINITY;
-        let mut history = Vec::with_capacity(values.len());
-        let evals = values.len();
-        let mut divergences = 0u64;
-        for (x, fx) in points.into_iter().zip(values) {
-            if !fx.is_finite() {
-                divergences += 1;
-            } else if fx < best_fx {
-                best_fx = fx;
-                best_x = x;
-            }
-            history.push(best_fx);
-        }
-        record_divergences(divergences);
-        record_history("grid", &history);
-        OptResult { x: best_x, fx: best_fx, evals, history }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,24 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_finds_quadratic_minimum() {
-        let r = Adam { iterations: 400, ..Default::default() }.minimize(bowl, &[4.0, 3.0]);
-        assert!((r.x[0] - 1.0).abs() < 1e-2, "x0 = {}", r.x[0]);
-        assert!((r.x[1] + 2.0).abs() < 1e-2, "x1 = {}", r.x[1]);
-        assert!((r.fx - 2.5).abs() < 1e-3);
-        assert!((bowl(&r.x) - r.fx).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adam_handles_badly_scaled_objectives() {
-        // Plain GD with a fixed step diverges or crawls on 100:1 scaling;
-        // Adam's per-coordinate normalisation copes.
-        let skewed = |x: &[f64]| 100.0 * x[0].powi(2) + 0.01 * x[1].powi(2);
-        let r = Adam { iterations: 600, ..Default::default() }.minimize(skewed, &[1.0, 10.0]);
-        assert!(r.fx < 0.05, "fx = {}", r.fx);
-    }
-
-    #[test]
     fn nelder_mead_finds_quadratic_minimum() {
         let r = NelderMead::default().minimize(bowl, &[4.0, 3.0]);
         assert!((r.fx - 2.5).abs() < 1e-5, "fx = {}", r.fx);
@@ -588,55 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn spsa_improves_from_start() {
-        let r = Spsa { iterations: 300, ..Default::default() }.minimize(bowl, &[4.0, 3.0]);
-        assert!(r.fx < bowl(&[4.0, 3.0]), "no improvement");
-        assert!(r.fx < 3.5, "fx = {}", r.fx);
-    }
-
-    #[test]
-    fn grid_search_hits_grid_optimum() {
-        let g = GridSearch {
-            bounds: vec![(-3.0, 3.0), (-3.0, 3.0)],
-            resolution: 13,
-            ..Default::default()
-        };
-        let r = g.minimize(bowl);
-        // Grid spacing 0.5 puts exact points on (1, -2).
-        assert!((r.x[0] - 1.0).abs() < 1e-9);
-        assert!((r.x[1] + 2.0).abs() < 1e-9);
-        assert_eq!(r.evals, 169);
-    }
-
-    #[test]
-    fn grid_search_is_identical_at_any_thread_count() {
-        let at = |threads| {
-            GridSearch {
-                bounds: vec![(-2.0, 2.0), (-2.0, 2.0)],
-                resolution: 9,
-                parallelism: Parallelism::new(threads),
-            }
-            .minimize(bowl)
-        };
-        let sequential = at(1);
-        for threads in [2, 4, 8] {
-            let parallel = at(threads);
-            assert_eq!(sequential.x, parallel.x);
-            assert_eq!(sequential.fx, parallel.fx);
-            assert_eq!(sequential.evals, parallel.evals);
-            assert_eq!(sequential.history, parallel.history);
-        }
-    }
-
-    #[test]
     fn histories_are_monotone_non_increasing() {
         for history in [
             GradientDescent::default().minimize(bowl, &[3.0, 3.0]).history,
-            Spsa::default().minimize(bowl, &[3.0, 3.0]).history,
             NelderMead::default().minimize(bowl, &[3.0, 3.0]).history,
-            GridSearch { bounds: vec![(-1.0, 1.0); 2], resolution: 5, ..Default::default() }
-                .minimize(bowl)
-                .history,
         ] {
             for w in history.windows(2) {
                 assert!(w[1] <= w[0] + 1e-12);
@@ -657,19 +326,10 @@ mod tests {
         qjo_obs::convergence::start(1);
         let gd =
             GradientDescent { iterations: 6, ..Default::default() }.minimize(bowl, &[3.0, 3.0]);
-        let grid = GridSearch { bounds: vec![(-1.0, 1.0); 2], resolution: 3, ..Default::default() }
-            .minimize(bowl);
+        let nm = NelderMead { max_iterations: 6, ..Default::default() }.minimize(bowl, &[3.0, 3.0]);
         let drained = qjo_obs::convergence::drain_csv();
         let csv = &drained.iter().find(|(g, _)| g == "optim").expect("optim group recorded").1;
         assert!(csv.matches(",gd,").count() >= gd.history.len(), "{csv}");
-        assert!(csv.matches(",grid,").count() >= grid.history.len(), "{csv}");
-    }
-
-    #[test]
-    fn spsa_is_deterministic_per_seed() {
-        let a = Spsa { seed: 3, ..Default::default() }.minimize(bowl, &[2.0, 2.0]);
-        let b = Spsa { seed: 3, ..Default::default() }.minimize(bowl, &[2.0, 2.0]);
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.fx, b.fx);
+        assert!(csv.matches(",nelder_mead,").count() >= nm.history.len(), "{csv}");
     }
 }

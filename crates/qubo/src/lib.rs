@@ -43,7 +43,6 @@ pub mod error;
 pub mod io;
 pub mod ising;
 pub mod model;
-pub mod preprocess;
 pub mod sample;
 pub mod shots;
 pub mod solve;
@@ -51,6 +50,5 @@ pub mod solve;
 pub use error::QuboError;
 pub use ising::{CompiledIsing, IsingModel, IsingTerm};
 pub use model::{CompiledQubo, Qubo};
-pub use preprocess::{fix_variables, Preprocessed};
 pub use sample::{Sample, SampleSet};
 pub use shots::ShotBuffer;

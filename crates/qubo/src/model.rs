@@ -147,18 +147,6 @@ impl Qubo {
         Ok(e)
     }
 
-    /// Degrees (number of distinct quadratic partners) of every variable.
-    pub fn degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.num_vars];
-        for (&(i, j), &c) in &self.quadratic {
-            if c != 0.0 {
-                deg[i as usize] += 1;
-                deg[j as usize] += 1;
-            }
-        }
-        deg
-    }
-
     /// Adjacency lists of the QUBO graph (non-zero quadratic structure only).
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.num_vars];
@@ -375,9 +363,8 @@ mod tests {
     }
 
     #[test]
-    fn degrees_and_adjacency_agree() {
+    fn adjacency_lists_quadratic_partners() {
         let q = toy();
-        assert_eq!(q.degrees(), vec![1, 2, 1]);
         let adj = q.adjacency();
         assert_eq!(adj[0], vec![1]);
         assert_eq!(adj[1], vec![0, 2]);

@@ -140,21 +140,6 @@ impl SampleSet {
         self.fraction_where(|s| s.assignment[i])
     }
 
-    /// Spin–spin correlation `⟨s_i s_j⟩` with `s = 2x − 1`
-    /// (1 = always equal, −1 = always opposite, 0 = independent-looking).
-    pub fn spin_correlation(&self, i: usize, j: usize) -> f64 {
-        if self.total_reads == 0 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for s in &self.samples {
-            let si = if s.assignment[i] { 1.0 } else { -1.0 };
-            let sj = if s.assignment[j] { 1.0 } else { -1.0 };
-            acc += si * sj * f64::from(s.occurrences);
-        }
-        acc / self.total_reads as f64
-    }
-
     /// Occurrence-weighted mean energy of the reads.
     pub fn mean_energy(&self) -> f64 {
         if self.total_reads == 0 {
@@ -304,11 +289,9 @@ mod tests {
 
     #[test]
     fn observables_compute_expected_statistics() {
-        // Three reads of [1,1], one of [0,0]: perfectly correlated bits.
         let reads = vec![vec![true, true], vec![true, true], vec![true, true], vec![false, false]];
         let set = SampleSet::from_reads(reads, weight);
         assert!((set.mean_bit(0) - 0.75).abs() < 1e-12);
-        assert!((set.spin_correlation(0, 1) - 1.0).abs() < 1e-12);
         // Mean energy: 3·2 + 1·0 over 4 reads = 1.5.
         assert!((set.mean_energy() - 1.5).abs() < 1e-12);
         // Entropy of {3/4, 1/4}: 0.811 bits.
@@ -316,11 +299,9 @@ mod tests {
     }
 
     #[test]
-    fn anticorrelated_bits_have_negative_spin_correlation() {
+    fn uniform_two_outcome_distribution_has_one_bit_of_entropy() {
         let reads = vec![vec![true, false], vec![false, true]];
         let set = SampleSet::from_reads(reads, weight);
-        assert!((set.spin_correlation(0, 1) + 1.0).abs() < 1e-12);
-        // Uniform two-outcome distribution: exactly 1 bit of entropy.
         assert!((set.entropy_bits() - 1.0).abs() < 1e-12);
     }
 
@@ -329,7 +310,6 @@ mod tests {
         let set = SampleSet::new();
         assert_eq!(set.mean_energy(), 0.0);
         assert_eq!(set.entropy_bits(), 0.0);
-        assert_eq!(set.spin_correlation(0, 0), 0.0);
     }
 
     #[test]

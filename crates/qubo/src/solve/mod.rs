@@ -4,12 +4,10 @@
 //! classical heuristic baselines (simulated annealing, tabu search) against
 //! which the simulated quantum backends are assessed.
 
-mod descent;
 mod exact;
 mod sa;
 mod tabu;
 
-pub use descent::SteepestDescent;
 pub use exact::ExactSolver;
 pub use sa::{CoolingSchedule, SimulatedAnnealing};
 pub use tabu::TabuSearch;

@@ -10,8 +10,7 @@ use rand::{RngExt, SeedableRng};
 
 use qjo_exec::Parallelism;
 use qjo_qubo::io::{from_text, to_text};
-use qjo_qubo::preprocess::fix_variables;
-use qjo_qubo::solve::{ExactSolver, SimulatedAnnealing, SteepestDescent, TabuSearch};
+use qjo_qubo::solve::{ExactSolver, SimulatedAnnealing, TabuSearch};
 use qjo_qubo::{ising, CompiledQubo, Qubo};
 
 /// Draws a dense random QUBO with `1..=max_vars` variables.
@@ -177,42 +176,6 @@ fn flip_gain_is_bit_identical_to_the_branchy_loop() {
         }
     });
     assert!(signed_zeros > 100, "only {signed_zeros} zero gains: the ±0.0 case went unexercised");
-}
-
-/// Steepest descent ends in a true local minimum and never beats the
-/// exact optimum.
-#[test]
-fn steepest_descent_is_sound() {
-    for_cases(32, |rng, case| {
-        let q = arb_qubo(rng, 8);
-        let exact = ExactSolver::new().min_energy(&q).unwrap();
-        let sd = SteepestDescent::with_seed(2).solve(&q).unwrap();
-        assert!(sd.energy >= exact - 1e-9, "case {case}");
-        assert!((q.energy(&sd.assignment).unwrap() - sd.energy).abs() < 1e-9, "case {case}");
-        let compiled = q.compile();
-        for i in 0..q.num_vars() {
-            assert!(compiled.flip_gain(&sd.assignment, i) >= -1e-9, "case {case} var {i}");
-        }
-    });
-}
-
-/// Persistency preprocessing never changes the optimal value, and the
-/// lifted reduced optimum evaluates to it.
-#[test]
-fn preprocessing_preserves_optimum() {
-    for_cases(64, |rng, case| {
-        let q = arb_qubo(rng, 8);
-        let before = ExactSolver::new().min_energy(&q).unwrap();
-        let pre = fix_variables(&q);
-        let lifted = if pre.reduced.num_vars() == 0 {
-            pre.lift(&[])
-        } else {
-            let sol = ExactSolver::new().solve(&pre.reduced).unwrap();
-            pre.lift(&sol.assignment)
-        };
-        let after = q.energy(&lifted).unwrap();
-        assert!((before - after).abs() < 1e-9, "case {case}: {before} vs {after}");
-    });
 }
 
 /// Text serialisation round-trips energies exactly.

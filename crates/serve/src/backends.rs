@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn auto_plans_under_estimates_recost_under_the_truth() {
-        use qjo_core::{CostModel, QErrorInjector};
+        use qjo_core::QErrorInjector;
         let svc = Service::smoke(7, Parallelism::sequential());
         let truth = QueryGenerator::paper_defaults(QueryGraph::Star, 4).generate(5);
         let inj = QErrorInjector::new(11, 4.0).unwrap();
@@ -480,10 +480,10 @@ mod tests {
         // permutation, so it re-costs under the truth to a finite value.
         let t = truth.num_relations();
         let order = JoinOrder::new(r.order.clone(), t).expect("valid permutation");
-        let recost = CostModel::Out.order_cost(&order, &est.true_query());
+        let recost = order.clamped_cost(&est.true_query());
         assert!(recost.is_finite() && recost > 0.0);
         // The reported cost is the plan under the *estimated* statistics.
-        let est_cost = CostModel::Out.order_cost(&order, &est);
+        let est_cost = order.clamped_cost(&est);
         assert!((r.cost.expect("cost") - est_cost).abs() / est_cost < 1e-9);
     }
 

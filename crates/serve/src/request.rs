@@ -60,7 +60,9 @@ pub struct Response {
     pub backend: String,
     /// Join order in request relation indices; empty on error.
     pub order: Vec<usize>,
-    /// Cost of the order under the request's query; `None` on error.
+    /// Cost of the order under the request's query; `None` on error. A
+    /// cost that overflows `f64` (+∞) is kept here but, like `None`,
+    /// renders as `null` on the wire.
     pub cost: Option<f64>,
     /// `"hit"` / `"miss"` when the backend formulates, else `None`.
     pub cache: Option<&'static str>,

@@ -204,6 +204,36 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_plan_costs_still_get_one_response_each() {
+        // Final joins past log10 ≈ 308.25 cost +∞ along every DP split;
+        // each line still gets exactly one answer, whose cost renders as
+        // `null`.
+        let input = concat!(
+            r#"{"id": "d", "backend": "dp", "relations": [1e308, 1e308], "predicates": []}"#,
+            "\n",
+            r#"{"id": "a", "backend": "auto", "relations": [200, 200, 200], "predicates": []}"#,
+            "\n",
+        );
+        let (docs, stats) = run(input, 10);
+        assert_eq!(stats.requests, 2);
+        assert_eq!(docs.len(), 2);
+        for (doc, (id, t)) in docs.iter().zip([("d", 2), ("a", 3)]) {
+            assert_eq!(doc.get("id").and_then(|v| v.as_str()), Some(id));
+            assert_eq!(doc.get("error"), Some(&qjo_obs::json::Json::Null), "{id}");
+            assert_eq!(doc.get("cost"), Some(&qjo_obs::json::Json::Null), "{id}");
+            let mut order: Vec<u64> = doc
+                .get("order")
+                .and_then(|v| v.as_arr())
+                .expect("order")
+                .iter()
+                .filter_map(|v| v.as_u64())
+                .collect();
+            order.sort_unstable();
+            assert_eq!(order, (0..t).collect::<Vec<u64>>(), "{id}: a permutation");
+        }
+    }
+
+    #[test]
     fn empty_line_flushes_and_batch_size_bounds_grouping() {
         let input = format!(
             "{}\n\n{}\n{}\n{}\n",

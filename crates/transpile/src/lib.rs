@@ -39,7 +39,6 @@ pub mod layout;
 pub mod metrics;
 pub mod optimize;
 pub mod routing;
-pub mod sabre;
 pub mod topology;
 pub mod transpiler;
 

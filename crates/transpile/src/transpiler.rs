@@ -20,7 +20,6 @@ use crate::error::TranspileError;
 use crate::layout::{greedy_layout, Layout};
 use crate::optimize::{cancel_pairs, merge_rotations};
 use crate::routing::{route, RoutedCircuit, RouterConfig};
-use crate::sabre::{sabre_layout, sabre_route, SabreConfig};
 use crate::topology::Topology;
 
 /// Which compilation pipeline to emulate.
@@ -30,10 +29,6 @@ pub enum Strategy {
     QiskitLike,
     /// tket default-pass analogue.
     TketLike,
-    /// SABRE (Li, Ding & Xie): DAG-based routing with look-ahead scoring
-    /// and forward–backward layout refinement, plus full peephole
-    /// optimisation — typically the strongest pipeline here.
-    Sabre,
 }
 
 /// A configured transpiler.
@@ -114,25 +109,13 @@ impl Transpiler {
             let _pass = qjo_obs::span!("transpile.layout");
             greedy_layout(circuit, topology, effective_seed, perturbation)
         };
-        let (initial_layout, routed) = match self.strategy {
-            Strategy::QiskitLike | Strategy::TketLike => {
-                let router = match self.strategy {
-                    Strategy::QiskitLike => RouterConfig { lookahead: 4, decay: 0.5 },
-                    _ => RouterConfig { lookahead: 1, decay: 0.5 },
-                };
-                let _pass = qjo_obs::span!("transpile.route");
-                (seed_layout.clone(), route(circuit, topology, &seed_layout, router)?)
-            }
-            Strategy::Sabre => {
-                let cfg = SabreConfig::default();
-                let refined = {
-                    let _pass = qjo_obs::span!("transpile.layout");
-                    sabre_layout(circuit, topology, &seed_layout, &cfg)?
-                };
-                let _pass = qjo_obs::span!("transpile.route");
-                let routed = sabre_route(circuit, topology, &refined, &cfg)?;
-                (refined, routed)
-            }
+        let router = match self.strategy {
+            Strategy::QiskitLike => RouterConfig { lookahead: 4, decay: 0.5 },
+            Strategy::TketLike => RouterConfig { lookahead: 1, decay: 0.5 },
+        };
+        let routed = {
+            let _pass = qjo_obs::span!("transpile.route");
+            route(circuit, topology, &seed_layout, router)?
         };
         let RoutedCircuit { circuit: routed, final_layout, swaps_inserted } = routed;
         qjo_obs::counter!("transpile.swaps_inserted").add(swaps_inserted as u64);
@@ -143,7 +126,7 @@ impl Transpiler {
         let optimised = {
             let _pass = qjo_obs::span!("transpile.optimize");
             match self.strategy {
-                Strategy::QiskitLike | Strategy::Sabre => merge_rotations(&decomposed),
+                Strategy::QiskitLike => merge_rotations(&decomposed),
                 Strategy::TketLike => cancel_pairs(&decomposed),
             }
         };
@@ -164,7 +147,12 @@ impl Transpiler {
             qjo_obs::convergence::series_with_stride("transpile", "swaps", 1)
                 .record(1, swaps_inserted as f64);
         }
-        Ok(TranspileResult { circuit: optimised, initial_layout, final_layout, swaps_inserted })
+        Ok(TranspileResult {
+            circuit: optimised,
+            initial_layout: seed_layout,
+            final_layout,
+            swaps_inserted,
+        })
     }
 
     /// Transpiles `repetitions` times with seeds `seed..seed+repetitions`,
@@ -315,27 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn sabre_pipeline_is_sound_and_competitive() {
-        let c = dense_qaoa_circuit(10);
-        let topo = falcon_27();
-        let sabre =
-            Transpiler::new(Strategy::Sabre, 0).transpile(&c, &topo, NativeGateSet::Ibm).unwrap();
-        assert!(respects_topology(&sabre.circuit, &topo));
-        assert!(sabre.circuit.gates().iter().all(|g| NativeGateSet::Ibm.is_native(g)));
-        let qk = Transpiler::new(Strategy::QiskitLike, 0)
-            .transpile(&c, &topo, NativeGateSet::Ibm)
-            .unwrap()
-            .depth();
-        // SABRE should be in the same league or better than the greedy
-        // pipeline (allow slack: heuristics vary per instance).
-        assert!(
-            (sabre.depth() as f64) < 1.3 * qk as f64,
-            "sabre {} vs qiskit-like {qk}",
-            sabre.depth()
-        );
-    }
-
-    #[test]
     fn convergence_recorder_captures_pass_depths() {
         let c = dense_qaoa_circuit(6);
         let topo = falcon_27();
@@ -365,13 +332,13 @@ mod tests {
     #[test]
     fn disconnected_device_errors_for_every_strategy() {
         // A two-island device cannot host a circuit that entangles across
-        // the islands; every pipeline must surface TranspileError instead
-        // of panicking (greedy) or looping forever (SABRE).
+        // the islands; both pipelines must surface TranspileError instead
+        // of panicking.
         let topo = Topology::new(4, &[(0, 1), (2, 3)]);
         let mut c = Circuit::new(4);
         c.push(qjo_gatesim::gate::Gate::Cx(0, 1));
         c.push(qjo_gatesim::gate::Gate::Cx(1, 2));
-        for strategy in [Strategy::QiskitLike, Strategy::TketLike, Strategy::Sabre] {
+        for strategy in [Strategy::QiskitLike, Strategy::TketLike] {
             let err = Transpiler::new(strategy, 0)
                 .transpile(&c, &topo, NativeGateSet::Unrestricted)
                 .unwrap_err();

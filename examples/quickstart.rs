@@ -27,7 +27,7 @@ fn main() {
         ..JoEncoder::default()
     }
     .encode(&query);
-    print!("{}", qjo::core::explain(&encoded));
+    println!("QUBO encoding: {} qubits", encoded.num_qubits());
 
     // Solve the QUBO exactly (the model is small) and heuristically.
     let ground = ExactSolver::new().solve(&encoded.qubo).expect("small model");

@@ -1,9 +1,9 @@
 //! Solver shoot-out: every optimiser in the workspace against one query.
 //!
 //! Classical join-ordering algorithms (exact DP, greedy, the Steinbrunn
-//! randomised heuristics) compete with the QUBO route (preprocessing +
-//! exact / simulated-annealing / tabu solvers and the simulated quantum
-//! annealer) on the same instance.
+//! randomised heuristics) compete with the QUBO route (exact, simulated-
+//! annealing and tabu solvers, and the simulated quantum annealer) on the
+//! same instance.
 //!
 //! ```sh
 //! cargo run --release --example solver_shootout
@@ -15,8 +15,7 @@ use qjo::core::classical::{
     dp_optimal, greedy_min_cost, iterative_improvement, simulated_annealing_jo,
 };
 use qjo::core::prelude::*;
-use qjo::qubo::fix_variables;
-use qjo::qubo::solve::{ExactSolver, SimulatedAnnealing, SteepestDescent, TabuSearch};
+use qjo::qubo::solve::{ExactSolver, SimulatedAnnealing, TabuSearch};
 
 fn main() {
     let query = QueryGenerator::paper_defaults(QueryGraph::Cycle, 4).generate(42);
@@ -49,12 +48,10 @@ fn main() {
     let encoded =
         JoEncoder { thresholds: ThresholdSpec::Auto(3), ..JoEncoder::default() }.encode(&query);
     println!(
-        "QUBO encoding: {} qubits, {} couplings",
+        "QUBO encoding: {} qubits, {} couplings\n",
         encoded.num_qubits(),
         encoded.qubo.num_interactions()
     );
-    let pre = fix_variables(&encoded.qubo);
-    println!("preprocessing fixed {} of {} variables\n", pre.num_fixed(), encoded.num_qubits());
 
     let decode_cost = |assignment: &[bool]| -> Option<f64> {
         decode_assignment(assignment, &encoded.registry, &query).map(|o| o.cost(&query))
@@ -66,17 +63,6 @@ fn main() {
         .expect("valid model");
     if let Some(cost) = decode_cost(&qsa.assignment) {
         report.push(("QUBO + simulated annealing".into(), cost, format!("{:.2?}", t0.elapsed())));
-    }
-
-    let t0 = std::time::Instant::now();
-    let qsd = SteepestDescent { restarts: 200, ..Default::default() }
-        .solve(&encoded.qubo)
-        .expect("valid model");
-    match decode_cost(&qsd.assignment) {
-        Some(cost) => {
-            report.push(("QUBO + steepest descent".into(), cost, format!("{:.2?}", t0.elapsed())))
-        }
-        None => println!("steepest descent ended in an invalid assignment (energy {})", qsd.energy),
     }
 
     let t0 = std::time::Instant::now();

@@ -5,7 +5,6 @@ use qjo::anneal::hardware::{chimera, pegasus_like};
 use qjo::anneal::{AnnealerSampler, SqaConfig};
 use qjo::core::classical::{dp_optimal, greedy_min_cost};
 use qjo::core::prelude::*;
-use qjo::gatesim::optim::GridSearch;
 use qjo::gatesim::{qaoa_circuit, NoiseModel, NoisySimulator, QaoaParams, QaoaSimulator};
 use qjo::qubo::solve::{ExactSolver, SimulatedAnnealing, TabuSearch};
 use qjo::qubo::SampleSet;
@@ -72,14 +71,21 @@ fn qaoa_pipeline_finds_optimal_join_orders_noiselessly() {
     let encoded = JoEncoder::default().encode(&query);
     assert!(encoded.num_qubits() <= 16, "2-relation model is small");
 
+    // Depth 1 has two parameters: scan a 12 × 12 grid over γ ∈ [0, π] and
+    // β ∈ [0, π/2], keeping the first lowest-energy point.
     let sim = QaoaSimulator::new(&encoded.qubo);
-    let grid = GridSearch {
-        bounds: vec![(0.0, std::f64::consts::PI), (0.0, std::f64::consts::PI / 2.0)],
-        resolution: 12,
-        ..Default::default()
-    };
-    let result = grid.minimize(|x| sim.expectation(&QaoaParams::from_flat(1, x)));
-    let params = QaoaParams::from_flat(1, &result.x);
+    let step = |hi: f64, i: usize| hi * i as f64 / 11.0;
+    let mut best = (f64::INFINITY, vec![0.0, 0.0]);
+    for b in 0..12 {
+        for g in 0..12 {
+            let x = vec![step(std::f64::consts::PI, g), step(std::f64::consts::PI / 2.0, b)];
+            let energy = sim.expectation(&QaoaParams::from_flat(1, &x));
+            if energy < best.0 {
+                best = (energy, x);
+            }
+        }
+    }
+    let params = QaoaParams::from_flat(1, &best.1);
 
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(2);
     let reads = sim.sample(&params, 2048, &mut rng);
