@@ -110,14 +110,6 @@ impl Embedding {
         self.chains.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Mean chain length.
-    pub fn mean_chain_length(&self) -> f64 {
-        if self.chains.is_empty() {
-            return 0.0;
-        }
-        self.num_physical_qubits() as f64 / self.chains.len() as f64
-    }
-
     /// Verifies minor-embedding validity: non-empty, pairwise-disjoint,
     /// connected chains, and a physical coupler for every source edge.
     pub fn validate(
@@ -1055,6 +1047,5 @@ mod tests {
         let e = Embedding { chains: vec![vec![0, 1, 2], vec![3]] };
         assert_eq!(e.num_physical_qubits(), 4);
         assert_eq!(e.max_chain_length(), 3);
-        assert!((e.mean_chain_length() - 2.0).abs() < 1e-12);
     }
 }

@@ -99,12 +99,6 @@ pub fn pegasus_like(m: usize) -> Topology {
     Topology::new(8 * m * m, &edges)
 }
 
-/// The D-Wave-Advantage-scale instance: `m = 26` gives 5408 qubits
-/// (Advantage advertises ~5000+ working qubits on Pegasus P16).
-pub fn advantage_like() -> Topology {
-    pegasus_like(26)
-}
-
 /// A Zephyr-like degree-20 lattice over an `m × m` grid of 8-qubit tiles
 /// (`8m²` qubits) — the connectivity profile of D-Wave's *next* hardware
 /// generation (Advantage2), for forward-looking co-design studies.
@@ -244,7 +238,9 @@ mod tests {
 
     #[test]
     fn advantage_scale_instance() {
-        let t = advantage_like();
+        // `m = 26` is the Advantage scale: 5408 qubits (Advantage
+        // advertises ~5000+ working qubits on Pegasus P16).
+        let t = pegasus_like(26);
         assert_eq!(t.num_qubits(), 5408);
         // Spot-check connectivity without the full BFS cost: the topology
         // constructor already computed all-pairs distances.

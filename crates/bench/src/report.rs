@@ -61,23 +61,6 @@ impl Table {
         out
     }
 
-    /// Renders as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let esc = |cell: &str| cell.replace('|', "\\|");
-        let mut out = String::new();
-        out.push_str("| ");
-        out.push_str(&self.header.iter().map(|c| esc(c)).collect::<Vec<_>>().join(" | "));
-        out.push_str(" |\n|");
-        out.push_str(&" --- |".repeat(self.header.len()));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str("| ");
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(" | "));
-            out.push_str(" |\n");
-        }
-        out
-    }
-
     /// Renders as CSV (RFC-4180 quoting: cells containing commas, quotes,
     /// or line breaks are quoted, with embedded quotes doubled).
     pub fn to_csv(&self) -> String {
@@ -136,17 +119,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new(vec!["a", "b"]);
         t.push_row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn markdown_renders_header_separator_and_rows() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.push_row(vec!["1", "x|y"]);
-        let md = t.to_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines[0], "| a | b |");
-        assert_eq!(lines[1], "| --- | --- |");
-        assert!(lines[2].contains("x\\|y"), "pipes must be escaped: {md}");
     }
 
     #[test]

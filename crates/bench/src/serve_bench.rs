@@ -1,8 +1,9 @@
 //! The `experiments serve` stage: the seeded serving load benchmark.
 //!
-//! Replays the committed smoke request mixes (closed loop, then the
-//! open-loop batching companion) against a fresh [`Service`] and splits
-//! the outcome into two artifacts:
+//! Replays the committed smoke request mixes as one closed-loop stream
+//! (the 60-request smoke mix, then its 16-request follow-up) against a
+//! fresh [`Service`], one request at a time, and splits the outcome into
+//! two artifacts:
 //!
 //! * `serve_report.csv` — per-backend request / cache / fallback / SLO
 //!   counts and mean plan cost. Every cell is a pure function of the
@@ -64,20 +65,15 @@ pub struct ServeBenchResult {
     pub stats: Json,
 }
 
-/// Runs the smoke serving benchmark: the closed-loop mix first (clean
-/// per-request latencies, embedding warm-up), then the open-loop mix
-/// against the *same* service so its cache arrives warm — matching how a
-/// long-lived server behaves after its first minutes of traffic.
+/// Runs the smoke serving benchmark: the smoke mix first (embedding
+/// warm-up), then its follow-up mix against the *same* service so its
+/// cache arrives warm — matching how a long-lived server behaves after
+/// its first minutes of traffic.
 pub fn run(cfg: &ServeBenchConfig, parallelism: Parallelism) -> ServeBenchResult {
     let service = Service::smoke(cfg.seed, parallelism);
-    let closed_mix = LoadMix::smoke(cfg.seed);
-    let closed = loadgen::generate_requests(&closed_mix);
-    let (mut outcomes, mut events) = loadgen::run_with_events(&service, &closed, closed_mix.mode);
-    let open_mix = LoadMix::smoke_open(stream_seed(cfg.seed, 1));
-    let open = loadgen::generate_requests(&open_mix);
-    let (open_outcomes, open_events) = loadgen::run_with_events(&service, &open, open_mix.mode);
-    outcomes.extend(open_outcomes);
-    events.extend(open_events);
+    let mut requests = loadgen::generate_requests(&LoadMix::smoke(cfg.seed));
+    requests.extend(loadgen::generate_requests(&LoadMix::smoke_followup(stream_seed(cfg.seed, 1))));
+    let (outcomes, events) = loadgen::run_with_events(&service, &requests);
     ServeBenchResult {
         report: loadgen::aggregate_report(&outcomes),
         latency: loadgen::aggregate_latency(&outcomes),

@@ -60,11 +60,6 @@ impl Circuit {
         self.gates.is_empty()
     }
 
-    /// Number of two-qubit gates.
-    pub fn two_qubit_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_two_qubit()).count()
-    }
-
     /// Gate counts per mnemonic, deterministically ordered.
     pub fn counts_by_name(&self) -> BTreeMap<&'static str, usize> {
         let mut m = BTreeMap::new();
@@ -147,16 +142,6 @@ impl Circuit {
         inv
     }
 
-    /// Rewrites every gate's qubit indices through `f`. The mapping must be
-    /// injective into `0..new_num_qubits`.
-    pub fn remap_qubits<F: Fn(usize) -> usize>(&self, new_num_qubits: usize, f: F) -> Circuit {
-        let mut out = Circuit::new(new_num_qubits);
-        for g in &self.gates {
-            out.push(g.map_qubits(&f));
-        }
-        out
-    }
-
     /// Total execution duration given per-gate durations in seconds, using
     /// the ASAP layering (gates in one layer run concurrently).
     pub fn duration(&self, time_1q: f64, time_2q: f64) -> f64 {
@@ -191,7 +176,6 @@ mod tests {
         assert_eq!(c.depth(), 3);
         assert_eq!(c.two_qubit_depth(), 2);
         assert_eq!(c.len(), 5);
-        assert_eq!(c.two_qubit_count(), 2);
     }
 
     #[test]
@@ -262,17 +246,6 @@ mod tests {
         c.push(Cx(0, 1)); // 100ns after max(20, 10)
         let d = c.duration(10e-9, 100e-9);
         assert!((d - 120e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn remap_relabels_all_gates() {
-        let mut c = Circuit::new(2);
-        c.push(H(0));
-        c.push(Cx(0, 1));
-        let r = c.remap_qubits(4, |q| q + 2);
-        assert_eq!(r.num_qubits(), 4);
-        assert_eq!(r.gates()[0], H(2));
-        assert_eq!(r.gates()[1], Cx(2, 3));
     }
 
     #[test]

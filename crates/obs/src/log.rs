@@ -6,12 +6,7 @@
 //! or [`trace!`](crate::trace!), which write to **stderr** and are filtered
 //! by the process-wide maximum level. `QJO_LOG` accepts `off`, `error`,
 //! `warn`, `info`, `debug`, or `trace` (case-insensitive); the default is
-//! `info`.
-//!
-//! `QJO_LOG_FORMAT` selects the record shape: `plain` (default) emits
-//! `[level target] message`; `json` emits one compact JSON object per
-//! line — `{"level": …, "message": …, "target": …}`, deliberately
-//! timestamp-free so log output stays deterministic and diffable.
+//! `info`. Each record is one line, `[level target] message`.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -128,106 +123,9 @@ pub fn enabled(level: Level) -> bool {
     (level as u8) < max_level_raw()
 }
 
-/// Record shape emitted by the logger, from `QJO_LOG_FORMAT`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LogFormat {
-    /// `[level target] message` (the default).
-    #[default]
-    Plain,
-    /// One compact, timestamp-free JSON object per line.
-    Json,
-}
-
-impl LogFormat {
-    /// Parses a `QJO_LOG_FORMAT` value; `None` for unrecognised strings.
-    fn parse(s: &str) -> Option<LogFormat> {
-        match s.to_ascii_lowercase().as_str() {
-            "plain" | "text" => Some(LogFormat::Plain),
-            "json" => Some(LogFormat::Json),
-            _ => None,
-        }
-    }
-}
-
-/// 0 = unset (read `QJO_LOG_FORMAT` lazily), 1 = plain, 2 = json.
-static FORMAT: AtomicU8 = AtomicU8::new(0);
-
-fn format_raw() -> u8 {
-    match FORMAT.load(Ordering::Relaxed) {
-        0 => {
-            let resolved = match std::env::var("QJO_LOG_FORMAT").ok().as_deref() {
-                Some(spec) => match LogFormat::parse(spec) {
-                    Some(LogFormat::Json) => 2,
-                    // Unrecognised specs fall back to plain rather than
-                    // silencing diagnostics about themselves.
-                    _ => 1,
-                },
-                None => 1,
-            };
-            // Racing initialisers compute the same value; either store wins.
-            FORMAT.store(resolved, Ordering::Relaxed);
-            resolved
-        }
-        v => v,
-    }
-}
-
-/// The current record shape.
-pub fn log_format() -> LogFormat {
-    if format_raw() == 2 {
-        LogFormat::Json
-    } else {
-        LogFormat::Plain
-    }
-}
-
-/// Overrides the `QJO_LOG_FORMAT`-derived record shape; mainly for tests
-/// and embedding applications (the env var is cached on first read, like
-/// the level — see [`set_level_for_tests`]).
-pub fn set_log_format(format: LogFormat) {
-    FORMAT.store(
-        match format {
-            LogFormat::Plain => 1,
-            LogFormat::Json => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Applies a `QJO_LOG_FORMAT`-style spec (`"plain"` / `"json"`)
-/// immediately, bypassing the first-read cache.
-///
-/// # Errors
-/// Returns the offending spec for strings `QJO_LOG_FORMAT` would not
-/// accept.
-pub fn set_format_for_tests(spec: &str) -> Result<(), String> {
-    match LogFormat::parse(spec) {
-        Some(format) => {
-            set_log_format(format);
-            Ok(())
-        }
-        None => Err(format!("unrecognised log format {spec:?}")),
-    }
-}
-
-/// Formats one record (without emitting it) in the given shape, trailing
-/// newline included.
-fn render_record(
-    format: LogFormat,
-    level: Level,
-    target: &str,
-    args: std::fmt::Arguments<'_>,
-) -> String {
-    match format {
-        LogFormat::Plain => format!("[{:5} {target}] {args}\n", level.name()),
-        LogFormat::Json => {
-            let mut obj = std::collections::BTreeMap::new();
-            obj.insert("level".to_string(), crate::json::Json::from(level.name()));
-            obj.insert("message".to_string(), crate::json::Json::from(format!("{args}")));
-            obj.insert("target".to_string(), crate::json::Json::from(target));
-            format!("{}\n", crate::json::Json::Obj(obj).render_compact())
-        }
-    }
+/// Formats one record (without emitting it), trailing newline included.
+fn render_record(level: Level, target: &str, args: std::fmt::Arguments<'_>) -> String {
+    format!("[{:5} {target}] {args}\n", level.name())
 }
 
 /// Emits one record to stderr (used via the level macros, not directly).
@@ -236,7 +134,7 @@ pub fn log(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
         return;
     }
     // Single write_all so concurrent records do not interleave mid-line.
-    let line = render_record(log_format(), level, target, args);
+    let line = render_record(level, target, args);
     let stderr = std::io::stderr();
     let _ = stderr.lock().write_all(line.as_bytes());
 }
@@ -344,52 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn format_parse_accepts_plain_and_json() {
-        assert_eq!(LogFormat::parse("json"), Some(LogFormat::Json));
-        assert_eq!(LogFormat::parse("JSON"), Some(LogFormat::Json));
-        assert_eq!(LogFormat::parse("plain"), Some(LogFormat::Plain));
-        assert_eq!(LogFormat::parse("text"), Some(LogFormat::Plain));
-        assert_eq!(LogFormat::parse("yaml"), None);
-    }
-
-    #[test]
-    fn json_records_are_one_line_and_timestamp_free() {
-        let line = render_record(
-            LogFormat::Json,
-            Level::Warn,
-            "qjo_serve::server",
-            format_args!("dropped {} request(s) with \"quotes\"", 3),
-        );
-        assert!(line.ends_with('\n'));
-        assert_eq!(line.trim_end().lines().count(), 1, "one record, one line");
-        let doc = crate::json::Json::parse(line.trim_end()).expect("valid JSON");
-        assert_eq!(doc.get("level").and_then(crate::json::Json::as_str), Some("warn"));
-        assert_eq!(
-            doc.get("target").and_then(crate::json::Json::as_str),
-            Some("qjo_serve::server")
-        );
-        assert_eq!(
-            doc.get("message").and_then(crate::json::Json::as_str),
-            Some("dropped 3 request(s) with \"quotes\"")
-        );
-        let keys: Vec<&str> = doc.as_obj().expect("object").keys().map(String::as_str).collect();
-        assert_eq!(keys, vec!["level", "message", "target"], "no timestamp field");
-        // Plain stays the historical shape.
-        let plain = render_record(LogFormat::Plain, Level::Info, "t", format_args!("m"));
-        assert_eq!(plain, "[info  t] m\n");
-    }
-
-    #[test]
-    fn format_override_applies_immediately() {
-        let _serial = crate::test_serial();
-        let saved = log_format();
-        set_format_for_tests("json").expect("valid spec");
-        assert_eq!(log_format(), LogFormat::Json);
-        set_format_for_tests("plain").expect("valid spec");
-        assert_eq!(log_format(), LogFormat::Plain);
-        let err = set_format_for_tests("yaml").expect_err("invalid spec");
-        assert!(err.contains("yaml"), "{err}");
-        assert_eq!(log_format(), LogFormat::Plain, "a rejected spec leaves the format unchanged");
-        set_log_format(saved);
+    fn records_are_one_plain_line() {
+        assert_eq!(render_record(Level::Info, "t", format_args!("m")), "[info  t] m\n");
     }
 }

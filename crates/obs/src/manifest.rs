@@ -127,10 +127,6 @@ pub struct RunManifest {
     pub spans: BTreeMap<String, SpanSummary>,
     /// Artifacts written, in emission order.
     pub artifacts: Vec<Artifact>,
-    /// Counters whose value is wall-clock-dependent (e.g. attempts under
-    /// a time budget): [`diff`] skips them in the global and per-stage
-    /// counter sections. Declared by the producer, sorted.
-    pub volatile_counters: Vec<String>,
 }
 
 impl RunManifest {
@@ -203,12 +199,6 @@ impl RunManifest {
         root.insert(
             "artifacts".to_string(),
             Json::Arr(self.artifacts.iter().map(Artifact::to_json).collect()),
-        );
-        root.insert(
-            "volatile_counters".to_string(),
-            Json::Arr(
-                self.volatile_counters.iter().map(|name| Json::from(name.as_str())).collect(),
-            ),
         );
         Json::Obj(root)
     }
@@ -292,22 +282,7 @@ impl RunManifest {
             .iter()
             .map(Artifact::from_json)
             .collect::<Result<Vec<_>, String>>()?;
-        let volatile_counters = doc
-            .get("volatile_counters")
-            .and_then(Json::as_arr)
-            .map(|arr| arr.iter().filter_map(Json::as_str).map(str::to_string).collect())
-            .unwrap_or_default();
-        Ok(RunManifest {
-            run,
-            stages,
-            counters,
-            resilience,
-            slo,
-            gauges,
-            spans,
-            artifacts,
-            volatile_counters,
-        })
+        Ok(RunManifest { run, stages, counters, resilience, slo, gauges, spans, artifacts })
     }
 }
 
@@ -375,9 +350,8 @@ const ABSENT: &str = "(absent)";
 /// Compares the deterministic sections of two manifests, returning one
 /// human-readable line per divergence (empty = no drift).
 ///
-/// Ignored as timing-dependent: the `run` section, every `duration_ms`,
-/// the `spans` section, and any counter either manifest lists in
-/// `volatile_counters`.
+/// Ignored as timing-dependent: the `run` section, every `duration_ms`
+/// and the `spans` section.
 pub fn diff(baseline: &RunManifest, current: &RunManifest) -> Vec<String> {
     diff_entries(baseline, current).into_iter().map(|entry| entry.detail).collect()
 }
@@ -386,12 +360,6 @@ pub fn diff(baseline: &RunManifest, current: &RunManifest) -> Vec<String> {
 /// rendering via [`render_drift_table`].
 pub fn diff_entries(baseline: &RunManifest, current: &RunManifest) -> Vec<DriftEntry> {
     let mut drift = Vec::new();
-    let volatile: std::collections::BTreeSet<&str> = baseline
-        .volatile_counters
-        .iter()
-        .chain(&current.volatile_counters)
-        .map(String::as_str)
-        .collect();
 
     let baseline_stages: Vec<&str> = baseline.stages.iter().map(|s| s.name.as_str()).collect();
     let current_stages: Vec<&str> = current.stages.iter().map(|s| s.name.as_str()).collect();
@@ -405,19 +373,13 @@ pub fn diff_entries(baseline: &RunManifest, current: &RunManifest) -> Vec<DriftE
         });
     } else {
         for (b, c) in baseline.stages.iter().zip(&current.stages) {
-            diff_counters(
-                &mut drift,
-                &format!("stage {}", b.name),
-                &b.counters,
-                &c.counters,
-                &volatile,
-            );
+            diff_counters(&mut drift, &format!("stage {}", b.name), &b.counters, &c.counters);
         }
     }
 
-    diff_counters(&mut drift, "counters", &baseline.counters, &current.counters, &volatile);
-    diff_counters(&mut drift, "resilience", &baseline.resilience, &current.resilience, &volatile);
-    diff_counters(&mut drift, "slo", &baseline.slo, &current.slo, &volatile);
+    diff_counters(&mut drift, "counters", &baseline.counters, &current.counters);
+    diff_counters(&mut drift, "resilience", &baseline.resilience, &current.resilience);
+    diff_counters(&mut drift, "slo", &baseline.slo, &current.slo);
 
     for (name, &b) in &baseline.gauges {
         match current.gauges.get(name) {
@@ -514,12 +476,8 @@ fn diff_counters(
     context: &str,
     baseline: &BTreeMap<String, u64>,
     current: &BTreeMap<String, u64>,
-    volatile: &std::collections::BTreeSet<&str>,
 ) {
     for (name, &b) in baseline {
-        if volatile.contains(name.as_str()) {
-            continue;
-        }
         match current.get(name) {
             None => drift.push(DriftEntry {
                 section: context.to_string(),
@@ -539,7 +497,7 @@ fn diff_counters(
         }
     }
     for (name, &c) in current {
-        if !baseline.contains_key(name) && !volatile.contains(name.as_str()) {
+        if !baseline.contains_key(name) {
             drift.push(DriftEntry {
                 section: context.to_string(),
                 key: name.clone(),
@@ -670,27 +628,6 @@ mod tests {
         let drift = diff(&baseline, &current);
         assert!(drift.iter().any(|d| d.contains("stages changed")));
         assert!(drift.iter().any(|d| d.contains("artifact table1.csv disappeared")));
-    }
-
-    #[test]
-    fn volatile_counters_are_skipped_in_both_sections() {
-        let mut baseline = sample_manifest();
-        baseline.counters.insert("embed.tries".to_string(), 25);
-        baseline.stages[0].counters.insert("embed.tries".to_string(), 25);
-        baseline.volatile_counters = vec!["embed.tries".to_string()];
-        // Round-trips through JSON.
-        let mut current = RunManifest::parse(&baseline.render()).unwrap();
-        assert_eq!(current.volatile_counters, baseline.volatile_counters);
-        current.counters.insert("embed.tries".to_string(), 24);
-        current.stages[0].counters.insert("embed.tries".to_string(), 24);
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
-        // A volatile counter appearing only on one side is not drift either.
-        current.counters.remove("embed.tries");
-        current.stages[0].counters.remove("embed.tries");
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
-        // Non-volatile counters still drift.
-        current.counters.insert("sa.restarts".to_string(), 41);
-        assert_eq!(diff(&baseline, &current).len(), 1);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -295,16 +294,6 @@ pub fn to_chrome_json() -> Json {
     doc.insert("displayTimeUnit".to_string(), Json::from("ms"));
     doc.insert("traceEvents".to_string(), Json::Arr(arr));
     Json::Obj(doc)
-}
-
-/// Writes [`to_chrome_json`] to `path`, creating parent directories.
-pub fn write_chrome_trace(path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, to_chrome_json().render())
 }
 
 /// Summary returned by [`validate_chrome_trace`].

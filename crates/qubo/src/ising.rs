@@ -79,11 +79,6 @@ impl IsingModel {
         self.h.iter().copied().enumerate()
     }
 
-    /// Number of non-zero couplings.
-    pub fn num_couplings(&self) -> usize {
-        self.j.values().filter(|v| **v != 0.0).count()
-    }
-
     /// Energy of a spin configuration.
     pub fn energy(&self, s: &[i8]) -> f64 {
         debug_assert_eq!(s.len(), self.h.len());
@@ -368,7 +363,7 @@ mod tests {
         m.add_coupling(0, 2, 0.5);
         assert_eq!(m.coupling(0, 2), 1.5);
         assert_eq!(m.coupling(2, 0), 1.5);
-        assert_eq!(m.num_couplings(), 1);
+        assert_eq!(m.couplings().collect::<Vec<_>>(), vec![(0, 2, 1.5)]);
     }
 
     #[test]

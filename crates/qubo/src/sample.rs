@@ -140,33 +140,6 @@ impl SampleSet {
         self.fraction_where(|s| s.assignment[i])
     }
 
-    /// Occurrence-weighted mean energy of the reads.
-    pub fn mean_energy(&self) -> f64 {
-        if self.total_reads == 0 {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.energy * f64::from(s.occurrences)).sum::<f64>()
-            / self.total_reads as f64
-    }
-
-    /// Shannon entropy (bits) of the empirical assignment distribution —
-    /// 0 for a deterministic sampler, up to `log2(num_distinct)` when
-    /// every distinct assignment is equally likely.
-    pub fn entropy_bits(&self) -> f64 {
-        if self.total_reads == 0 {
-            return 0.0;
-        }
-        let total = self.total_reads as f64;
-        -self
-            .samples
-            .iter()
-            .map(|s| {
-                let p = f64::from(s.occurrences) / total;
-                p * p.log2()
-            })
-            .sum::<f64>()
-    }
-
     /// Merges another sample set into this one, re-aggregating duplicates.
     ///
     /// # Precondition
@@ -292,24 +265,6 @@ mod tests {
         let reads = vec![vec![true, true], vec![true, true], vec![true, true], vec![false, false]];
         let set = SampleSet::from_reads(reads, weight);
         assert!((set.mean_bit(0) - 0.75).abs() < 1e-12);
-        // Mean energy: 3·2 + 1·0 over 4 reads = 1.5.
-        assert!((set.mean_energy() - 1.5).abs() < 1e-12);
-        // Entropy of {3/4, 1/4}: 0.811 bits.
-        assert!((set.entropy_bits() - 0.8112781).abs() < 1e-6);
-    }
-
-    #[test]
-    fn uniform_two_outcome_distribution_has_one_bit_of_entropy() {
-        let reads = vec![vec![true, false], vec![false, true]];
-        let set = SampleSet::from_reads(reads, weight);
-        assert!((set.entropy_bits() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn observables_on_empty_set_are_zero() {
-        let set = SampleSet::new();
-        assert_eq!(set.mean_energy(), 0.0);
-        assert_eq!(set.entropy_bits(), 0.0);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The serving entrypoint: JSON requests in, JSON plans out.
 //!
 //! ```text
-//! qjo-serve [--seed N] [--batch N] [--threads N] [--socket PATH [--max-conns N]]
-//!           [--events PATH]
+//! qjo-serve [--seed N] [--threads N] [--socket PATH [--max-conns N]] [--events PATH]
 //! ```
 //!
 //! Without `--socket`, serves newline-delimited JSON requests from stdin
-//! and writes one response line per request to stdout (an empty input
-//! line flushes the pending batch). With `--socket PATH`, binds a Unix
-//! socket and serves connections sequentially with the same protocol.
+//! and answers each non-empty line with one line on stdout, written
+//! before the next line is read (empty lines are skipped). With
+//! `--socket PATH`, binds a Unix socket and serves connections
+//! sequentially with the same protocol.
 //!
 //! Requests name one of the smoke service's eight backends: `auto`,
 //! `annealer`, `dp`, `greedy`, `qaoa`, `sa`, `sqa` or `tabu`. Deadlines
@@ -26,19 +26,17 @@ use qjo_serve::{events, Service};
 
 struct Options {
     seed: u64,
-    batch: usize,
     threads: Option<usize>,
     socket: Option<std::path::PathBuf>,
     max_conns: Option<usize>,
     events: Option<std::path::PathBuf>,
 }
 
-const USAGE: &str = "usage: qjo-serve [--seed N] [--batch N] [--threads N] \
-                     [--socket PATH [--max-conns N]] [--events PATH]";
+const USAGE: &str =
+    "usage: qjo-serve [--seed N] [--threads N] [--socket PATH [--max-conns N]] [--events PATH]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts =
-        Options { seed: 7, batch: 16, threads: None, socket: None, max_conns: None, events: None };
+    let mut opts = Options { seed: 7, threads: None, socket: None, max_conns: None, events: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -46,12 +44,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--batch" => {
-                opts.batch = value("--batch")?.parse().map_err(|e| format!("--batch: {e}"))?;
-                if opts.batch == 0 {
-                    return Err("--batch must be at least 1".into());
-                }
-            }
             "--threads" => {
                 opts.threads =
                     Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?)
@@ -83,11 +75,11 @@ fn main() {
     };
     let service = Service::smoke(opts.seed, parallelism);
     let result = match &opts.socket {
-        Some(path) => serve_unix_socket(&service, path, opts.batch, opts.max_conns),
+        Some(path) => serve_unix_socket(&service, path, opts.max_conns),
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            serve_lines(&service, BufReader::new(stdin.lock()), stdout.lock(), opts.batch)
+            serve_lines(&service, BufReader::new(stdin.lock()), stdout.lock())
         }
     };
     if let Some(path) = &opts.events {
@@ -98,12 +90,15 @@ fn main() {
         }
     }
     match result {
-        Ok(stats) => {
-            let mut err = std::io::stderr();
+        Ok(()) => {
+            let counters = service.telemetry().counters();
+            let count = |name: &str| counters.get(name).copied().unwrap_or(0);
             let _ = writeln!(
-                err,
-                "served {} requests in {} batches ({} commands, {} malformed lines)",
-                stats.requests, stats.batches, stats.commands, stats.parse_errors
+                std::io::stderr(),
+                "served {} requests ({} stats commands, {} malformed lines)",
+                count("serve.requests"),
+                count("serve.stats.requests"),
+                count("serve.requests.malformed")
             );
         }
         Err(e) => {

@@ -2,11 +2,12 @@
 //! aggregation that turns its outcomes into the serving report.
 //!
 //! Everything about the mix — query classes, relabellings, sub-bucket
-//! cardinality jitter, backend choice, deadlines, arrival batching — is
-//! a pure function of the seed, so two runs (at any thread count)
-//! serve byte-identical request streams and make identical admission,
-//! cache, and fallback decisions. Only wall-clock latencies differ, and
-//! those are quarantined in the volatile latency artifact.
+//! cardinality jitter, backend choice, deadlines — is a pure function of
+//! the seed, so two runs (at any thread count) serve byte-identical
+//! request streams and make identical admission, cache, and fallback
+//! decisions. Requests are replayed closed-loop, one at a time, as the
+//! request loop serves them. Only wall-clock latencies differ, and those
+//! are quarantined in the volatile latency artifact.
 
 use qjo_core::{Query, QueryGenerator, QueryGraph};
 use qjo_exec::stream_seed;
@@ -17,20 +18,6 @@ use crate::events::ServeEvent;
 use crate::fingerprint::relabel;
 use crate::request::Request;
 use crate::service::Service;
-
-/// How requests arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Closed loop: one in flight; each request waits for the previous
-    /// answer. Gives clean per-request latencies.
-    Closed,
-    /// Open loop: arrivals come in groups of `batch`, served via
-    /// [`Service::handle_batch`] — exercises request grouping.
-    Open {
-        /// Requests per arrival group.
-        batch: usize,
-    },
-}
 
 /// A deterministic request mix.
 #[derive(Debug, Clone)]
@@ -50,8 +37,6 @@ pub struct LoadMix {
     pub backends: Vec<(&'static str, u32)>,
     /// Deadline choices drawn uniformly per request.
     pub deadlines: Vec<Option<u64>>,
-    /// Arrival process.
-    pub mode: LoadMode,
 }
 
 impl LoadMix {
@@ -76,16 +61,15 @@ impl LoadMix {
                 ("qaoa", 2),
             ],
             deadlines: vec![None, Some(60_000), Some(2)],
-            mode: LoadMode::Closed,
         }
     }
 
-    /// A short open-loop companion mix exercising batch grouping.
-    pub fn smoke_open(seed: u64) -> LoadMix {
+    /// A short follow-up to [`LoadMix::smoke`]: 16 greedy, sa and tabu
+    /// requests drawn from the same kind of class pool.
+    pub fn smoke_followup(seed: u64) -> LoadMix {
         LoadMix {
             requests: 16,
             backends: vec![("greedy", 1), ("sa", 2), ("tabu", 1)],
-            mode: LoadMode::Open { batch: 4 },
             ..LoadMix::smoke(seed)
         }
     }
@@ -145,7 +129,7 @@ pub struct RequestOutcome {
     /// Formulation-cache outcome (`"hit"` / `"miss"`), when it applies.
     pub cache: Option<&'static str>,
     /// Embedding-cache outcome, attributed per request from the
-    /// service's event log (in both arrival modes).
+    /// service's event log.
     pub embed: Option<&'static str>,
     /// Deadline-model fallback.
     pub deadline_miss: bool,
@@ -179,51 +163,29 @@ fn outcome_from(
     }
 }
 
-/// Replays `requests` and also returns the service's per-request event
-/// log for the replay (draining the service's event buffer as it goes).
-/// Outcome fields — embed attribution, SLO class, latency — come from
-/// the events, so open-loop requests get real per-request attribution
-/// instead of shared-fate estimates. Request ids must be unique (the
-/// generator's are).
+/// Replays `requests` one at a time and also returns the service's
+/// per-request event log for the replay (draining the service's event
+/// buffer as it goes). Outcome fields — embed attribution, SLO class,
+/// latency — come from each request's own event.
 pub fn run_with_events(
     service: &Service,
     requests: &[Request],
-    mode: LoadMode,
 ) -> (Vec<RequestOutcome>, Vec<ServeEvent>) {
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut events = Vec::with_capacity(requests.len());
-    match mode {
-        LoadMode::Closed => {
-            for req in requests {
-                let resp = service.handle(req);
-                let drained = service.drain_events();
-                let event = drained.last().expect("handle records one event");
-                outcomes.push(outcome_from(req, &resp, event));
-                events.extend(drained);
-            }
-        }
-        LoadMode::Open { batch } => {
-            assert!(batch >= 1, "open-loop arrivals need a positive batch");
-            for group in requests.chunks(batch) {
-                let resps = service.handle_batch(group);
-                let drained = service.drain_events();
-                for (req, resp) in group.iter().zip(&resps) {
-                    let event = drained
-                        .iter()
-                        .find(|e| e.id == req.id)
-                        .expect("one event per batched request");
-                    outcomes.push(outcome_from(req, resp, event));
-                }
-                events.extend(drained);
-            }
-        }
+    for req in requests {
+        let resp = service.handle(req);
+        let drained = service.drain_events();
+        let event = drained.last().expect("handle records one event");
+        outcomes.push(outcome_from(req, &resp, event));
+        events.extend(drained);
     }
     (outcomes, events)
 }
 
-/// Replays `requests` against the service under the mix's arrival mode.
-pub fn run(service: &Service, requests: &[Request], mode: LoadMode) -> Vec<RequestOutcome> {
-    run_with_events(service, requests, mode).0
+/// Replays `requests` against the service, one at a time.
+pub fn run(service: &Service, requests: &[Request]) -> Vec<RequestOutcome> {
+    run_with_events(service, requests).0
 }
 
 /// One deterministic report row (per backend).
@@ -237,9 +199,9 @@ pub struct ReportRow {
     pub cache_hits: u64,
     /// Formulation-cache misses.
     pub cache_misses: u64,
-    /// Embedding-cache hits (closed loop only).
+    /// Embedding-cache hits.
     pub embed_hits: u64,
-    /// Cold embeddings built (closed loop only).
+    /// Cold embeddings built.
     pub embed_cold: u64,
     /// Deadline-model misses.
     pub deadline_misses: u64,

@@ -61,10 +61,11 @@ pub struct Plan {
     /// Formulation-cache outcome, for backends that formulate.
     pub cache: Option<CacheStatus>,
     /// Embedding-cache outcome *actually observed during this solve*
-    /// (`"cold"` built one, `"hit"` reused one), for backends that
-    /// embed. Carried in the plan — rather than inferred from global
-    /// cache-stat deltas — so telemetry attribution stays correct when
-    /// concurrent requests interleave their cache traffic.
+    /// (`"cold"` ran the embedder, whether or not it found an embedding;
+    /// `"hit"` reused one), for backends that embed. Carried in the plan
+    /// — rather than inferred from global cache-stat deltas — so
+    /// telemetry attribution stays correct when concurrent requests
+    /// interleave their cache traffic.
     pub embed: Option<&'static str>,
     /// True when the solver failed to decode a valid order and the plan
     /// came from the greedy fallback instead.

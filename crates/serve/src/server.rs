@@ -1,19 +1,21 @@
 //! The long-lived request loop: newline-delimited JSON over a stdin pipe
 //! or a Unix socket.
 //!
-//! Protocol: each non-empty line is one request (see [`crate::request`]).
-//! Requests accumulate into a batch of up to `batch` entries; a full
-//! batch, an **empty line**, or end-of-input flushes it through
-//! [`Service::handle_batch`] and writes one response line per request,
-//! in arrival order. A line that fails to parse is answered immediately
-//! with an error response (id `"?"` when the id itself was unreadable),
-//! counted as `serve.requests.malformed`, and does not poison the batch.
+//! Protocol: every non-empty line gets exactly one answer line, written
+//! and flushed before the next line is read; empty lines are skipped. A
+//! request line (see [`crate::request`]) is answered by
+//! [`Service::handle`]. A line that fails to parse, a line that is not
+//! UTF-8 among them, is answered with an error response (id `"?"` when
+//! the id itself was unreadable) and counted as
+//! `serve.requests.malformed`.
 //!
 //! **Control plane**: a line whose JSON object carries a `"cmd"` key is
-//! a control command, not a request. `{"cmd": "stats"}` flushes the
-//! pending batch and answers with one line of
-//! [`Service::stats_snapshot`] JSON; unknown commands answer with an
-//! error line. Commands never enter a batch.
+//! a control command, not a request. `{"cmd": "stats"}` answers with one
+//! line of [`Service::stats_snapshot`] JSON and counts as
+//! `serve.stats.requests`; an unknown command answers with an error line
+//! and counts as `serve.requests.malformed`. So every answered line lands
+//! in exactly one of `serve.requests`, `serve.requests.malformed` and
+//! `serve.stats.requests`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
@@ -21,21 +23,8 @@ use std::path::Path;
 
 use qjo_obs::json::Json;
 
-use crate::request::{parse_request, render_response, Request, Response};
+use crate::request::{parse_request, render_response, Response};
 use crate::service::Service;
-
-/// What a serve loop processed, for logging and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoopStats {
-    /// Well-formed requests answered.
-    pub requests: u64,
-    /// Lines rejected by the parser.
-    pub parse_errors: u64,
-    /// Batches flushed.
-    pub batches: u64,
-    /// In-band control commands answered (e.g. `stats`).
-    pub commands: u64,
-}
 
 fn parse_error_response(line: &str, err: String) -> Response {
     // Best effort: salvage the id so the caller can correlate.
@@ -55,122 +44,83 @@ fn parse_error_response(line: &str, err: String) -> Response {
     }
 }
 
-fn flush_batch(
-    service: &Service,
-    pending: &mut Vec<Request>,
-    out: &mut impl Write,
-    stats: &mut LoopStats,
-) -> std::io::Result<()> {
-    if pending.is_empty() {
-        return Ok(());
+/// The one answer line for a non-empty input line.
+fn answer(service: &Service, line: &str) -> String {
+    let cmd = Json::parse(line)
+        .ok()
+        .and_then(|doc| doc.get("cmd").and_then(Json::as_str).map(str::to_owned));
+    match cmd.as_deref() {
+        Some("stats") => {
+            service.count("serve.stats.requests", 1);
+            service.stats_snapshot().render_compact()
+        }
+        Some(other) => {
+            service.note_malformed();
+            render_response(&parse_error_response(line, format!("unknown command `{other}`")))
+        }
+        None => match parse_request(line) {
+            Ok(req) => render_response(&service.handle(&req)),
+            Err(err) => {
+                service.note_malformed();
+                render_response(&parse_error_response(line, err))
+            }
+        },
     }
-    stats.batches += 1;
-    for resp in service.handle_batch(pending) {
-        writeln!(out, "{}", render_response(&resp))?;
-    }
-    out.flush()?;
-    pending.clear();
-    Ok(())
 }
 
 /// Runs the request loop over arbitrary line-oriented transport until
-/// end-of-input. `batch` ≥ 1 bounds how many requests may be grouped.
+/// end-of-input, answering each non-empty line before reading the next.
 pub fn serve_lines(
     service: &Service,
     input: impl BufRead,
     mut output: impl Write,
-    batch: usize,
-) -> std::io::Result<LoopStats> {
-    assert!(batch >= 1, "batch size must admit at least one request");
-    let mut stats = LoopStats::default();
-    let mut pending: Vec<Request> = Vec::new();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            // Explicit flush marker: answer everything buffered so far.
-            flush_batch(service, &mut pending, &mut output, &mut stats)?;
+) -> std::io::Result<()> {
+    for bytes in input.split(b'\n') {
+        let bytes = bytes?;
+        // Bytes that are not UTF-8 become U+FFFD: such a line is answered
+        // (as malformed, unless only a string value held them) rather
+        // than ending the loop.
+        let text = String::from_utf8_lossy(&bytes);
+        let line = text.trim();
+        if line.is_empty() {
             continue;
         }
-        if let Some(cmd) = Json::parse(&line)
-            .ok()
-            .and_then(|doc| doc.get("cmd").and_then(Json::as_str).map(str::to_owned))
-        {
-            stats.commands += 1;
-            // Flush first so the snapshot covers every request already
-            // submitted on this connection.
-            flush_batch(service, &mut pending, &mut output, &mut stats)?;
-            match cmd.as_str() {
-                "stats" => {
-                    service.count("serve.stats.requests", 1);
-                    writeln!(output, "{}", service.stats_snapshot().render_compact())?;
-                }
-                other => {
-                    let resp = parse_error_response(&line, format!("unknown command `{other}`"));
-                    writeln!(output, "{}", render_response(&resp))?;
-                }
-            }
-            output.flush()?;
-            continue;
-        }
-        match parse_request(&line) {
-            Ok(req) => {
-                stats.requests += 1;
-                pending.push(req);
-                if pending.len() >= batch {
-                    flush_batch(service, &mut pending, &mut output, &mut stats)?;
-                }
-            }
-            Err(err) => {
-                stats.parse_errors += 1;
-                service.note_malformed();
-                // Answer out of band, before the batch, so a bad line
-                // never delays or reorders valid requests' responses
-                // relative to their own batch.
-                flush_batch(service, &mut pending, &mut output, &mut stats)?;
-                writeln!(output, "{}", render_response(&parse_error_response(&line, err)))?;
-                output.flush()?;
-            }
-        }
+        writeln!(output, "{}", answer(service, line))?;
+        output.flush()?;
     }
-    flush_batch(service, &mut pending, &mut output, &mut stats)?;
-    Ok(stats)
+    Ok(())
 }
 
 /// Binds `path` and serves connections sequentially (the service is
-/// CPU-bound; fairness comes from small batches, not threads). Stops
-/// after `max_connections` when given — tests and drain scripts use
-/// this; pass `None` to serve forever.
+/// CPU-bound and answers one line at a time). Stops after
+/// `max_connections` when given — tests and drain scripts use this; pass
+/// `None` to serve forever.
 pub fn serve_unix_socket(
     service: &Service,
     path: &Path,
-    batch: usize,
     max_connections: Option<usize>,
-) -> std::io::Result<LoopStats> {
+) -> std::io::Result<()> {
     // A stale socket file from a previous run would make bind fail.
     if path.exists() {
         std::fs::remove_file(path)?;
     }
     let listener = UnixListener::bind(path)?;
-    let mut total = LoopStats::default();
     for (served, conn) in listener.incoming().enumerate() {
         let stream = conn?;
         let reader = BufReader::new(stream.try_clone()?);
-        let stats = serve_lines(service, reader, &stream, batch)?;
-        total.requests += stats.requests;
-        total.parse_errors += stats.parse_errors;
-        total.batches += stats.batches;
-        total.commands += stats.commands;
+        serve_lines(service, reader, &stream)?;
         if max_connections.is_some_and(|cap| served + 1 >= cap) {
             break;
         }
     }
-    Ok(total)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qjo_exec::Parallelism;
+    use std::collections::BTreeMap;
 
     fn line(id: &str, backend: &str) -> String {
         format!(
@@ -178,28 +128,29 @@ mod tests {
         )
     }
 
-    fn run(input: &str, batch: usize) -> (Vec<qjo_obs::json::Json>, LoopStats) {
+    /// Serves `input` on a fresh smoke service: the answer lines as JSON
+    /// and the service's counters.
+    fn run(input: &str) -> (Vec<Json>, BTreeMap<String, u64>) {
         let svc = Service::smoke(7, Parallelism::sequential());
         let mut out = Vec::new();
-        let stats = serve_lines(&svc, input.as_bytes(), &mut out, batch).expect("io");
+        serve_lines(&svc, input.as_bytes(), &mut out).expect("io");
         let text = String::from_utf8(out).expect("utf8");
-        let docs = text
-            .lines()
-            .map(|l| qjo_obs::json::Json::parse(l).expect("response lines are JSON"))
-            .collect();
-        (docs, stats)
+        let docs = text.lines().map(|l| Json::parse(l).expect("response lines are JSON")).collect();
+        (docs, svc.telemetry().counters())
+    }
+
+    fn id(doc: &Json) -> Option<&str> {
+        doc.get("id").and_then(Json::as_str)
     }
 
     #[test]
     fn answers_every_line_in_order() {
         let input = format!("{}\n{}\n{}\n", line("a", "greedy"), line("b", "dp"), line("c", "sa"));
-        let (docs, stats) = run(&input, 10);
-        assert_eq!(stats, LoopStats { requests: 3, parse_errors: 0, batches: 1, commands: 0 });
-        let ids: Vec<_> =
-            docs.iter().map(|d| d.get("id").and_then(|v| v.as_str()).expect("id")).collect();
-        assert_eq!(ids, vec!["a", "b", "c"]);
+        let (docs, counters) = run(&input);
+        assert_eq!(counters.get("serve.requests"), Some(&3));
+        assert_eq!(docs.iter().map(|d| id(d).expect("id")).collect::<Vec<_>>(), ["a", "b", "c"]);
         for d in &docs {
-            assert_eq!(d.get("error"), Some(&qjo_obs::json::Json::Null));
+            assert_eq!(d.get("error"), Some(&Json::Null));
         }
     }
 
@@ -214,13 +165,13 @@ mod tests {
             r#"{"id": "a", "backend": "auto", "relations": [200, 200, 200], "predicates": []}"#,
             "\n",
         );
-        let (docs, stats) = run(input, 10);
-        assert_eq!(stats.requests, 2);
+        let (docs, counters) = run(input);
+        assert_eq!(counters.get("serve.requests"), Some(&2));
         assert_eq!(docs.len(), 2);
-        for (doc, (id, t)) in docs.iter().zip([("d", 2), ("a", 3)]) {
-            assert_eq!(doc.get("id").and_then(|v| v.as_str()), Some(id));
-            assert_eq!(doc.get("error"), Some(&qjo_obs::json::Json::Null), "{id}");
-            assert_eq!(doc.get("cost"), Some(&qjo_obs::json::Json::Null), "{id}");
+        for (doc, (want, t)) in docs.iter().zip([("d", 2), ("a", 3)]) {
+            assert_eq!(id(doc), Some(want));
+            assert_eq!(doc.get("error"), Some(&Json::Null), "{want}");
+            assert_eq!(doc.get("cost"), Some(&Json::Null), "{want}");
             let mut order: Vec<u64> = doc
                 .get("order")
                 .and_then(|v| v.as_arr())
@@ -229,47 +180,35 @@ mod tests {
                 .filter_map(|v| v.as_u64())
                 .collect();
             order.sort_unstable();
-            assert_eq!(order, (0..t).collect::<Vec<u64>>(), "{id}: a permutation");
+            assert_eq!(order, (0..t).collect::<Vec<u64>>(), "{want}: a permutation");
         }
     }
 
     #[test]
-    fn empty_line_flushes_and_batch_size_bounds_grouping() {
-        let input = format!(
-            "{}\n\n{}\n{}\n{}\n",
-            line("a", "greedy"),
-            line("b", "greedy"),
-            line("c", "greedy"),
-            line("d", "greedy")
-        );
-        let (_, stats) = run(&input, 2);
-        // "a" flushed by the blank line; "b","c" by batch-full; "d" by EOF.
-        assert_eq!(stats, LoopStats { requests: 4, parse_errors: 0, batches: 3, commands: 0 });
-    }
-
-    #[test]
-    fn a_stats_command_flushes_and_answers_with_a_snapshot() {
+    fn a_stats_command_answers_with_a_snapshot_in_place() {
         let input = format!(
             "{}\n{}\n{{\"cmd\": \"stats\"}}\n{}\n{{\"cmd\": \"dance\"}}\n",
             line("a", "greedy"),
             line("b", "sa"),
             line("c", "dp")
         );
-        let (docs, stats) = run(&input, 10);
-        assert_eq!(stats, LoopStats { requests: 3, parse_errors: 0, batches: 2, commands: 2 });
-        // Responses: a, b (flushed by the command), the snapshot, c
-        // (flushed by the second command), the unknown-command error.
+        let (docs, counters) = run(&input);
+        assert_eq!(counters.get("serve.requests"), Some(&3));
+        assert_eq!(counters.get("serve.stats.requests"), Some(&1));
+        // An unknown command is a malformed line.
+        assert_eq!(counters.get("serve.requests.malformed"), Some(&1));
+        // Responses: a, b, the snapshot, c, the unknown-command error.
         assert_eq!(docs.len(), 5);
-        assert_eq!(docs[0].get("id").and_then(|v| v.as_str()), Some("a"));
-        assert_eq!(docs[1].get("id").and_then(|v| v.as_str()), Some("b"));
+        assert_eq!(id(&docs[0]), Some("a"));
+        assert_eq!(id(&docs[1]), Some("b"));
         let snap = &docs[2];
-        // The mid-stream snapshot covers exactly the two flushed requests.
+        // The mid-stream snapshot covers exactly the two requests before it.
         assert_eq!(
             snap.get("counters").and_then(|c| c.get("serve.requests")).and_then(|v| v.as_u64()),
             Some(2)
         );
         assert!(snap.get("cache").and_then(|c| c.get("capacity")).is_some());
-        assert_eq!(docs[3].get("id").and_then(|v| v.as_str()), Some("c"));
+        assert_eq!(id(&docs[3]), Some("c"));
         assert!(docs[4]
             .get("error")
             .and_then(|v| v.as_str())
@@ -278,15 +217,10 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_counted_in_the_service_tallies() {
-        let svc = Service::smoke(7, Parallelism::sequential());
         let input = format!("not json at all\n{}\n{{\"cmd\": \"stats\"}}\n", line("a", "greedy"));
-        let mut out = Vec::new();
-        let stats = serve_lines(&svc, input.as_bytes(), &mut out, 4).expect("io");
-        assert_eq!(stats.parse_errors, 1);
-        assert_eq!(svc.telemetry().counters().get("serve.requests.malformed"), Some(&1));
-        let text = String::from_utf8(out).expect("utf8");
-        let snap = qjo_obs::json::Json::parse(text.lines().last().expect("snapshot line"))
-            .expect("snapshot is JSON");
+        let (docs, counters) = run(&input);
+        assert_eq!(counters.get("serve.requests.malformed"), Some(&1));
+        let snap = docs.last().expect("snapshot line");
         assert_eq!(
             snap.get("counters")
                 .and_then(|c| c.get("serve.requests.malformed"))
@@ -296,16 +230,158 @@ mod tests {
     }
 
     #[test]
-    fn a_bad_line_answers_immediately_without_poisoning_the_batch() {
+    fn a_bad_line_is_answered_in_place() {
         let input = format!("{}\nthis is not json\n{}\n", line("a", "greedy"), line("b", "greedy"));
-        let (docs, stats) = run(&input, 10);
-        assert_eq!(stats.parse_errors, 1);
-        assert_eq!(stats.requests, 2);
+        let (docs, counters) = run(&input);
+        assert_eq!(counters.get("serve.requests.malformed"), Some(&1));
+        assert_eq!(counters.get("serve.requests"), Some(&2));
         assert_eq!(docs.len(), 3);
-        // Order: "a" (flushed ahead of the error), the error, then "b".
-        assert_eq!(docs[0].get("id").and_then(|v| v.as_str()), Some("a"));
+        assert_eq!(id(&docs[0]), Some("a"));
         assert!(docs[1].get("error").and_then(|v| v.as_str()).is_some());
-        assert_eq!(docs[2].get("id").and_then(|v| v.as_str()), Some("b"));
+        assert_eq!(id(&docs[2]), Some("b"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_as_malformed() {
+        let svc = Service::smoke(7, Parallelism::sequential());
+        let mut input = b"\xff\xfe\r\n".to_vec();
+        input.extend_from_slice(format!("{}\r\n", line("a", "greedy")).as_bytes());
+        let mut out = Vec::new();
+        serve_lines(&svc, input.as_slice(), &mut out).expect("io");
+        let docs: Vec<Json> = String::from_utf8(out)
+            .expect("utf8")
+            .lines()
+            .map(|l| Json::parse(l).expect("response lines are JSON"))
+            .collect();
+        assert_eq!(docs.len(), 2);
+        assert!(docs[0].get("error").and_then(Json::as_str).is_some());
+        assert_eq!(id(&docs[1]), Some("a"));
+        let counters = svc.telemetry().counters();
+        assert_eq!(counters.get("serve.requests.malformed"), Some(&1));
+        assert_eq!(counters.get("serve.requests"), Some(&1));
+    }
+
+    #[test]
+    fn each_answer_is_written_before_the_next_line_is_read() {
+        use std::cell::RefCell;
+        use std::io::Read;
+        use std::rc::Rc;
+
+        /// Answer bytes the loop has flushed so far.
+        type Flushed = Rc<RefCell<Vec<u8>>>;
+
+        /// Publishes written bytes only on `flush`.
+        struct Sink {
+            pending: Vec<u8>,
+            flushed: Flushed,
+        }
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.pending.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                self.flushed.borrow_mut().append(&mut self.pending);
+                Ok(())
+            }
+        }
+
+        /// Hands out one line per `read`, first checking that every
+        /// non-empty line handed out before it has been answered.
+        struct Feed {
+            lines: Vec<String>,
+            next: usize,
+            flushed: Flushed,
+        }
+        impl Read for Feed {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let answered = self.flushed.borrow().iter().filter(|&&b| b == b'\n').count();
+                let asked = self.lines[..self.next].iter().filter(|l| !l.trim().is_empty()).count();
+                assert_eq!(answered, asked, "line {} was not answered", self.next);
+                let Some(line) = self.lines.get(self.next) else { return Ok(0) };
+                let bytes = format!("{line}\n").into_bytes();
+                assert!(bytes.len() <= buf.len(), "test lines fit one read");
+                buf[..bytes.len()].copy_from_slice(&bytes);
+                self.next += 1;
+                Ok(bytes.len())
+            }
+        }
+
+        let lines = vec![
+            line("a", "greedy"),
+            "not json".to_string(),
+            String::new(),
+            "{\"cmd\": \"stats\"}".to_string(),
+            line("b", "dp"),
+            "{\"cmd\": \"reboot\"}".to_string(),
+            line("c", "auto"),
+        ];
+        let flushed = Flushed::default();
+        let svc = Service::smoke(7, Parallelism::sequential());
+        let feed = Feed { lines, next: 0, flushed: flushed.clone() };
+        let sink = Sink { pending: Vec::new(), flushed: flushed.clone() };
+        serve_lines(&svc, BufReader::new(feed), sink).expect("io");
+        assert_eq!(flushed.borrow().iter().filter(|&&b| b == b'\n').count(), 6);
+    }
+
+    #[test]
+    fn every_line_gets_one_answer_and_one_tally() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+        // What each non-empty line must be answered with.
+        enum Want {
+            Plan(String),
+            Error,
+            Snapshot,
+        }
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut input = String::new();
+        let mut wants = Vec::new();
+        for k in 0..200 {
+            match rng.random_range(0..7u32) {
+                0..=2 => {
+                    let id = format!("q{k}");
+                    let backend = ["greedy", "dp", "auto"][rng.random_range(0..3usize)];
+                    input.push_str(&line(&id, backend));
+                    wants.push(Want::Plan(id));
+                }
+                3 => {
+                    let full = line(&format!("q{k}"), "greedy");
+                    input.push_str(&full[..rng.random_range(1..full.len() - 1)]);
+                    wants.push(Want::Error);
+                }
+                4 => {
+                    input.push_str("{\"cmd\": \"stats\"}");
+                    wants.push(Want::Snapshot);
+                }
+                5 => {
+                    input.push_str("{\"cmd\": \"reboot\"}");
+                    wants.push(Want::Error);
+                }
+                _ => {}
+            }
+            input.push('\n');
+        }
+        let (docs, counters) = run(&input);
+        assert_eq!(docs.len(), wants.len(), "one answer per non-empty line");
+        for (k, (doc, want)) in docs.iter().zip(&wants).enumerate() {
+            match want {
+                Want::Plan(want) => {
+                    assert_eq!(id(doc), Some(want.as_str()), "answer {k}");
+                    assert_eq!(doc.get("error"), Some(&Json::Null), "answer {k}");
+                }
+                Want::Error => {
+                    assert_eq!(id(doc), Some("?"), "answer {k}");
+                    assert!(doc.get("error").and_then(Json::as_str).is_some(), "answer {k}");
+                }
+                Want::Snapshot => assert!(doc.get("counters").is_some(), "answer {k}"),
+            }
+        }
+        let tally: u64 = ["serve.requests", "serve.requests.malformed", "serve.stats.requests"]
+            .iter()
+            .filter_map(|name| counters.get(*name))
+            .sum();
+        assert_eq!(tally, wants.len() as u64, "one tally per answered line");
     }
 
     #[test]
@@ -319,7 +395,8 @@ mod tests {
         let path2 = path.clone();
         let server = std::thread::spawn(move || {
             let svc = Service::smoke(7, Parallelism::sequential());
-            serve_unix_socket(&svc, &path2, 4, Some(1)).expect("serve")
+            serve_unix_socket(&svc, &path2, Some(1)).expect("serve");
+            svc.telemetry().counters().get("serve.requests").copied()
         });
         // The listener needs a moment to bind; retry the connect.
         let mut stream = None;
@@ -336,14 +413,17 @@ mod tests {
         let mut writer = stream.try_clone().expect("clone");
         writeln!(writer, "{}", line("s1", "greedy")).expect("write");
         writer.flush().expect("flush");
+        // The answer arrives while the connection is still open; a loop
+        // that held it back until end-of-input fails the read instead of
+        // hanging the test.
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).expect("answered before end-of-input");
+        let doc = Json::parse(reply.trim()).expect("json");
+        assert_eq!(id(&doc), Some("s1"));
         // Half-close the write side so the server sees end-of-input.
         stream.shutdown(std::net::Shutdown::Write).expect("shutdown");
-        let mut reply = String::new();
-        BufReader::new(&stream).read_line(&mut reply).expect("read");
-        let doc = qjo_obs::json::Json::parse(reply.trim()).expect("json");
-        assert_eq!(doc.get("id").and_then(|v| v.as_str()), Some("s1"));
-        let stats = server.join().expect("server thread");
-        assert_eq!(stats.requests, 1);
+        assert_eq!(server.join().expect("server thread"), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
 //! The serving core: backend registry, deterministic deadline admission,
-//! and batch handling.
+//! and one-request-at-a-time handling.
 //!
 //! Deadline semantics are *model-based*, not measured: a request with
 //! `deadline_ms` is admitted to its backend only when the backend's
@@ -151,11 +151,6 @@ impl Service {
         &self.cache
     }
 
-    /// Backend names in registry (sorted) order.
-    pub fn backend_names(&self) -> Vec<&str> {
-        self.backends.keys().map(String::as_str).collect()
-    }
-
     /// This service's telemetry sink.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -264,25 +259,9 @@ impl Service {
                 gauge.set(qerr);
             }
         }
-        let cache_before = self.cache.stats();
         let (resp, meta) = self.handle_inner(req);
-        let cache_after = self.cache.stats();
         let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         qjo_obs::global().histogram("serve.latency").record_ns(latency_us.saturating_mul(1000));
-        // Embedding attribution: prefer what the plan itself reported
-        // (the actual under-lock outcome of *this* solve), falling back
-        // to the stats delta between the two reads — correct only while
-        // the handle path stays sequential per service, kept as a net
-        // for plan-less paths.
-        let embed = meta.embed.or({
-            if cache_after.embed_misses > cache_before.embed_misses {
-                Some("cold")
-            } else if cache_after.embed_hits > cache_before.embed_hits {
-                Some("hit")
-            } else {
-                None
-            }
-        });
         let outcome = if resp.error.is_some() {
             "error"
         } else if resp.fallback {
@@ -326,7 +305,7 @@ impl Service {
             deadline_ms: req.deadline_ms,
             admitted: meta.admitted,
             cache: resp.cache,
-            embed,
+            embed: meta.embed,
             outcome,
             reason: meta.reason,
             slo,
@@ -414,39 +393,6 @@ impl Service {
                 (resp, meta)
             }
         }
-    }
-
-    /// Serves a batch, grouping compatible requests (same backend, same
-    /// fingerprint class) so one formulation/embedding build is shared by
-    /// the whole group. Responses come back in request order.
-    pub fn handle_batch(&self, reqs: &[Request]) -> Vec<Response> {
-        // Stable-sort indices by (backend, fingerprint): groups become
-        // adjacent, the first member warms the cache, the rest hit.
-        let keys: Vec<(String, String)> = reqs
-            .iter()
-            .map(|r| (r.backend.clone(), self.cache.canonicalize(&r.query).fingerprint))
-            .collect();
-        let mut idx: Vec<usize> = (0..reqs.len()).collect();
-        idx.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-        let groups = {
-            let mut g = 0u64;
-            for w in idx.windows(2) {
-                if keys[w[0]] != keys[w[1]] {
-                    g += 1;
-                }
-            }
-            if idx.is_empty() {
-                0
-            } else {
-                g + 1
-            }
-        };
-        self.count("serve.batch.groups", groups);
-        let mut out: Vec<Option<Response>> = vec![None; reqs.len()];
-        for &i in &idx {
-            out[i] = Some(self.handle(&reqs[i]));
-        }
-        out.into_iter().map(|r| r.expect("every request answered")).collect()
     }
 }
 
@@ -669,27 +615,30 @@ mod tests {
     }
 
     #[test]
-    fn batching_groups_same_class_requests() {
-        let svc = Service::smoke(7, Parallelism::sequential());
-        let gen = QueryGenerator::paper_defaults(QueryGraph::Star, 4);
-        let q = gen.generate(11);
-        let reqs: Vec<Request> = (0..3)
-            .map(|i| Request {
-                id: format!("b{i}"),
-                backend: "sa".into(),
-                deadline_ms: None,
-                query: q.clone(),
-            })
-            .collect();
-        let out = svc.handle_batch(&reqs);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].id, "b0");
-        assert_eq!(out[2].id, "b2");
-        // This service's own counts: the global registry is shared with
-        // tests running in parallel.
-        assert_eq!(svc.telemetry().counters().get("serve.batch.groups"), Some(&1));
-        // One formulation build, two cache hits.
-        let cache = svc.cache().stats();
-        assert_eq!((cache.misses, cache.hits), (1, 2));
+    fn an_exhausted_embed_is_billed_cold() {
+        // A line of exactly the query's qubit upper bound: the annealer
+        // admits the request, but no line holds the QUBO's minor, so every
+        // embed attempt fails and the request degrades to greedy. The
+        // event still bills the embed it paid for.
+        let query = QueryGenerator::paper_defaults(QueryGraph::Chain, 2).generate(1);
+        let n = qjo_core::qubit_upper_bound(&query, 1, 1.0).total();
+        let cache =
+            Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 1));
+        let sampler = AnnealerSampler::new(qjo_transpile::Topology::line(n));
+        let mut backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>> = BTreeMap::new();
+        backends
+            .insert("annealer".into(), Box::new(AnnealerBackend { cache: cache.clone(), sampler }));
+        let svc = Service::new(backends, cache);
+        let r = svc.handle(&Request {
+            id: "x".into(),
+            backend: "annealer".into(),
+            deadline_ms: None,
+            query,
+        });
+        assert!(r.fallback && !r.deadline_miss);
+        let events = svc.drain_events();
+        assert!(events[0].admitted);
+        assert_eq!(events[0].embed, Some("cold"));
+        assert_eq!(events[0].reason, Some("solve"));
     }
 }

@@ -12,7 +12,7 @@ use rand::{RngExt, SeedableRng};
 use qjo_core::{JoEncoder, Query, QueryGenerator, QueryGraph};
 use qjo_exec::Parallelism;
 use qjo_serve::fingerprint::{canonicalize, relabel, FingerprintConfig};
-use qjo_serve::loadgen::{self, LoadMix, LoadMode};
+use qjo_serve::loadgen::{self, LoadMix};
 use qjo_serve::service::Service;
 use qjo_serve::FormulationCache;
 
@@ -147,7 +147,7 @@ fn serve_report_is_invariant_across_thread_counts() {
     let requests = loadgen::generate_requests(&mix);
     let report_at = |par: Parallelism| {
         let service = Service::smoke(mix.seed, par);
-        loadgen::aggregate_report(&loadgen::run(&service, &requests, LoadMode::Closed))
+        loadgen::aggregate_report(&loadgen::run(&service, &requests))
     };
     let sequential = report_at(Parallelism::sequential());
     let wide = report_at(Parallelism::new(8));

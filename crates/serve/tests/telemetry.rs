@@ -1,13 +1,13 @@
 //! End-to-end serving-telemetry tests: event-log determinism across
-//! thread counts, manifest reconciliation of the stats snapshot, the
-//! mid-batch stats command, and the embedding cache's cold-then-hit
+//! thread counts, manifest reconciliation of the stats snapshot, a
+//! mid-stream stats command, and the embedding cache's cold-then-hit
 //! attribution on the annealer path.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use qjo_exec::Parallelism;
 use qjo_serve::events::{render_canonical, validate_events};
-use qjo_serve::loadgen::{self, LoadMix, LoadMode};
+use qjo_serve::loadgen::{self, LoadMix};
 use qjo_serve::server::serve_lines;
 use qjo_serve::service::Service;
 use qjo_serve::Request;
@@ -36,7 +36,7 @@ fn deterministic_event_fields_are_identical_across_thread_counts() {
         let service = Service::smoke(13, Parallelism::new(threads));
         let mix = fast_mix(13);
         let requests = loadgen::generate_requests(&mix);
-        let (_, events) = loadgen::run_with_events(&service, &requests, mix.mode);
+        let (_, events) = loadgen::run_with_events(&service, &requests);
         assert_eq!(validate_events(&events), Vec::<String>::new());
         render_canonical(&events)
     };
@@ -72,8 +72,8 @@ fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
     let service = Service::smoke(13, Parallelism::sequential());
     let before = qjo_obs::global().snapshot();
     let mix = fast_mix(13);
-    // The whole wire path: batched requests, a stats command and a
-    // malformed line, so the loop's own counters reconcile too.
+    // The whole wire path: requests, a stats command and a malformed
+    // line, so the loop's own counters reconcile too.
     let mut input = String::new();
     for (i, req) in loadgen::generate_requests(&mix).iter().enumerate() {
         input.push_str(&request_line(req));
@@ -81,8 +81,7 @@ fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
             input.push_str("{\"cmd\": \"stats\"}\nnot json\n");
         }
     }
-    let stats = serve_lines(&service, input.as_bytes(), std::io::sink(), 4).expect("io");
-    assert_eq!((stats.commands, stats.parse_errors), (1, 1));
+    serve_lines(&service, input.as_bytes(), std::io::sink()).expect("io");
     let deltas = qjo_obs::global().snapshot().counter_deltas_since(&before);
     let snap = service.stats_snapshot();
     let counters = snap.get("counters").and_then(|c| c.as_obj()).expect("counters object");
@@ -103,13 +102,15 @@ fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
     for (name, value) in local.iter().filter(|(_, v)| **v > 0) {
         assert_eq!(deltas.get(name), Some(value), "snapshot tally {name} not present globally");
     }
-    for name in ["serve.stats.requests", "serve.requests.malformed", "serve.batch.groups"] {
-        assert!(local.get(name).is_some_and(|&v| v > 0), "{name} never counted: {local:?}");
+    for (name, want) in
+        [("serve.requests", 24), ("serve.stats.requests", 1), ("serve.requests.malformed", 1)]
+    {
+        assert_eq!(local.get(name), Some(&want), "{name}: {local:?}");
     }
 }
 
 #[test]
-fn a_mid_batch_stats_request_is_internally_consistent() {
+fn a_mid_stream_stats_request_is_internally_consistent() {
     let _guard = serial();
     let service = Service::smoke(13, Parallelism::sequential());
     let mix = fast_mix(13);
@@ -122,8 +123,7 @@ fn a_mid_batch_stats_request_is_internally_consistent() {
         }
     }
     let mut out = Vec::new();
-    let stats = serve_lines(&service, input.as_bytes(), &mut out, 4).expect("io");
-    assert_eq!(stats.commands, 1);
+    serve_lines(&service, input.as_bytes(), &mut out).expect("io");
     let text = String::from_utf8(out).expect("utf8");
     // The snapshot is the only non-response line: find it by its
     // distinctive top-level "counters" key.
@@ -134,8 +134,8 @@ fn a_mid_batch_stats_request_is_internally_consistent() {
         .expect("one snapshot line");
     let counters = snap.get("counters").and_then(|c| c.as_obj()).expect("counters");
     let get = |name: &str| counters.get(name).and_then(|v| v.as_u64()).unwrap_or(0);
-    // Mid-batch consistency: the snapshot covers exactly the six
-    // requests flushed before the command.
+    // Mid-stream consistency: the snapshot covers exactly the six
+    // requests answered before the command.
     assert_eq!(get("serve.requests"), 6);
     assert_eq!(
         snap.get("events").and_then(|e| e.get("recorded")).and_then(|v| v.as_u64()),
@@ -175,12 +175,10 @@ fn one_annealer_class_embeds_once_then_hits() {
     // counter moves only for this service's requests.
     let tries = || qjo_obs::counter("embed.tries").get();
     let before = tries();
-    let (mut outcomes, mut events) =
-        loadgen::run_with_events(&service, &requests[..1], LoadMode::Closed);
+    let (mut outcomes, mut events) = loadgen::run_with_events(&service, &requests[..1]);
     let after_cold = tries();
     assert!(after_cold > before, "the cold request never ran the embedder");
-    let (warm_outcomes, warm_events) =
-        loadgen::run_with_events(&service, &requests[1..], LoadMode::Closed);
+    let (warm_outcomes, warm_events) = loadgen::run_with_events(&service, &requests[1..]);
     // What the embedding cache saves, exactly: a hit does zero embed work.
     assert_eq!(tries(), after_cold, "a cache hit ran the embedder");
     outcomes.extend(warm_outcomes);

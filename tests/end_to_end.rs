@@ -235,7 +235,7 @@ fn serving_facade_answers_requests_and_shares_cached_formulations() {
     };
     // Two requests in the same fingerprint class: the first builds the
     // formulation, the second is served from the cache.
-    let responses = service.handle_batch(&[sa("a"), sa("b")]);
+    let responses = [service.handle(&sa("a")), service.handle(&sa("b"))];
     assert_eq!(responses[0].cache, Some("miss"));
     assert_eq!(responses[1].cache, Some("hit"));
     let (_, optimal) = dp_optimal(&query);
