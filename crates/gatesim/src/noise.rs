@@ -11,30 +11,46 @@
 //! depend on the state, so it draws them first, gate by gate and qubit by
 //! qubit, and pushes each one to the end of the circuit as a *Pauli frame*:
 //! a Clifford gate conjugates the frame, and a rotation whose axis
-//! anticommutes with the frame runs with its angle negated. The trajectory
-//! then evolves the resulting ideal gate list with fused passes — the
-//! leading one-qubit layer and the diagonal run after it as one product
-//! state write, each later diagonal run as one pass, every other gate on
-//! its own — and reads the frame's X part as a permutation in the pass
-//! that builds the sampling CDF. A 19-qubit QAOA trajectory under Auckland
-//! noise makes 21 passes over its amplitudes where running every gate and
-//! error would make about 107, and every shot's uniform lands on the basis
-//! state it would land on there, up to rounding at a CDF boundary.
+//! anticommutes with the frame runs with its angle negated. What is left is
+//! an ideal gate list plus the frame's X part, which the sampler reads as a
+//! permutation of the basis.
+//!
+//! [`NoisySimulator::sample`] therefore runs in two phases. It first draws
+//! every trajectory's frame, then groups the trajectories whose gate lists
+//! are equal bit for bit (most often those whose frame negated no gate).
+//! Each distinct list is evolved once, with fused passes: the leading
+//! one-qubit layer and the diagonal run after it as one product-state
+//! write, each later diagonal run as one pass, every other gate on its
+//! own. Every trajectory of the group then builds its own
+//! [`BasisSampler`] through its flip mask and draws its shots from its own
+//! stream. A 19-qubit QAOA evolution under Auckland noise makes 20 passes
+//! over its amplitudes, and each trajectory adds 1 prefix pass, where
+//! running every gate and error would make about 107 per trajectory. Every
+//! shot's uniform lands on the basis state it would land on there, up to
+//! rounding at a cumulative-sum boundary.
+//!
+//! Each thread evolves in one amplitude buffer that it reuses across
+//! trajectories and calls. The buffer grows to the largest state the
+//! thread has evolved and is freed when the thread exits.
 //!
 //! This reproduces the property the paper's evaluation hinges on: result
 //! quality collapses once circuit duration approaches `min(T1, T2)`, and
 //! deeper circuits (more gates) accumulate proportionally more error.
 //!
 //! Trajectories are independent work units: trajectory `i` derives its
-//! own RNG stream from `(seed, i)` via [`qjo_exec::stream_seed`], so the
-//! returned shots are bit-identical at any [`Parallelism`] setting.
+//! own RNG stream from `(seed, i)` via [`qjo_exec::stream_seed`], and the
+//! grouping is done on the drawn lists before any evolution, so the
+//! returned shots, and the number of evolutions, are the same at any
+//! [`Parallelism`] setting.
 
-use qjo_exec::{par_map_seeded, Parallelism};
+use std::cell::Cell;
+
+use qjo_exec::{par_map, par_map_seeded, Parallelism};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::circuit::Circuit;
-use crate::complex::{ONE, ZERO};
+use crate::complex::{C64, ONE, ZERO};
 use crate::gate::{Gate, GateQubits};
 use crate::shots::ShotBuffer;
 use crate::statevector::{BasisSampler, StateVector};
@@ -232,82 +248,112 @@ impl NoisySimulator {
     /// Runs `shots` measurements of `circuit` under the noise model,
     /// returned as a packed [`ShotBuffer`] in trajectory order.
     ///
-    /// Trajectory `i` derives its own RNG stream from `(self.seed, i)`,
-    /// so the result does not depend on [`Self::parallelism`].
+    /// Every trajectory's Pauli frame is drawn first; trajectories whose
+    /// gate lists come out equal bit for bit share one evolution (counted
+    /// in `gatesim.evolutions`). Trajectory `i` derives its own RNG stream
+    /// from `(self.seed, i)`, so the result does not depend on
+    /// [`Self::parallelism`].
     pub fn sample(&self, circuit: &Circuit, shots: usize) -> ShotBuffer {
-        let noise = [self.gate_noise(false), self.gate_noise(true)];
-        self.sample_trajectories(circuit, shots, |rng| frame_trajectory(circuit, &noise, rng))
-    }
-
-    /// Splits `shots` over the trajectories and samples each from the
-    /// sampler `trajectory` returns for its RNG stream, which it may draw
-    /// from before the shot uniforms and readout flips.
-    fn sample_trajectories(
-        &self,
-        circuit: &Circuit,
-        shots: usize,
-        trajectory: impl Fn(&mut StdRng) -> BasisSampler + Sync,
-    ) -> ShotBuffer {
         assert!(self.trajectories >= 1, "need at least one trajectory");
         debug_assert!(self.model.validate().is_ok(), "{}", self.model.validate().unwrap_err());
         let _span = qjo_obs::span!("gatesim.noisy.sample");
         qjo_obs::counter!("gatesim.trajectories").add(self.trajectories as u64);
         qjo_obs::counter!("gatesim.shots").add(shots as u64);
+        let groups = group_by_gates(self.draw_frames(circuit, shots));
+        qjo_obs::counter!("gatesim.evolutions").add(groups.len() as u64);
         let n = circuit.num_qubits();
-        let base = shots / self.trajectories;
-        let extra = shots % self.trajectories;
-
-        let trajectories: Vec<usize> = (0..self.trajectories).collect();
-        let per_trajectory = par_map_seeded(trajectories, self.seed, self.parallelism, |t, rng| {
-            let this_shots = base + usize::from(t < extra);
-            if this_shots == 0 {
-                return ShotBuffer::new(n);
-            }
-            // A lost trajectory (the `gatesim.trajectory` fault site) is
-            // re-run on a reseeded stream. The decision is pure in
-            // `(plan, seed, t, attempt)`, so the retry count — and hence
-            // the replacement stream — is thread-count invariant.
-            let mut attempt: u64 = 0;
-            while attempt + 1 < TRAJECTORY_ATTEMPTS
-                && qjo_resil::should_inject(
-                    "gatesim.trajectory",
-                    self.seed.wrapping_add(attempt),
-                    t as u64,
-                )
-            {
-                qjo_obs::counter!("resil.gatesim.trajectory.retries").incr();
-                attempt += 1;
-            }
-            let mut reseeded;
-            let rng: &mut StdRng = if attempt == 0 {
-                rng
-            } else {
-                let stream = qjo_resil::stream_seed(self.seed ^ TRAJECTORY_RESEED_SALT, attempt);
-                reseeded = StdRng::seed_from_u64(qjo_resil::stream_seed(stream, t as u64));
-                &mut reseeded
-            };
-            // Draw order: the trajectory's error draws, then all shot
-            // uniforms, then readout flips shot-major/bit-minor — the
-            // flips of one shot land as a single word XOR.
-            let mut out = trajectory(rng).sample(rng, this_shots);
-            if self.model.readout_error > 0.0 {
-                for s in 0..this_shots {
-                    let mut flips = 0u64;
-                    for q in 0..n {
-                        if rng.random_bool(self.model.readout_error) {
-                            flips |= 1u64 << q;
-                        }
-                    }
-                    out.xor_word(s, 0, flips);
-                }
-            }
-            out
-        });
+        let mut sampled: Vec<(usize, ShotBuffer)> =
+            par_map(groups, self.parallelism, |mut group| {
+                let gates = std::mem::take(&mut group[0].gates);
+                with_evolved(n, &gates, |state| {
+                    group
+                        .into_iter()
+                        .map(|mut d| {
+                            let sampler = BasisSampler::new(state.amplitudes(), d.flip);
+                            (d.index, self.read_out(&sampler, &mut d.rng, d.shots))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        sampled.sort_unstable_by_key(|&(index, _)| index);
         let mut all = ShotBuffer::with_capacity(n, shots);
-        for buf in &per_trajectory {
+        for (_, buf) in &sampled {
             all.append(buf);
         }
         all
+    }
+
+    /// Draws the Pauli frame of every trajectory that gets shots, each on
+    /// its own stream, in trajectory order.
+    fn draw_frames(&self, circuit: &Circuit, shots: usize) -> Vec<Drawn> {
+        let noise = [self.gate_noise(false), self.gate_noise(true)];
+        let trajectories: Vec<usize> = (0..self.trajectories).collect();
+        par_map_seeded(trajectories, self.seed, self.parallelism, |index, rng| {
+            let shots = self.shots_of(index, shots);
+            if shots == 0 {
+                return None;
+            }
+            let mut rng = self.trajectory_stream(index, rng);
+            let (gates, flip) = frame_gates(circuit, &noise, &mut rng);
+            Some(Drawn { index, shots, gates, flip, rng })
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// Trajectory `t`'s share of `shots`: an even split, with the remainder
+    /// going to the first trajectories.
+    fn shots_of(&self, t: usize, shots: usize) -> usize {
+        shots / self.trajectories + usize::from(t < shots % self.trajectories)
+    }
+
+    /// Trajectory `t`'s RNG stream, given the one the map handed it.
+    ///
+    /// A lost trajectory (the `gatesim.trajectory` fault site) is re-run on
+    /// a reseeded stream. The decision is pure in `(plan, seed, t,
+    /// attempt)`, so the retry count — and hence the replacement stream —
+    /// is thread-count invariant.
+    fn trajectory_stream(&self, t: usize, rng: &StdRng) -> StdRng {
+        let mut attempt: u64 = 0;
+        while attempt + 1 < TRAJECTORY_ATTEMPTS
+            && qjo_resil::should_inject(
+                "gatesim.trajectory",
+                self.seed.wrapping_add(attempt),
+                t as u64,
+            )
+        {
+            qjo_obs::counter!("resil.gatesim.trajectory.retries").incr();
+            attempt += 1;
+        }
+        if attempt == 0 {
+            return rng.clone();
+        }
+        let stream = qjo_resil::stream_seed(self.seed ^ TRAJECTORY_RESEED_SALT, attempt);
+        StdRng::seed_from_u64(qjo_resil::stream_seed(stream, t as u64))
+    }
+
+    /// Draws one trajectory's `shots` from `sampler` and then its readout
+    /// flips, shot-major/bit-minor, so the flips of one shot land as a
+    /// single word XOR. With the error draws before them, that is the
+    /// trajectory stream's whole draw order.
+    fn read_out(&self, sampler: &BasisSampler, rng: &mut StdRng, shots: usize) -> ShotBuffer {
+        let mut out = sampler.sample(rng, shots);
+        if self.model.readout_error > 0.0 {
+            for s in 0..shots {
+                let mut flips = 0u64;
+                for q in 0..sampler.num_qubits() {
+                    if rng.random_bool(self.model.readout_error) {
+                        flips |= 1u64 << q;
+                    }
+                }
+                out.xor_word(s, 0, flips);
+            }
+        }
+        out
     }
 
     /// Folds the depolarising probability and cumulative Pauli-twirl
@@ -429,10 +475,19 @@ impl PauliFrame {
     }
 }
 
-/// One trajectory: draws its errors into a Pauli frame, evolves the ideal
-/// gate list the frame leaves behind, and returns the sampler of the state
-/// with the frame's X part applied.
-fn frame_trajectory(circuit: &Circuit, noise: &[GateNoise; 2], rng: &mut StdRng) -> BasisSampler {
+/// A trajectory after its error draws: the ideal gate list its Pauli frame
+/// leaves behind, the frame's X part, and its stream as the draws left it.
+struct Drawn {
+    index: usize,
+    shots: usize,
+    gates: Vec<Gate>,
+    flip: usize,
+    rng: StdRng,
+}
+
+/// Draws one trajectory's errors into a Pauli frame and returns the ideal
+/// gate list the frame leaves behind with the frame's X part.
+fn frame_gates(circuit: &Circuit, noise: &[GateNoise; 2], rng: &mut StdRng) -> (Vec<Gate>, usize) {
     let mut frame = PauliFrame::default();
     let mut gates = Vec::with_capacity(circuit.len());
     for g in circuit.gates() {
@@ -442,14 +497,52 @@ fn frame_trajectory(circuit: &Circuit, noise: &[GateNoise; 2], rng: &mut StdRng)
             draw_errors(noise, q, rng, |e| frame.absorb(e));
         }
     }
-    evolve_fused(circuit.num_qubits(), &gates).flipped_sampler(frame.x)
+    (gates, frame.x)
 }
 
-/// Evolves `|0…0⟩` through `gates` with fused passes: the leading
-/// one-qubit gates act qubit by qubit and, with the diagonal run that
-/// follows them, are written as one product state; each later diagonal run
-/// is one pass; every other gate is applied on its own.
-fn evolve_fused(num_qubits: usize, gates: &[Gate]) -> StateVector {
+/// Groups trajectories whose gate lists are equal bit for bit (angles by
+/// [`f64::to_bits`]), in order of first occurrence. The first member of a
+/// group is the one whose list is evolved.
+fn group_by_gates(drawn: Vec<Drawn>) -> Vec<Vec<Drawn>> {
+    let same = |a: &Gate, b: &Gate| {
+        std::mem::discriminant(a) == std::mem::discriminant(b)
+            && a.qubits() == b.qubits()
+            && a.angle().map(f64::to_bits) == b.angle().map(f64::to_bits)
+    };
+    let mut groups: Vec<Vec<Drawn>> = Vec::new();
+    for d in drawn {
+        let list = |g: &Vec<Drawn>| {
+            g[0].gates.len() == d.gates.len()
+                && g[0].gates.iter().zip(&d.gates).all(|(a, b)| same(a, b))
+        };
+        match groups.iter().position(list) {
+            Some(g) => groups[g].push(d),
+            None => groups.push(vec![d]),
+        }
+    }
+    groups
+}
+
+thread_local! {
+    /// The amplitude buffer this thread evolves trajectories in.
+    static AMPLITUDES: Cell<Vec<C64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Evolves `gates` (see [`evolve_fused`]) in this thread's amplitude buffer
+/// and hands the state to `f`; the buffer is kept for the thread's next
+/// evolution.
+fn with_evolved<R>(num_qubits: usize, gates: &[Gate], f: impl FnOnce(&StateVector) -> R) -> R {
+    let state = evolve_fused(num_qubits, gates, AMPLITUDES.take());
+    let out = f(&state);
+    AMPLITUDES.set(state.into_amplitudes());
+    out
+}
+
+/// Evolves `|0…0⟩` through `gates` with fused passes, in `buffer`'s
+/// allocation: the leading one-qubit gates act qubit by qubit and, with the
+/// diagonal run that follows them, are written as one product state; each
+/// later diagonal run is one pass; every other gate is applied on its own.
+fn evolve_fused(num_qubits: usize, gates: &[Gate], buffer: Vec<C64>) -> StateVector {
     let diagonal_run = |gates: &[Gate]| gates.iter().take_while(|g| g.is_diagonal()).count();
     let prefix = gates.iter().take_while(|g| !g.is_two_qubit()).count();
     let mut qubits = vec![[ONE, ZERO]; num_qubits];
@@ -460,7 +553,7 @@ fn evolve_fused(num_qubits: usize, gates: &[Gate]) -> StateVector {
         qubits[q] = [u[0] * a0 + u[1] * a1, u[2] * a0 + u[3] * a1];
     }
     let run = diagonal_run(&gates[prefix..]);
-    let mut state = StateVector::product(&qubits, &gates[prefix..prefix + run]);
+    let mut state = StateVector::product_in(buffer, &qubits, &gates[prefix..prefix + run]);
     let mut rest = &gates[prefix + run..];
     while let Some(&g) = rest.first() {
         let run = diagonal_run(rest);
@@ -670,9 +763,13 @@ mod tests {
         bell.push(Cx(0, 1));
         // Under Auckland noise ×20 the QAOA trajectories carry X, Y and Z
         // frames through H, RZ/RZZ and RX; in the Bell circuit errors are
-        // rare.
+        // rare. Under Auckland noise ×0.1 most QAOA trajectories keep the
+        // ideal gate list, so they share evolutions.
         let qaoa = qaoa_10();
-        for (c, model) in [(&bell, NoiseModel::ibm_auckland()), (&qaoa, auckland_times(20.0))] {
+        let low = auckland_times(0.1);
+        let cases =
+            [(&bell, NoiseModel::ibm_auckland()), (&qaoa, auckland_times(20.0)), (&qaoa, low)];
+        for (c, model) in cases {
             let at = |threads| {
                 let sim = NoisySimulator {
                     trajectories: 6,
@@ -685,29 +782,64 @@ mod tests {
             assert_eq!(sequential, at(3));
             assert_eq!(sequential, at(8));
         }
+        let sim = NoisySimulator { trajectories: 6, ..NoisySimulator::new(low, 11) };
+        let lists = group_by_gates(sim.draw_frames(&qaoa, 300)).len();
+        assert!(lists < 6, "the low-noise trajectories share no gate list ({lists} lists)");
     }
 
-    /// The per-gate trajectory the frame path replaces, kept as its oracle:
-    /// every gate and every drawn error runs on the state vector.
-    fn per_gate_trajectory(
-        circuit: &Circuit,
-        noise: &[GateNoise; 2],
-        rng: &mut StdRng,
-    ) -> BasisSampler {
-        let mut state = StateVector::zero(circuit.num_qubits());
-        for g in circuit.gates() {
-            state.apply(*g);
-            let noise = &noise[usize::from(g.is_two_qubit())];
-            for q in g.qubits().iter() {
-                draw_errors(noise, q, rng, |e| state.apply(e));
-            }
-        }
-        state.sampler()
+    #[test]
+    fn trajectories_group_by_bit_equal_gate_lists_in_first_occurrence_order() {
+        let drawn = |index: usize, gates: Vec<Gate>| Drawn {
+            index,
+            shots: 1,
+            gates,
+            flip: index,
+            rng: StdRng::seed_from_u64(0),
+        };
+        let groups = group_by_gates(vec![
+            drawn(0, vec![H(0), Rx(0, 0.5)]),
+            drawn(1, vec![H(0), Rx(0, -0.5)]),
+            drawn(2, vec![H(0), Rx(0, 0.5)]),
+            // Equal under `==`, not bit for bit.
+            drawn(3, vec![H(0), Rx(0, -0.0)]),
+            drawn(4, vec![H(0), Rx(0, 0.0)]),
+            drawn(5, vec![H(0), Rx(1, 0.5)]),
+            drawn(6, vec![H(0), Ry(0, 0.5)]),
+            drawn(7, vec![H(0)]),
+            drawn(8, vec![H(0), Rx(0, -0.5)]),
+        ]);
+        let members: Vec<Vec<usize>> =
+            groups.iter().map(|g| g.iter().map(|d| d.index).collect()).collect();
+        assert_eq!(members, [vec![0, 2], vec![1, 8], vec![3], vec![4], vec![5], vec![6], vec![7]]);
     }
 
+    /// The per-trajectory loop the frame path replaces, kept as its
+    /// oracle: each trajectory runs every gate and every drawn error on its
+    /// own state, then samples it.
     fn sample_per_gate(sim: &NoisySimulator, circuit: &Circuit, shots: usize) -> ShotBuffer {
         let noise = [sim.gate_noise(false), sim.gate_noise(true)];
-        sim.sample_trajectories(circuit, shots, |rng| per_gate_trajectory(circuit, &noise, rng))
+        let trajectories: Vec<usize> = (0..sim.trajectories).collect();
+        let per_trajectory = par_map_seeded(trajectories, sim.seed, sim.parallelism, |t, rng| {
+            let this_shots = sim.shots_of(t, shots);
+            if this_shots == 0 {
+                return ShotBuffer::new(circuit.num_qubits());
+            }
+            let mut rng = sim.trajectory_stream(t, rng);
+            let mut state = StateVector::zero(circuit.num_qubits());
+            for g in circuit.gates() {
+                state.apply(*g);
+                let noise = &noise[usize::from(g.is_two_qubit())];
+                for q in g.qubits().iter() {
+                    draw_errors(noise, q, &mut rng, |e| state.apply(e));
+                }
+            }
+            sim.read_out(&state.sampler(), &mut rng, this_shots)
+        });
+        let mut all = ShotBuffer::with_capacity(circuit.num_qubits(), shots);
+        for buf in &per_trajectory {
+            all.append(buf);
+        }
+        all
     }
 
     /// A random gate of every variant in turn over `n ≥ 2` qubits.
@@ -774,6 +906,7 @@ mod tests {
         let deltas = qjo_obs::global().snapshot().counter_deltas_since(&before);
         assert!(deltas["gatesim.trajectories"] >= 3, "{deltas:?}");
         assert!(deltas["gatesim.shots"] >= 10, "{deltas:?}");
+        assert!(deltas["gatesim.evolutions"] >= 1, "{deltas:?}");
     }
 
     #[test]

@@ -388,8 +388,10 @@ impl QaoaSimulator {
     }
 
     /// Samples measurement shots from the QAOA state, packed one row per
-    /// shot. The state is evolved and its sampling CDF built once for the
-    /// whole batch.
+    /// shot. The state is evolved and its [`BasisSampler`] built once for
+    /// the whole batch.
+    ///
+    /// [`BasisSampler`]: crate::statevector::BasisSampler
     pub fn sample<R: RngExt + ?Sized>(
         &self,
         params: &QaoaParams,

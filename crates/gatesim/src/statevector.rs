@@ -5,11 +5,15 @@
 //! bit). Gates are applied in place: diagonal gates as pure phase updates,
 //! general one- and two-qubit gates as strided 2×2 / 4×4 matrix actions.
 //!
+//! Sampling reads the state through a [`BasisSampler`], which keeps the
+//! cumulative distribution only at every 1,024th amplitude: one prefix pass
+//! builds it, and a shot re-adds one block. No 2^n table is written.
+//!
 //! Every full pass over the amplitudes — a gate, a fused diagonal run, a
-//! product-state write, a sampling CDF, a QAOA cost layer or expectation
-//! sum — adds one to the `gatesim.amplitude_passes` counter, so an
-//! algorithmic regression in the simulator shows as exact drift in the run
-//! manifests.
+//! product-state write, a sampler's prefix pass, a QAOA cost layer or
+//! expectation sum — adds one to the `gatesim.amplitude_passes` counter, so
+//! an algorithmic regression in the simulator shows as exact drift in the
+//! run manifests.
 
 use rand::RngExt;
 
@@ -47,17 +51,26 @@ impl StateVector {
     }
 
     /// The product state `⊗_q (qubits[q][0]|0⟩ + qubits[q][1]|1⟩)` with a
-    /// run of diagonal gates applied, written in one pass.
+    /// run of diagonal gates applied, written in one pass into `buffer`.
+    ///
+    /// The pass writes every amplitude, so nothing the buffer held before
+    /// reaches the state; only its allocation is reused.
     ///
     /// # Panics
     ///
     /// If a gate in `diagonal` is not [`Gate::is_diagonal`].
-    pub(crate) fn product(qubits: &[[C64; 2]], diagonal: &[Gate]) -> Self {
+    pub(crate) fn product_in(mut buffer: Vec<C64>, qubits: &[[C64; 2]], diagonal: &[Gate]) -> Self {
         let num_qubits = qubits.len();
         assert!(num_qubits <= 30, "state vector for {num_qubits} qubits will not fit in memory");
-        let mut s = StateVector { num_qubits, amps: vec![ZERO; 1usize << num_qubits] };
+        buffer.resize(1usize << num_qubits, ZERO);
+        let mut s = StateVector { num_qubits, amps: buffer };
         s.diagonal_pass(qubits.to_vec(), diagonal, |amp, d| *amp = d);
         s
+    }
+
+    /// Gives up the state's amplitude allocation for reuse.
+    pub(crate) fn into_amplitudes(self) -> Vec<C64> {
+        self.amps
     }
 
     /// Number of qubits.
@@ -219,7 +232,7 @@ impl StateVector {
             }
         }
         let table = |factors: &[[C64; 2]], pairs: &[(usize, usize, [C64; 4])]| {
-            let mut t = vec![ONE];
+            let mut t = vec![ONE; 1 << factors.len()];
             product_table(&mut t, factors);
             for &(a, b, d) in pairs {
                 for (z, f) in t.iter_mut().enumerate() {
@@ -230,7 +243,7 @@ impl StateVector {
         };
         let lo_table = table(&single[..lo], &lo_pairs);
         let hi_table = table(&single[lo..], &hi_pairs);
-        let mut row = Vec::with_capacity(lo_table.len());
+        let mut row = vec![ZERO; lo_table.len()];
         let mut cross = vec![[ONE, ONE]; lo];
         let blocks = self.amps.chunks_exact_mut(lo_table.len()).zip(&hi_table);
         for (zh, (block, &h)) in blocks.enumerate() {
@@ -240,8 +253,7 @@ impl StateVector {
                 cross[l][0] *= d[high];
                 cross[l][1] *= d[1 | high];
             }
-            row.clear();
-            row.push(h);
+            row[0] = h;
             product_table(&mut row, &cross);
             for ((amp, &r), &l) in block.iter_mut().zip(&row).zip(&lo_table) {
                 write(amp, r * l);
@@ -452,35 +464,20 @@ impl StateVector {
 
     /// Builds a reusable computational-basis sampler for this state.
     ///
-    /// Constructing the sampler pays the O(2^n) cumulative-table scan
-    /// once; each subsequent batch of shots only costs O(log 2^n) binary
-    /// searches. Use this when the same evolved state is sampled more
-    /// than once (noisy trajectories, shot batching).
-    pub fn sampler(&self) -> BasisSampler {
-        self.flipped_sampler(0)
-    }
-
-    /// The sampler of this state with X applied to every qubit in `flip`,
-    /// read through the permutation `z ↦ z ^ flip` in the same pass that
-    /// builds the cumulative table, so no permuted copy is made.
-    pub(crate) fn flipped_sampler(&self, flip: usize) -> BasisSampler {
-        assert!(flip < self.amps.len(), "flip mask {flip:#x} exceeds {} qubits", self.num_qubits);
-        count_pass();
-        let mut cdf = Vec::with_capacity(self.amps.len());
-        let mut acc = 0.0f64;
-        for z in 0..self.amps.len() {
-            acc += self.amps[z ^ flip].norm_sqr();
-            cdf.push(acc);
-        }
-        BasisSampler { num_qubits: self.num_qubits, total: acc, cdf }
+    /// Constructing the sampler pays one O(2^n) prefix pass that keeps a
+    /// running sum per 1,024 amplitudes; each shot then costs a binary
+    /// search over those sums and the re-adding of one block. Use this
+    /// when the same evolved state is sampled more than once.
+    pub fn sampler(&self) -> BasisSampler<'_> {
+        BasisSampler::new(&self.amps, 0)
     }
 
     /// Samples `shots` measurement outcomes in the computational basis.
     ///
     /// Outcomes are returned packed, one row per shot with qubit `q` at
-    /// bit `q`. Uses an O(2^n) cumulative table and O(log 2^n) binary
-    /// search per shot; to amortise the table across several calls on the
-    /// same state, use [`Self::sampler`] directly.
+    /// bit `q`. Builds a [`BasisSampler`] for the call; to amortise its
+    /// prefix pass across several calls on the same state, use
+    /// [`Self::sampler`] directly.
     pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R, shots: usize) -> ShotBuffer {
         self.sampler().sample(rng, shots)
     }
@@ -492,45 +489,110 @@ impl StateVector {
     }
 }
 
-/// Extends `table` (the factors over the bits below some qubit `k`) by one
-/// qubit per entry of `factors`, doubling it each time: entry `z` becomes
-/// `table[z mod 2^k] · Π_i factors[i][bit k+i of z]`.
-fn product_table(table: &mut Vec<C64>, factors: &[[C64; 2]]) {
-    for f in factors {
-        let len = table.len();
-        for z in 0..len {
-            let t = table[z];
-            table.push(t * f[1]);
-            table[z] = t * f[0];
+/// Fills `table` (of length `2^factors.len()`) from its entry 0 by
+/// doubling its filled prefix in place once per entry of `factors`: entry
+/// `z` becomes `table[0] · Π_i factors[i][bit i of z]`.
+fn product_table(table: &mut [C64], factors: &[[C64; 2]]) {
+    debug_assert_eq!(table.len(), 1 << factors.len());
+    for (k, f) in factors.iter().enumerate() {
+        let (low, high) = table[..2 << k].split_at_mut(1 << k);
+        for (a, b) in low.iter_mut().zip(high) {
+            let t = *a;
+            *b = t * f[1];
+            *a = t * f[0];
         }
     }
 }
 
-/// A frozen cumulative distribution over the computational basis of one
-/// state, built once by [`StateVector::sampler`] and reusable across any
-/// number of shot batches.
+/// Amplitudes per block of a [`BasisSampler`], whose running sum it keeps
+/// only at each block's end.
+const SAMPLER_BLOCK: usize = 1024;
+
+/// A computational-basis sampler of one state, borrowed from its
+/// amplitudes and reusable across any number of shot batches.
+///
+/// The cumulative distribution `cdf[z] = Σ_{y ≤ z} |ψ_{y ^ flip}|²` is
+/// never stored. One prefix pass keeps its value at the end of every block
+/// of 1,024 amplitudes (a state under 10 qubits is one block). A shot
+/// binary-searches the block ends and re-adds one block from the previous
+/// end. Those are the additions of a full table in the same order, so every
+/// uniform lands on the index the table would give, including the clamp to
+/// the last index when it reaches the total.
 #[derive(Debug, Clone)]
-pub struct BasisSampler {
-    num_qubits: usize,
-    total: f64,
-    cdf: Vec<f64>,
+pub struct BasisSampler<'a> {
+    amps: &'a [C64],
+    /// Read `amps[z ^ flip]` as the amplitude of `z`: X on every qubit in
+    /// `flip`, applied without a permuted copy.
+    flip: usize,
+    /// Running sum at the end of each block; the last is the total.
+    ends: Vec<f64>,
 }
 
-impl BasisSampler {
+impl<'a> BasisSampler<'a> {
+    /// The sampler of the state `amps` with X applied to every qubit in
+    /// `flip`, built in one prefix pass.
+    pub(crate) fn new(amps: &'a [C64], flip: usize) -> Self {
+        let dim = amps.len();
+        assert!(dim.is_power_of_two(), "{dim} amplitudes are not a state");
+        assert!(flip < dim, "flip mask {flip:#x} exceeds {} qubits", dim.trailing_zeros());
+        count_pass();
+        let block = dim.min(SAMPLER_BLOCK);
+        // Within a block, `z ^ flip` keeps to one source block and permutes
+        // its entries by the mask's low bits.
+        let (flip_hi, flip_lo) = (flip & !(block - 1), flip & (block - 1));
+        let mut norms = [0.0; SAMPLER_BLOCK];
+        let norms = &mut norms[..block];
+        let mut ends = Vec::with_capacity(dim / block);
+        let mut acc = 0.0f64;
+        for start in (0..dim).step_by(block) {
+            let source = &amps[start ^ flip_hi..][..block];
+            for (i, p) in norms.iter_mut().enumerate() {
+                *p = source[i ^ flip_lo].norm_sqr();
+            }
+            for &p in norms.iter() {
+                acc += p;
+            }
+            ends.push(acc);
+        }
+        BasisSampler { amps, flip, ends }
+    }
+
     /// Number of qubits of the sampled state.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.amps.len().trailing_zeros() as usize
+    }
+
+    /// The basis index a uniform `u ∈ [0, total]` selects: the first `z`
+    /// whose cumulative sum exceeds `u` (`cdf[z] <= u` fails), or the last
+    /// index when none does.
+    fn index_of(&self, u: f64) -> usize {
+        let b = self.ends.partition_point(|&end| end <= u);
+        if b == self.ends.len() {
+            return self.amps.len() - 1;
+        }
+        let block = self.amps.len() / self.ends.len();
+        let mut acc = if b == 0 { 0.0 } else { self.ends[b - 1] };
+        for z in b * block..(b + 1) * block {
+            acc += self.amps[z ^ self.flip].norm_sqr();
+            // The cumulative table's search predicate, so a NaN `u` selects
+            // index 0 as a search of the table does.
+            if acc <= u {
+                continue;
+            }
+            return z;
+        }
+        unreachable!("block {b} re-adds to its end sum, which exceeds {u}")
     }
 
     /// Draws one basis-state index, consuming exactly one uniform.
     pub fn sample_index<R: RngExt + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u = rng.random::<f64>() * self.total;
-        self.cdf.partition_point(|&c| c <= u).min(self.cdf.len() - 1) as u64
+        let total = self.ends[self.ends.len() - 1];
+        self.index_of(rng.random::<f64>() * total) as u64
     }
 
     /// Draws `shots` outcomes into a packed buffer, one uniform per shot.
     pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R, shots: usize) -> ShotBuffer {
-        let mut out = ShotBuffer::with_capacity(self.num_qubits, shots);
+        let mut out = ShotBuffer::with_capacity(self.num_qubits(), shots);
         for _ in 0..shots {
             out.push_index(self.sample_index(rng));
         }
@@ -726,7 +788,7 @@ mod tests {
         s.apply(Cx(0, 1));
         s.apply(Ry(2, 0.4));
         // Two batches from one sampler must equal two `sample` calls on the
-        // same RNG stream: the CDF hoist may not change any draw.
+        // same RNG stream: reusing the prefix pass may not change any draw.
         let mut rng_a = StdRng::seed_from_u64(9);
         let sampler = s.sampler();
         let mut batched = sampler.sample(&mut rng_a, 100);
@@ -738,10 +800,11 @@ mod tests {
         assert_eq!(batched.len(), 157);
     }
 
-    /// An asymmetric 5-qubit state, so every amplitude is distinct.
-    fn scrambled() -> StateVector {
-        let mut s = StateVector::zero(5);
-        for q in 0..5 {
+    /// An asymmetric state on `n ≥ 5` qubits, so every amplitude is
+    /// distinct.
+    fn scrambled(n: usize) -> StateVector {
+        let mut s = StateVector::zero(n);
+        for q in 0..n {
             s.apply(Ry(q, 0.3 + 0.4 * q as f64));
             s.apply(Rz(q, 0.2 * q as f64));
         }
@@ -774,9 +837,9 @@ mod tests {
             Rzz(2, 3, 1.3),
             Rz(0, 2.1),
         ];
-        let mut fused = scrambled();
+        let mut fused = scrambled(5);
         fused.apply_diagonal_run(&run);
-        let mut gate_by_gate = scrambled();
+        let mut gate_by_gate = scrambled(5);
         for g in run {
             gate_by_gate.apply(g);
         }
@@ -794,24 +857,82 @@ mod tests {
             qubits[q] = [u[0] * a0 + u[1] * a1, u[2] * a0 + u[3] * a1];
         }
         let diagonal = [Rzz(0, 4, 0.6), Cz(1, 2), S(3)];
-        let product = StateVector::product(&qubits, &diagonal);
+        let product = StateVector::product_in(Vec::new(), &qubits, &diagonal);
         let mut gate_by_gate = StateVector::zero(5);
         for g in layer.into_iter().chain(diagonal) {
             gate_by_gate.apply(g);
         }
         assert_close(&product, &gate_by_gate, "product state");
+        // A reused buffer, longer than the state and full of NaN, gives the
+        // same amplitudes bit for bit.
+        let reused = StateVector::product_in(vec![C64::real(f64::NAN); 77], &qubits, &diagonal);
+        assert_eq!(reused, product);
     }
 
     #[test]
     fn flipped_sampler_matches_applying_x_gates() {
-        let s = scrambled();
+        let s = scrambled(5);
         let mut flipped = s.clone();
         flipped.apply(X(1));
         flipped.apply(X(4));
         let mut a = StdRng::seed_from_u64(3);
         let mut b = StdRng::seed_from_u64(3);
-        let via_mask = s.flipped_sampler(0b10010).sample(&mut a, 500);
+        let via_mask = BasisSampler::new(s.amplitudes(), 0b10010).sample(&mut a, 500);
         assert_eq!(via_mask, flipped.sampler().sample(&mut b, 500));
+    }
+
+    /// The cumulative table the block sampler replaced, kept as its oracle:
+    /// every running sum of the flipped state, searched for the first one
+    /// above `u` and clamped to the last index.
+    fn table_index(amps: &[C64], flip: usize, u: f64) -> usize {
+        let mut acc = 0.0f64;
+        let cdf: Vec<f64> = (0..amps.len())
+            .map(|z| {
+                acc += amps[z ^ flip].norm_sqr();
+                acc
+            })
+            .collect();
+        cdf.partition_point(|&c| c <= u).min(cdf.len() - 1)
+    }
+
+    #[test]
+    fn block_sampler_matches_the_cumulative_table_bit_for_bit() {
+        let twelve = scrambled(12);
+        // The last 1,500 amplitudes exactly zero: a flat tail across a
+        // partial block and a whole one.
+        let mut zero_tail = twelve.clone();
+        zero_tail.amps[4096 - 1500..].fill(ZERO);
+        let cases = [
+            ("12 qubits", &twelve, 0),
+            ("12 qubits", &twelve, 0b101),
+            ("12 qubits", &twelve, 0b1100_0000_0101),
+            ("zero tail", &zero_tail, 0),
+            ("zero tail", &zero_tail, 0b1100_0000_0101),
+            ("5 qubits", &scrambled(5), 0),
+            ("5 qubits", &scrambled(5), 0b10110),
+        ];
+        let mut rng = StdRng::seed_from_u64(21);
+        for (label, state, flip) in cases {
+            let sampler = BasisSampler::new(state.amplitudes(), flip);
+            let blocks = state.amplitudes().len().div_ceil(SAMPLER_BLOCK);
+            assert_eq!(sampler.ends.len(), blocks, "{label}");
+            let total = sampler.ends[blocks - 1];
+            // Every block end and its neighbouring doubles, zero, the total
+            // (the clamp), then uniform draws.
+            let mut us = vec![0.0, total];
+            for &end in &sampler.ends {
+                let bits = end.to_bits();
+                us.extend([end, f64::from_bits(bits + 1), f64::from_bits(bits - 1)]);
+            }
+            us.extend((0..500).map(|_| rng.random::<f64>() * total));
+            for u in us {
+                assert_eq!(
+                    sampler.index_of(u),
+                    table_index(state.amplitudes(), flip, u),
+                    "{label}, flip {flip:#b}, u = {u:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,19 @@
 //! are admitted on each backend's static cost model.
 //!
 //! A line of `{"cmd": "stats"}` answers with one line of live stats
-//! snapshot JSON instead of a plan. With `--events PATH`, the full
-//! per-request event log is written to PATH (atomically, at shutdown).
+//! snapshot JSON instead of a plan. With `--events PATH`, each request's
+//! full event record is appended, as it is answered, to a temporary file
+//! beside PATH that is renamed to PATH at shutdown, so PATH only ever holds
+//! a whole log. Without `--events`, events are dropped as they are
+//! recorded. Either way the server keeps none between requests.
 
-use std::io::{BufReader, Write};
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use qjo_exec::Parallelism;
 use qjo_serve::server::{serve_lines, serve_unix_socket};
-use qjo_serve::{events, Service};
+use qjo_serve::{ServeEvent, Service};
 
 struct Options {
     seed: u64,
@@ -60,6 +65,38 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The `--events` log: full records streamed to `PATH.tmp` and renamed
+/// to `PATH` by [`EventLog::publish`].
+struct EventLog {
+    path: PathBuf,
+    tmp: PathBuf,
+    out: BufWriter<File>,
+}
+
+impl EventLog {
+    fn create(path: &Path) -> io::Result<Self> {
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
+        }
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let out = BufWriter::new(File::create(&tmp)?);
+        Ok(EventLog { path: path.to_owned(), tmp, out })
+    }
+
+    fn write(&mut self, event: &ServeEvent) -> io::Result<()> {
+        writeln!(self.out, "{}", event.render_full()).map_err(|e| {
+            io::Error::new(e.kind(), format!("writing event log {}: {e}", self.tmp.display()))
+        })
+    }
+
+    fn publish(mut self) -> Result<(), String> {
+        let published = self.out.flush().and_then(|()| std::fs::rename(&self.tmp, &self.path));
+        published.map_err(|e| format!("writing event log {}: {e}", self.path.display()))
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -73,21 +110,28 @@ fn main() {
         Some(n) => Parallelism::new(n),
         None => Parallelism::auto(),
     };
+    let mut log = opts.events.as_deref().map(|path| {
+        EventLog::create(path).unwrap_or_else(|e| {
+            eprintln!("error: creating event log {}: {e}", path.display());
+            std::process::exit(1)
+        })
+    });
+    let sink = |event: ServeEvent| match &mut log {
+        Some(log) => log.write(&event),
+        None => Ok(()),
+    };
     let service = Service::smoke(opts.seed, parallelism);
     let result = match &opts.socket {
-        Some(path) => serve_unix_socket(&service, path, opts.max_conns),
+        Some(path) => serve_unix_socket(&service, path, opts.max_conns, sink),
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            serve_lines(&service, BufReader::new(stdin.lock()), stdout.lock())
+            serve_lines(&service, BufReader::new(stdin.lock()), stdout.lock(), sink)
         }
     };
-    if let Some(path) = &opts.events {
-        let log = events::render_log(&service.drain_events());
-        if let Err(e) = qjo_resil::atomic_write(path, log.as_bytes()) {
-            eprintln!("error: writing event log {}: {e}", path.display());
-            std::process::exit(1);
-        }
+    if let Err(e) = log.map_or(Ok(()), EventLog::publish) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
     match result {
         Ok(()) => {

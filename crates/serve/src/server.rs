@@ -16,6 +16,10 @@
 //! and counts as `serve.requests.malformed`. So every answered line lands
 //! in exactly one of `serve.requests`, `serve.requests.malformed` and
 //! `serve.stats.requests`.
+//!
+//! **Events**: after each answered line the loop drains the service's
+//! [`ServeEvent`]s into the caller's sink, so a long-lived loop holds no
+//! events between lines whether the sink keeps them or drops them.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
@@ -23,6 +27,7 @@ use std::path::Path;
 
 use qjo_obs::json::Json;
 
+use crate::events::ServeEvent;
 use crate::request::{parse_request, render_response, Response};
 use crate::service::Service;
 
@@ -70,10 +75,13 @@ fn answer(service: &Service, line: &str) -> String {
 
 /// Runs the request loop over arbitrary line-oriented transport until
 /// end-of-input, answering each non-empty line before reading the next.
+/// The events each line recorded go to `events` right after its answer;
+/// an error from the sink ends the loop like a transport error.
 pub fn serve_lines(
     service: &Service,
     input: impl BufRead,
     mut output: impl Write,
+    mut events: impl FnMut(ServeEvent) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     for bytes in input.split(b'\n') {
         let bytes = bytes?;
@@ -87,18 +95,22 @@ pub fn serve_lines(
         }
         writeln!(output, "{}", answer(service, line))?;
         output.flush()?;
+        for event in service.drain_events() {
+            events(event)?;
+        }
     }
     Ok(())
 }
 
 /// Binds `path` and serves connections sequentially (the service is
-/// CPU-bound and answers one line at a time). Stops after
-/// `max_connections` when given — tests and drain scripts use this; pass
-/// `None` to serve forever.
+/// CPU-bound and answers one line at a time), draining events into
+/// `events` as [`serve_lines`] does. Stops after `max_connections` when
+/// given — tests and drain scripts use this; pass `None` to serve forever.
 pub fn serve_unix_socket(
     service: &Service,
     path: &Path,
     max_connections: Option<usize>,
+    mut events: impl FnMut(ServeEvent) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     // A stale socket file from a previous run would make bind fail.
     if path.exists() {
@@ -108,7 +120,7 @@ pub fn serve_unix_socket(
     for (served, conn) in listener.incoming().enumerate() {
         let stream = conn?;
         let reader = BufReader::new(stream.try_clone()?);
-        serve_lines(service, reader, &stream)?;
+        serve_lines(service, reader, &stream, &mut events)?;
         if max_connections.is_some_and(|cap| served + 1 >= cap) {
             break;
         }
@@ -128,12 +140,17 @@ mod tests {
         )
     }
 
+    /// The event sink that keeps nothing.
+    fn drop_event(_: ServeEvent) -> std::io::Result<()> {
+        Ok(())
+    }
+
     /// Serves `input` on a fresh smoke service: the answer lines as JSON
     /// and the service's counters.
     fn run(input: &str) -> (Vec<Json>, BTreeMap<String, u64>) {
         let svc = Service::smoke(7, Parallelism::sequential());
         let mut out = Vec::new();
-        serve_lines(&svc, input.as_bytes(), &mut out).expect("io");
+        serve_lines(&svc, input.as_bytes(), &mut out, drop_event).expect("io");
         let text = String::from_utf8(out).expect("utf8");
         let docs = text.lines().map(|l| Json::parse(l).expect("response lines are JSON")).collect();
         (docs, svc.telemetry().counters())
@@ -152,6 +169,17 @@ mod tests {
         for d in &docs {
             assert_eq!(d.get("error"), Some(&Json::Null));
         }
+    }
+
+    #[test]
+    fn events_are_drained_after_every_line() {
+        // A long-lived loop must not keep its events: with a sink that
+        // drops them, none stays pending after 2,000 requests.
+        let svc = Service::smoke(7, Parallelism::sequential());
+        let input: String = (0..2000).map(|k| line(&format!("g{k}"), "greedy") + "\n").collect();
+        serve_lines(&svc, input.as_bytes(), std::io::sink(), drop_event).expect("io");
+        assert_eq!(svc.telemetry().events_pending(), 0);
+        assert_eq!(svc.telemetry().events_recorded(), 2000);
     }
 
     #[test]
@@ -247,7 +275,7 @@ mod tests {
         let mut input = b"\xff\xfe\r\n".to_vec();
         input.extend_from_slice(format!("{}\r\n", line("a", "greedy")).as_bytes());
         let mut out = Vec::new();
-        serve_lines(&svc, input.as_slice(), &mut out).expect("io");
+        serve_lines(&svc, input.as_slice(), &mut out, drop_event).expect("io");
         let docs: Vec<Json> = String::from_utf8(out)
             .expect("utf8")
             .lines()
@@ -320,7 +348,7 @@ mod tests {
         let svc = Service::smoke(7, Parallelism::sequential());
         let feed = Feed { lines, next: 0, flushed: flushed.clone() };
         let sink = Sink { pending: Vec::new(), flushed: flushed.clone() };
-        serve_lines(&svc, BufReader::new(feed), sink).expect("io");
+        serve_lines(&svc, BufReader::new(feed), sink, drop_event).expect("io");
         assert_eq!(flushed.borrow().iter().filter(|&&b| b == b'\n').count(), 6);
     }
 
@@ -395,7 +423,7 @@ mod tests {
         let path2 = path.clone();
         let server = std::thread::spawn(move || {
             let svc = Service::smoke(7, Parallelism::sequential());
-            serve_unix_socket(&svc, &path2, Some(1)).expect("serve");
+            serve_unix_socket(&svc, &path2, Some(1), drop_event).expect("serve");
             svc.telemetry().counters().get("serve.requests").copied()
         });
         // The listener needs a moment to bind; retry the connect.

@@ -8,8 +8,9 @@
 //! with the run manifest whenever one service owns the process (the
 //! `qjo-serve` binary and the `experiments serve` stage both do).
 //!
-//! Events accumulate until drained. Their wall-clock latencies are
-//! recorded, never read back: admission runs on the static model.
+//! Events accumulate until drained; the request loop drains them after
+//! every answered line. Their wall-clock latencies are recorded, never
+//! read back: admission runs on the static model.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -81,8 +81,17 @@ fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
             input.push_str("{\"cmd\": \"stats\"}\nnot json\n");
         }
     }
-    serve_lines(&service, input.as_bytes(), std::io::sink()).expect("io");
+    let mut events = Vec::new();
+    let collect = |e| {
+        events.push(e);
+        Ok(())
+    };
+    serve_lines(&service, input.as_bytes(), std::io::sink(), collect).expect("io");
     let deltas = qjo_obs::global().snapshot().counter_deltas_since(&before);
+    // One event per request, none per stats command or malformed line.
+    assert_eq!(events.len(), 24);
+    assert_eq!(validate_events(&events), Vec::<String>::new());
+    assert_eq!(service.telemetry().events_pending(), 0);
     let snap = service.stats_snapshot();
     let counters = snap.get("counters").and_then(|c| c.as_obj()).expect("counters object");
     let local: std::collections::BTreeMap<String, u64> = counters
@@ -123,7 +132,13 @@ fn a_mid_stream_stats_request_is_internally_consistent() {
         }
     }
     let mut out = Vec::new();
-    serve_lines(&service, input.as_bytes(), &mut out).expect("io");
+    let mut events = Vec::new();
+    let collect = |e| {
+        events.push(e);
+        Ok(())
+    };
+    serve_lines(&service, input.as_bytes(), &mut out, collect).expect("io");
+    assert_eq!(events.len(), 9);
     let text = String::from_utf8(out).expect("utf8");
     // The snapshot is the only non-response line: find it by its
     // distinctive top-level "counters" key.
@@ -141,6 +156,8 @@ fn a_mid_stream_stats_request_is_internally_consistent() {
         snap.get("events").and_then(|e| e.get("recorded")).and_then(|v| v.as_u64()),
         Some(6)
     );
+    // Their events went to the sink after each answer.
+    assert_eq!(snap.get("events").and_then(|e| e.get("pending")).and_then(|v| v.as_u64()), Some(0));
     // Tally arithmetic holds: every deadline-carrying request landed in
     // exactly one SLO class, and cache traffic adds up.
     let slo_total = get("serve.slo.met") + get("serve.slo.degraded") + get("serve.slo.missed");
