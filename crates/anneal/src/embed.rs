@@ -93,12 +93,6 @@ impl std::fmt::Display for EmbeddingError {
 
 impl std::error::Error for EmbeddingError {}
 
-impl From<EmbeddingError> for qjo_resil::QjoError {
-    fn from(e: EmbeddingError) -> Self {
-        qjo_resil::QjoError::Embedding(e.to_string())
-    }
-}
-
 impl Embedding {
     /// Total physical qubits used (the quantity Fig. 3 reports).
     pub fn num_physical_qubits(&self) -> usize {
@@ -500,7 +494,8 @@ impl<'a> State<'a> {
 
     /// Removes unnecessary leaf qubits from `v`'s chain while keeping the
     /// chain connected and every placed-neighbour adjacency covered.
-    /// Run between improvement passes to keep chains lean.
+    /// Run between improvement passes to keep chains lean, and once more
+    /// on every chain of an overlap-free result.
     fn trim(&mut self, v: usize) {
         loop {
             let chain = &self.chains[v];
@@ -753,60 +748,16 @@ impl Embedder {
                 state.restore(&best_chains);
             }
             if state.max_usage() <= 1 {
-                let mut embedding = Embedding { chains: std::mem::take(&mut state.chains) };
-                trim_chains(&mut embedding, &state.adjacency, target);
+                for v in 0..num_vars {
+                    state.trim(v);
+                }
+                let embedding = Embedding { chains: std::mem::take(&mut state.chains) };
                 if embedding.validate(source_edges, target).is_ok() {
                     return Some(embedding);
                 }
             }
         }
         None
-    }
-}
-
-/// Removes unnecessary chain qubits: leaf vertices of a chain's induced
-/// subgraph are dropped while every logical adjacency stays covered.
-#[allow(clippy::needless_range_loop)] // v indexes two structures in lockstep
-fn trim_chains(embedding: &mut Embedding, adjacency: &[Vec<usize>], target: &Topology) {
-    let num_vars = embedding.chains.len();
-    for v in 0..num_vars {
-        loop {
-            let chain = &embedding.chains[v];
-            if chain.len() <= 1 {
-                break;
-            }
-            let inside: std::collections::HashSet<usize> = chain.iter().copied().collect();
-            // Chain-internal degree of each member.
-            let mut removable = None;
-            'candidates: for (idx, &q) in chain.iter().enumerate() {
-                let internal_degree =
-                    target.neighbors(q).iter().filter(|w| inside.contains(w)).count();
-                if internal_degree != 1 {
-                    continue; // only leaves keep the chain connected on removal
-                }
-                // Every neighbour chain must stay reachable without q.
-                for &u in &adjacency[v] {
-                    let other = &embedding.chains[u];
-                    if other.is_empty() {
-                        continue;
-                    }
-                    let covered_without_q = chain.iter().enumerate().any(|(j, &qa)| {
-                        j != idx && target.neighbors(qa).iter().any(|w| other.contains(w))
-                    });
-                    if !covered_without_q {
-                        continue 'candidates;
-                    }
-                }
-                removable = Some(idx);
-                break;
-            }
-            match removable {
-                Some(idx) => {
-                    embedding.chains[v].remove(idx);
-                }
-                None => break,
-            }
-        }
     }
 }
 

@@ -47,12 +47,6 @@ impl std::fmt::Display for AnnealError {
 
 impl std::error::Error for AnnealError {}
 
-impl From<AnnealError> for qjo_resil::QjoError {
-    fn from(e: AnnealError) -> Self {
-        qjo_resil::QjoError::Anneal(e.to_string())
-    }
-}
-
 /// Embedding attempts before falling back to a clique template: the
 /// configured embedder first, then reseeded retries.
 const EMBED_ATTEMPTS: usize = 3;

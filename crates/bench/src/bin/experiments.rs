@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! experiments [STAGE|all]... [--full|--smoke] [--csv DIR] [--trace-out PATH]
-//!             [--convergence] [--faults SPEC] [--resume] [--halt-after STAGE]
+//!             [--convergence] [--faults SPEC]
 //! experiments manifest-diff BASELINE CURRENT
 //! experiments trace-check TRACE
 //! experiments bench-compare BASELINE CURRENT
@@ -54,14 +54,9 @@
 //! * `--faults SPEC` installs a seeded fault-injection plan; every
 //!   injection and recovery event lands in the manifest's `resilience`
 //!   section, so chaos runs drift-gate like any other sweep.
-//! * The driver checkpoints each completed stage that passed its gate
-//!   under `DIR/.checkpoints/`; `--resume` replays completed stages from
-//!   those checkpoints and reproduces the exact final manifest an
-//!   uninterrupted run would have written. `--halt-after STAGE` exits
-//!   after checkpointing STAGE — a deterministic stand-in for a
-//!   mid-sweep kill.
-//! * Every artifact is written atomically (temp file + rename), so a real
-//!   crash never leaves a torn CSV/JSON behind.
+//! * Every artifact, the manifest and the trace are written atomically
+//!   (temp file + rename), so a killed sweep never leaves a torn CSV/JSON
+//!   behind; rerunning it redoes the whole sweep.
 //!
 //! Observability extras (all opt-in, see `EXPERIMENTS.md`):
 //!
@@ -128,13 +123,11 @@ struct Options {
     trace_out: Option<PathBuf>,
     convergence: bool,
     faults: Option<String>,
-    resume: bool,
-    halt_after: Option<String>,
 }
 
 const USAGE: &str =
     "usage: experiments [STAGE|all]... [--full|--smoke] [--csv DIR] [--trace-out PATH] \
-     [--convergence] [--faults SPEC] [--resume] [--halt-after STAGE]\n       \
+     [--convergence] [--faults SPEC]\n       \
      STAGE: table1|fig2|table2|fig3|table3|fig4|fig5|timing|ablation|scaling (`all`: these ten) \
      or serve|robust\n       \
      experiments manifest-diff BASELINE CURRENT\n       \
@@ -206,8 +199,6 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
     let mut trace_out = None;
     let mut convergence = false;
     let mut faults = None;
-    let mut resume = false;
-    let mut halt_after: Option<String> = None;
     let mut args = raw.iter();
     while let Some(arg) = args.next() {
         let mut value =
@@ -216,11 +207,9 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
             "--full" => mode = Mode::Full,
             "--smoke" => mode = Mode::Smoke,
             "--convergence" => convergence = true,
-            "--resume" => resume = true,
             "--csv" => csv_dir = Some(PathBuf::from(value("--csv")?)),
             "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--faults" => faults = Some(value("--faults")?),
-            "--halt-after" => halt_after = Some(value("--halt-after")?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             "all" => all = true,
             stage if PAPER_STAGES.contains(&stage) || EXTENSION_STAGES.contains(&stage) => {
@@ -235,16 +224,11 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
         which.retain(|w| EXTENSION_STAGES.contains(&w.as_str()));
         which.splice(0..0, PAPER_STAGES.iter().map(|s| s.to_string()));
     }
-    // Stage names double as convergence phases and checkpoint keys, both
-    // of which must be unique: drop repeats, keeping first-run order.
+    // Stage names double as convergence phases, which must be unique:
+    // drop repeats, keeping first-run order.
     let mut seen = std::collections::BTreeSet::new();
     which.retain(|w| seen.insert(w.clone()));
-    if let Some(halt) = &halt_after {
-        if !which.iter().any(|w| w == halt) {
-            return Err(format!("--halt-after '{halt}' is not part of this sweep"));
-        }
-    }
-    Ok(Options { which, mode, csv_dir, trace_out, convergence, faults, resume, halt_after })
+    Ok(Options { which, mode, csv_dir, trace_out, convergence, faults })
 }
 
 /// Collects the tables a run produces: prints them, optionally writes the
@@ -579,179 +563,9 @@ fn git_rev() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Per-stage checkpoints (crash-safe resume)
-
-/// Checkpoint document layout version.
-const CHECKPOINT_SCHEMA: u64 = 1;
-
-/// The output directory: `--csv DIR`, else `results/`. The manifest and
-/// the stage checkpoints live here.
-fn out_dir(options: &Options) -> &Path {
-    options.csv_dir.as_deref().unwrap_or(Path::new("results"))
-}
-
-/// Fingerprint of everything that shapes a stage's deterministic output
-/// or its gate.
-///
-/// A `--resume` only replays checkpoints carrying the same fingerprint:
-/// same mode, same stage list, same fault plan and same convergence
-/// setting. Deliberately excludes the thread count —
-/// results are thread-count invariant, so a sweep may resume at a
-/// different `QJO_THREADS`.
-fn config_fingerprint(options: &Options) -> String {
-    let faults = qjo_resil::fault::active().map(|p| p.render()).unwrap_or_default();
-    let text = format!(
-        "v{CHECKPOINT_SCHEMA}|{}|{}|{faults}|{}",
-        options.mode.name(),
-        options.which.join(","),
-        options.convergence
-    );
-    qjo_obs::fnv1a64_hex(text.as_bytes())
-}
-
-/// Everything `--resume` needs to replay one completed stage.
-struct StageCheckpoint {
-    duration_ms: f64,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    artifacts: Vec<Artifact>,
-    /// Header-stripped convergence CSV rows, by group.
-    convergence: BTreeMap<String, String>,
-}
-
-fn checkpoint_doc(
-    fingerprint: &str,
-    record: &StageRecord,
-    artifacts: &[Artifact],
-    convergence: &BTreeMap<String, String>,
-) -> Json {
-    let gauges = qjo_obs::global().snapshot().gauges;
-    let mut root = BTreeMap::new();
-    root.insert("schema".to_string(), Json::from(CHECKPOINT_SCHEMA));
-    root.insert("fingerprint".to_string(), Json::from(fingerprint));
-    root.insert("stage".to_string(), Json::from(record.name.as_str()));
-    root.insert("duration_ms".to_string(), Json::from(record.duration_ms));
-    root.insert(
-        "counters".to_string(),
-        Json::Obj(record.counters.iter().map(|(k, &v)| (k.clone(), Json::from(v))).collect()),
-    );
-    root.insert(
-        "gauges".to_string(),
-        Json::Obj(gauges.iter().map(|(k, &v)| (k.clone(), Json::from(v))).collect()),
-    );
-    root.insert(
-        "artifacts".to_string(),
-        Json::Arr(artifacts.iter().map(Artifact::to_json).collect()),
-    );
-    root.insert(
-        "convergence".to_string(),
-        Json::Obj(convergence.iter().map(|(k, v)| (k.clone(), Json::from(v.as_str()))).collect()),
-    );
-    Json::Obj(root)
-}
-
-/// Loads and validates the checkpoint for `stage`; any mismatch (absent,
-/// torn, wrong schema/fingerprint/stage) means the stage reruns live.
-fn load_stage_checkpoint(path: &Path, fingerprint: &str, stage: &str) -> Option<StageCheckpoint> {
-    let doc = qjo_resil::checkpoint::load(path).ok()??;
-    if doc.get("schema").and_then(Json::as_u64) != Some(CHECKPOINT_SCHEMA)
-        || doc.get("fingerprint").and_then(Json::as_str) != Some(fingerprint)
-        || doc.get("stage").and_then(Json::as_str) != Some(stage)
-    {
-        return None;
-    }
-    let counters = doc
-        .get("counters")?
-        .as_obj()?
-        .iter()
-        .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
-        .collect::<Option<_>>()?;
-    let gauges = doc
-        .get("gauges")?
-        .as_obj()?
-        .iter()
-        .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-        .collect::<Option<_>>()?;
-    let artifacts = doc
-        .get("artifacts")?
-        .as_arr()?
-        .iter()
-        .map(|a| Artifact::from_json(a).ok())
-        .collect::<Option<_>>()?;
-    let convergence = doc
-        .get("convergence")?
-        .as_obj()?
-        .iter()
-        .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-        .collect::<Option<_>>()?;
-    Some(StageCheckpoint {
-        duration_ms: doc.get("duration_ms").and_then(Json::as_f64).unwrap_or(0.0),
-        counters,
-        gauges,
-        artifacts,
-        convergence,
-    })
-}
-
-/// Replays a checkpointed stage into the live process: counter deltas are
-/// re-added, gauges re-set, and artifacts re-fingerprinted from record.
-fn replay_stage(ckpt: &StageCheckpoint, name: &str, driver: &mut Driver) -> StageRecord {
-    for (counter, &delta) in &ckpt.counters {
-        qjo_obs::counter(counter).add(delta);
-    }
-    for (gauge, &value) in &ckpt.gauges {
-        qjo_obs::gauge(gauge).set(value);
-    }
-    driver.artifacts.extend(ckpt.artifacts.iter().cloned());
-    StageRecord {
-        name: name.to_string(),
-        duration_ms: ckpt.duration_ms,
-        counters: ckpt.counters.clone(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Convergence (per-stage drain, crash-safe reassembly)
-
-/// Drains the recorder after a stage and restarts it for the next one,
-/// returning this stage's header-stripped rows per group. Draining per
-/// stage (rather than once at the end) is what makes the curves
-/// checkpointable; because rows sort by phase first and each stage is one
-/// phase, per-stage blocks concatenated in phase order are byte-identical
-/// to a single end-of-run drain.
-fn drain_stage_convergence(convergence: bool) -> BTreeMap<String, String> {
-    if !convergence {
-        return BTreeMap::new();
-    }
-    let blocks = qjo_obs::convergence::drain_csv()
-        .into_iter()
-        .map(|(group, csv)| {
-            let body = csv.split_once('\n').map(|(_, b)| b.to_string()).unwrap_or_default();
-            (group, body)
-        })
-        .collect();
-    qjo_obs::convergence::start(qjo_obs::convergence::DEFAULT_STRIDE);
-    blocks
-}
-
-/// Reassembles the final `convergence_<group>.csv` artifacts from the
-/// per-stage blocks (live or replayed): fingerprinted in the run manifest
-/// (non-volatile — the curves are thread-count independent by
-/// construction) and written under `--csv` when set.
-fn assemble_convergence(driver: &mut Driver, blocks: &BTreeMap<String, BTreeMap<String, String>>) {
-    for (group, phases) in blocks {
-        let mut csv = String::from("phase,series,unit,instance,step,value\n");
-        for block in phases.values() {
-            csv.push_str(block);
-        }
-        let rows = csv.lines().count().saturating_sub(1) as u64;
-        driver.emit_raw(&format!("convergence_{group}.csv"), &csv, rows, false);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Final outputs
 
+/// Writes the run manifest into `--csv DIR`, else into `results/`.
 fn write_manifest(
     options: &Options,
     stages: Vec<StageRecord>,
@@ -759,7 +573,7 @@ fn write_manifest(
     total: f64,
     trace_stats: Option<qjo_obs::trace::TraceStats>,
 ) {
-    let path = out_dir(options).join("run_manifest.json");
+    let path = options.csv_dir.as_deref().unwrap_or(Path::new("results")).join("run_manifest.json");
     let mut manifest = RunManifest::default();
     manifest.run.insert("git_rev".to_string(), Json::from(git_rev()));
     manifest
@@ -772,9 +586,6 @@ fn write_manifest(
     );
     if let Some(plan) = qjo_resil::fault::active() {
         manifest.run.insert("faults".to_string(), Json::from(plan.render()));
-    }
-    if options.resume {
-        manifest.run.insert("resumed".to_string(), Json::Bool(true));
     }
     manifest.run.insert("total_duration_ms".to_string(), Json::from((total * 1e3).round() / 1e3));
     if let Some(stats) = trace_stats {
@@ -1200,44 +1011,10 @@ fn main() {
         qjo_obs::convergence::start(qjo_obs::convergence::DEFAULT_STRIDE);
     }
 
-    let ckpt_dir = out_dir(&options).join(".checkpoints");
-    let fingerprint = config_fingerprint(&options);
-    if !options.resume {
-        // A fresh run owes nothing to previous partial sweeps.
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
-    }
-
     let run_start = Instant::now();
     let mut driver = Driver { options, artifacts: Vec::new(), gate_failures: Vec::new() };
     let mut stages = Vec::new();
-    // group -> phase (stage) -> header-stripped CSV rows.
-    let mut convergence_blocks: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    let mut replaying = driver.options.resume;
-    let mut halted = false;
     for which in driver.options.which.clone() {
-        let ckpt_path = ckpt_dir.join(format!("{which}.json"));
-        if replaying {
-            if let Some(ckpt) = load_stage_checkpoint(&ckpt_path, &fingerprint, &which) {
-                for (group, block) in &ckpt.convergence {
-                    convergence_blocks
-                        .entry(group.clone())
-                        .or_default()
-                        .insert(which.clone(), block.clone());
-                }
-                stages.push(replay_stage(&ckpt, &which, &mut driver));
-                qjo_obs::info!("[{which} replayed from checkpoint]");
-                if driver.options.halt_after.as_deref() == Some(which.as_str()) {
-                    halted = true;
-                    break;
-                }
-                continue;
-            }
-            // First missing or stale checkpoint: everything from here on
-            // runs live (later checkpoints, if any, are now meaningless).
-            replaying = false;
-        }
-        let artifacts_before = driver.artifacts.len();
-        let failures_before = driver.gate_failures.len();
         let before = qjo_obs::global().snapshot();
         let start = Instant::now();
         {
@@ -1249,65 +1026,33 @@ fn main() {
             driver.run_stage(&which);
         }
         let elapsed = start.elapsed();
-        let stage_blocks = drain_stage_convergence(convergence);
-        for (group, block) in &stage_blocks {
-            convergence_blocks
-                .entry(group.clone())
-                .or_default()
-                .insert(which.clone(), block.clone());
-        }
-        let record = StageRecord {
+        stages.push(StageRecord {
             name: which.clone(),
             duration_ms: elapsed.as_secs_f64() * 1e3,
             counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-        };
-        if driver.gate_failures.len() > failures_before {
-            // Never replay a failed gate as a pass: `--resume` reruns it.
-            qjo_obs::warn!("{which} failed its gate; not checkpointed");
-        } else {
-            let artifacts = &driver.artifacts[artifacts_before..];
-            let doc = checkpoint_doc(&fingerprint, &record, artifacts, &stage_blocks);
-            if let Err(e) = qjo_resil::checkpoint::save(&ckpt_path, &doc) {
-                qjo_obs::warn!("failed to checkpoint {which}: {e}");
-            }
-        }
-        stages.push(record);
+        });
         qjo_obs::info!("[{which} took {elapsed:.1?}]");
-        if driver.options.halt_after.as_deref() == Some(which.as_str()) {
-            halted = true;
-            break;
+    }
+    if convergence {
+        // Not volatile: the curves are thread-count independent by
+        // construction.
+        for (group, csv) in qjo_obs::convergence::drain_csv() {
+            let rows = csv.lines().count().saturating_sub(1) as u64;
+            driver.emit_raw(&format!("convergence_{group}.csv"), &csv, rows, false);
         }
     }
-    if halted {
-        // Simulated crash: keep the checkpoints, skip the final outputs —
-        // exactly what a kill -9 after the last checkpoint write leaves.
-        let halt = driver.options.halt_after.as_deref().unwrap_or_default();
-        qjo_obs::info!("halted after {halt}; resume with --resume");
-        exit_if_gates_failed(&driver.gate_failures);
-        return;
-    }
-    assemble_convergence(&mut driver, &convergence_blocks);
     let trace_stats = finish_trace(&driver.options);
     let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
     let Driver { options, artifacts, gate_failures } = driver;
     write_manifest(&options, stages, artifacts, total_ms, trace_stats);
-    // The sweep finished and every output is on disk: the checkpoints
-    // have served their purpose.
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    exit_if_gates_failed(&gate_failures);
-}
-
-/// Exits 1 when a stage gate failed. Called once the run's outputs are
-/// written (or the sweep halted), so a failed gate never costs an
-/// artifact.
-fn exit_if_gates_failed(failures: &[String]) {
-    if failures.is_empty() {
-        return;
-    }
-    for failure in failures {
+    // Checked only now that every output is written, so a failed gate
+    // never costs an artifact.
+    for failure in &gate_failures {
         qjo_obs::error!("gate failed: {failure}");
     }
-    std::process::exit(1);
+    if !gate_failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -1323,7 +1068,7 @@ mod tests {
         let opts = parse_args(&[]).unwrap();
         assert_eq!(opts.which, PAPER_STAGES.to_vec());
         assert_eq!(opts.mode, Mode::Default);
-        assert!(opts.csv_dir.is_none() && opts.faults.is_none() && !opts.resume);
+        assert!(opts.csv_dir.is_none() && opts.faults.is_none());
     }
 
     #[test]
@@ -1336,17 +1081,12 @@ mod tests {
             "out",
             "--faults",
             "seed=7;io.write=0.5",
-            "--resume",
-            "--halt-after",
-            "fig3",
         ]))
         .unwrap();
         assert_eq!(opts.which, vec!["table1", "fig3"]);
         assert_eq!(opts.mode, Mode::Smoke);
         assert_eq!(opts.csv_dir.as_deref(), Some(Path::new("out")));
         assert_eq!(opts.faults.as_deref(), Some("seed=7;io.write=0.5"));
-        assert!(opts.resume);
-        assert_eq!(opts.halt_after.as_deref(), Some("fig3"));
     }
 
     #[test]
@@ -1357,7 +1097,7 @@ mod tests {
 
     #[test]
     fn missing_flag_values_are_errors_not_panics() {
-        for flag in ["--csv", "--trace-out", "--faults", "--halt-after"] {
+        for flag in ["--csv", "--trace-out", "--faults"] {
             let err = parse_args(&args(&[flag])).unwrap_err();
             assert!(err.contains(flag), "{flag}: {err}");
             assert!(err.contains("requires a value"), "{flag}: {err}");
@@ -1368,48 +1108,6 @@ mod tests {
     fn unknown_input_is_rejected() {
         assert!(parse_args(&args(&["--frobnicate"])).unwrap_err().contains("unknown flag"));
         assert!(parse_args(&args(&["table9"])).unwrap_err().contains("unknown experiment"));
-    }
-
-    #[test]
-    fn halt_after_must_name_a_selected_stage() {
-        let err = parse_args(&args(&["table1", "--halt-after", "fig3"])).unwrap_err();
-        assert!(err.contains("not part of this sweep"), "{err}");
-        // With the implicit `all` expansion every stage qualifies.
-        assert!(parse_args(&args(&["--halt-after", "fig3"])).is_ok());
-        // But a non-stage name is caught even before membership.
-        assert!(parse_args(&args(&["--halt-after", "nope"])).is_err());
-    }
-
-    #[test]
-    fn checkpoint_documents_round_trip() {
-        let record = StageRecord {
-            name: "table1".to_string(),
-            duration_ms: 12.5,
-            counters: BTreeMap::from([("sa.restarts".to_string(), 40u64)]),
-        };
-        let artifacts = vec![Artifact {
-            name: "table1.csv".to_string(),
-            rows: 4,
-            bytes: 210,
-            hash: "a1b2".to_string(),
-            volatile: false,
-        }];
-        let blocks = BTreeMap::from([("solver".to_string(), "table1,e,-,0,0,1.5\n".to_string())]);
-        let doc = checkpoint_doc("fp", &record, &artifacts, &blocks);
-        let dir = std::env::temp_dir().join(format!("qjo-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("table1.json");
-        qjo_resil::checkpoint::save(&path, &doc).unwrap();
-        let ckpt = load_stage_checkpoint(&path, "fp", "table1").expect("valid checkpoint");
-        assert_eq!(ckpt.duration_ms, 12.5);
-        assert_eq!(ckpt.counters, record.counters);
-        assert_eq!(ckpt.artifacts, artifacts);
-        assert_eq!(ckpt.convergence, blocks);
-        // Any identity mismatch invalidates the checkpoint.
-        assert!(load_stage_checkpoint(&path, "other-fp", "table1").is_none());
-        assert!(load_stage_checkpoint(&path, "fp", "fig2").is_none());
-        assert!(load_stage_checkpoint(&dir.join("absent.json"), "fp", "table1").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1458,10 +1156,11 @@ mod tests {
         let opts = parse_args(&args(&["robust", "fig3", "all"])).unwrap();
         assert_eq!(opts.which[..PAPER_STAGES.len()], *PAPER_STAGES);
         assert_eq!(opts.which[PAPER_STAGES.len()..], ["robust"]);
-        // The run manifest is the one run record and the embedding cache
-        // is gated by exact counters, so neither a BENCH.json output nor a
-        // wall-clock embed-speedup floor is accepted.
-        for flag in ["--bench-out", "--min-embed-speedup"] {
+        // The run manifest is the one run record, the embedding cache is
+        // gated by exact counters and a sweep has no checkpoints, so none
+        // of a BENCH.json output, a wall-clock embed-speedup floor, a
+        // resume or a halt is accepted.
+        for flag in ["--bench-out", "--min-embed-speedup", "--resume", "--halt-after"] {
             let err = parse_args(&args(&["serve", flag, "50"])).unwrap_err();
             assert!(err.contains("unknown flag"), "{flag}: {err}");
         }

@@ -69,17 +69,6 @@ impl JoinOrder {
         total
     }
 
-    /// Log10 of the largest intermediate result along the order.
-    pub fn max_intermediate_log(&self, query: &Query) -> f64 {
-        let mut max = f64::NEG_INFINITY;
-        let mut prefix: u64 = 1 << self.order[0];
-        for &rel in &self.order[1..] {
-            prefix |= 1 << rel;
-            max = max.max(query.log_card_of_set(prefix));
-        }
-        max
-    }
-
     /// The staircase-approximated cost the MILP objective optimises
     /// (Section 3.2): for each intermediate (outer operand of joins
     /// `1..J`), every threshold its log cardinality strictly exceeds adds
@@ -146,15 +135,6 @@ mod tests {
         let a = JoinOrder::new(vec![0, 1, 2], 3).unwrap();
         let b = JoinOrder::new(vec![1, 0, 2], 3).unwrap();
         assert_eq!(a.cost(&q), b.cost(&q));
-    }
-
-    #[test]
-    fn max_intermediate_tracks_peak() {
-        let q = example_query();
-        let good = JoinOrder::new(vec![0, 1, 2], 3).unwrap();
-        assert_eq!(good.max_intermediate_log(&q), 5.0);
-        let bad = JoinOrder::new(vec![0, 2, 1], 3).unwrap();
-        assert_eq!(bad.max_intermediate_log(&q), 5.0);
     }
 
     #[test]

@@ -223,17 +223,6 @@ impl Query {
         sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
         sorted.iter().take(j + 1).sum()
     }
-
-    /// Predicates whose endpoints both lie within `set`, excluding those
-    /// already applicable within `subset` — i.e. the predicates newly
-    /// applied when `set \ subset` joins `subset`.
-    pub fn newly_applicable(&self, subset: u64, set: u64) -> impl Iterator<Item = &Predicate> {
-        self.predicates.iter().filter(move |p| {
-            let in_set = set >> p.rel_a & 1 == 1 && set >> p.rel_b & 1 == 1;
-            let in_subset = subset >> p.rel_a & 1 == 1 && subset >> p.rel_b & 1 == 1;
-            in_set && !in_subset
-        })
-    }
 }
 
 #[cfg(test)]
@@ -277,16 +266,6 @@ mod tests {
         assert_eq!(q.max_outer_log_card(0), 3.0);
         assert_eq!(q.max_outer_log_card(1), 5.0);
         assert_eq!(q.max_outer_log_card(2), 6.0);
-    }
-
-    #[test]
-    fn newly_applicable_predicates() {
-        let q = three_rel();
-        // Adding R1 to {R0}: predicate 0 becomes applicable.
-        let newly: Vec<_> = q.newly_applicable(0b001, 0b011).collect();
-        assert_eq!(newly.len(), 1);
-        // Adding R2 to {R0, R1}: nothing new.
-        assert_eq!(q.newly_applicable(0b011, 0b111).count(), 0);
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl QueryGenerator {
         }
     }
 
-    /// Generates a batch of queries with consecutive seeds.
-    pub fn generate_many(&self, base_seed: u64, count: usize) -> Vec<Query> {
-        (0..count).map(|i| self.generate(base_seed + i as u64)).collect()
-    }
-
     /// A query with `predicates` of the chain predicates kept and the rest
     /// dropped — the paper's "vary the number of predicates at fixed
     /// relations" scenario (0 predicates forces cross products everywhere).
@@ -363,11 +358,6 @@ impl BenchmarkGenerator {
             Ok(q) => q,
             Err(e) => panic!("invalid benchmark generator: {e}"),
         }
-    }
-
-    /// Generates a batch of queries with consecutive seeds.
-    pub fn generate_many(&self, base_seed: u64, count: usize) -> Vec<Query> {
-        (0..count).map(|i| self.generate(base_seed + i as u64)).collect()
     }
 }
 
@@ -514,14 +504,6 @@ mod tests {
             assert_eq!(q.num_predicates(), count);
             assert_eq!(q.num_relations(), 3);
         }
-    }
-
-    #[test]
-    fn generate_many_uses_consecutive_seeds() {
-        let gen = QueryGenerator::paper_defaults(QueryGraph::Chain, 4);
-        let batch = gen.generate_many(10, 3);
-        assert_eq!(batch[0], gen.generate(10));
-        assert_eq!(batch[2], gen.generate(12));
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl DiagonalHamiltonian {
         DiagonalHamiltonian { num_qubits: n, levels, level_of }
     }
 
-    /// Tabulates the energy levels of an Ising model (spin `+1` for bit `1`).
-    pub fn from_ising(ising: &IsingModel) -> Self {
-        Self::from_qubo(&ising.to_qubo())
-    }
-
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -426,16 +421,6 @@ mod tests {
             assert!((h.energy(z) - q.energy(&x).unwrap()).abs() < 1e-12);
         }
         assert_eq!(h.min_energy(), -1.0);
-    }
-
-    #[test]
-    fn from_ising_agrees_with_from_qubo() {
-        let q = antiferro_pair();
-        let a = DiagonalHamiltonian::from_qubo(&q);
-        let b = DiagonalHamiltonian::from_ising(&q.to_ising());
-        for z in 0..4usize {
-            assert!((a.energy(z) - b.energy(z)).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -441,17 +441,6 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
-    /// Renormalises (used after stochastic noise jumps).
-    pub fn renormalize(&mut self) {
-        let n = self.norm_sqr().sqrt();
-        if n > 0.0 {
-            let inv = 1.0 / n;
-            for a in &mut self.amps {
-                *a = a.scale(inv);
-            }
-        }
-    }
-
     /// `|⟨ψ|φ⟩|²`.
     pub fn fidelity(&self, other: &StateVector) -> f64 {
         assert_eq!(self.num_qubits, other.num_qubits);
@@ -933,14 +922,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn renormalize_restores_unit_norm() {
-        let mut s = StateVector::zero(2);
-        // Manually damage the norm.
-        s.amps[0] = C64::real(2.0);
-        s.renormalize();
-        assert!((s.norm_sqr() - 1.0).abs() < EPS);
     }
 }

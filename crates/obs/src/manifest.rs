@@ -44,8 +44,7 @@ pub struct Artifact {
 
 impl Artifact {
     /// The artifact's JSON record, as the manifest's `artifacts` array
-    /// and the driver's stage checkpoints both store it. `volatile` is
-    /// written only when set.
+    /// stores it. `volatile` is written only when set.
     pub fn to_json(&self) -> Json {
         let mut obj = BTreeMap::new();
         obj.insert("name".to_string(), Json::from(self.name.as_str()));

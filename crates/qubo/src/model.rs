@@ -147,18 +147,6 @@ impl Qubo {
         Ok(e)
     }
 
-    /// Adjacency lists of the QUBO graph (non-zero quadratic structure only).
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.num_vars];
-        for (&(i, j), &c) in &self.quadratic {
-            if c != 0.0 {
-                adj[i as usize].push(j as usize);
-                adj[j as usize].push(i as usize);
-            }
-        }
-        adj
-    }
-
     /// Converts to the spin (Ising) formulation with `x_i = (1 + s_i) / 2`.
     ///
     /// Energies are preserved exactly: for every assignment,
@@ -360,15 +348,6 @@ mod tests {
             q.energy(&[true, false]),
             Err(QuboError::AssignmentLength { got: 2, expected: 3 })
         ));
-    }
-
-    #[test]
-    fn adjacency_lists_quadratic_partners() {
-        let q = toy();
-        let adj = q.adjacency();
-        assert_eq!(adj[0], vec![1]);
-        assert_eq!(adj[1], vec![0, 2]);
-        assert_eq!(adj[2], vec![1]);
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl ShotBuffer {
         self.rows().map(|row| unpack_row(row, self.num_bits))
     }
 
-    /// Unpacks the whole buffer (test/compatibility helper).
-    pub fn to_bit_vecs(&self) -> Vec<Vec<bool>> {
-        self.iter_bits().collect()
-    }
-
     /// Number of shots with bit `bit` set — the per-variable frequency the
     /// statistical tests assert on.
     pub fn count_ones(&self, bit: usize) -> usize {
@@ -248,7 +243,8 @@ mod tests {
         b.push_index(0b11);
         a.append(&b);
         assert_eq!(a.len(), 3);
-        assert_eq!(a.to_bit_vecs(), vec![vec![true, false], vec![false, true], vec![true, true]]);
+        let rows: Vec<Vec<bool>> = a.iter_bits().collect();
+        assert_eq!(rows, vec![vec![true, false], vec![false, true], vec![true, true]]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Crash-safe artifact writes: temp file + rename.
 //!
 //! Every artifact the workspace emits (CSV tables, run manifests,
-//! traces, checkpoints) goes through [`atomic_write`]: the
-//! bytes land in a `<name>.tmp` sibling first and are renamed over the
-//! destination only once fully written. A crash — or an injected
-//! `io.write` fault — therefore never leaves a torn file at the
-//! destination: readers see the complete old content or the complete
-//! new content, nothing in between.
+//! traces) goes through [`atomic_write`]: the bytes land in a
+//! `<name>.tmp` sibling first and are renamed over the destination only
+//! once fully written. A crash — or an injected `io.write` fault —
+//! therefore never leaves a torn file at the destination: readers see
+//! the complete old content or the complete new content, nothing in
+//! between.
 //!
 //! The `io.write` fault site simulates the write dying before the
 //! rename. The salt is the FNV-1a hash of the *file name* (not the full
@@ -48,25 +48,6 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
         }
         write_via_temp(path, tmp, bytes)
     });
-    if result.is_err() {
-        let _ = fs::remove_file(tmp);
-    }
-    result
-}
-
-/// [`atomic_write`] without fault injection or retry counters.
-///
-/// Reserved for the resilience machinery's own state (checkpoints):
-/// injecting faults into the recovery substrate would both recurse the
-/// failure handling and make counter accounting depend on whether a run
-/// was resumed (replayed stages never re-save their checkpoints).
-pub fn atomic_write_uninjected(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    let path = path.as_ref();
-    create_parents(path)?;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = Path::new(&tmp);
-    let result = write_via_temp(path, tmp, bytes);
     if result.is_err() {
         let _ = fs::remove_file(tmp);
     }
@@ -139,22 +120,6 @@ mod tests {
             assert!(atomic_write(&path, b"new").is_err());
         }
         assert_eq!(fs::read(&path).unwrap(), b"old");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn uninjected_writes_ignore_the_fault_plan() {
-        let dir = temp_dir("exempt");
-        let path = dir.join("stage.json");
-        let _guard = scoped(FaultPlan::new(0).with_rate("io.write", 1.0));
-        let before = qjo_obs::global().snapshot();
-        atomic_write_uninjected(&path, b"{}").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"{}");
-        let deltas = qjo_obs::global().snapshot().counter_deltas_since(&before);
-        assert!(
-            deltas.keys().all(|k| !k.starts_with("fault.") && !k.starts_with("resil.")),
-            "exempt write must not touch resilience counters: {deltas:?}"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

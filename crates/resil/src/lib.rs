@@ -18,11 +18,6 @@
 //!   exhausted}` counters to `qjo-obs`.
 //! - [`atomic`] writes artifacts via temp-file + rename, so a crash (or
 //!   an injected `io.write` fault) never leaves a torn CSV/JSON behind.
-//! - [`checkpoint`] persists small JSON state atomically; the
-//!   `experiments` driver uses it for per-stage resume markers.
-//! - [`error::QjoError`] is the workspace-level error taxonomy wrapping
-//!   the per-crate errors (`QuboError`, `ParseError`, and — via `From`
-//!   impls living in `qjo-anneal` — `AnnealError`/`EmbeddingError`).
 //!
 //! Every fault, retry, fallback, and degradation event increments a
 //! `fault.*` or `resil.*` counter; the run-manifest layer routes those
@@ -30,13 +25,10 @@
 //! like any other experiment.
 
 pub mod atomic;
-pub mod checkpoint;
-pub mod error;
 pub mod fault;
 pub mod retry;
 
-pub use atomic::{atomic_write, atomic_write_uninjected};
-pub use error::QjoError;
+pub use atomic::atomic_write;
 pub use fault::{should_inject, FaultPlan, FaultSpecError, SITES};
 pub use retry::with_retries;
 

@@ -204,35 +204,6 @@ impl Topology {
         self.edges.len() as f64 / full as f64
     }
 
-    /// One shortest path from `a` to `b` (inclusive); `None` when
-    /// disconnected. Deterministic: prefers lower-index neighbours.
-    pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        let row_owned;
-        let row: &[u16] = match &self.distances {
-            Some(m) => &m[a],
-            None => {
-                row_owned = self.cached_row(a);
-                &row_owned
-            }
-        };
-        if row[b] == u16::MAX {
-            return None;
-        }
-        let mut path = vec![b];
-        let mut cur = b;
-        while cur != a {
-            let d = row[cur] as usize;
-            let prev = *self.adjacency[cur]
-                .iter()
-                .find(|&&w| (row[w] as usize) + 1 == d)
-                .expect("BFS predecessor must exist");
-            path.push(prev);
-            cur = prev;
-        }
-        path.reverse();
-        Some(path)
-    }
-
     /// Returns a copy with extra edges added (used by density extrapolation).
     pub fn with_extra_edges(&self, extra: &[(usize, usize)]) -> Topology {
         let mut edges: Vec<(usize, usize)> = self.edges().collect();
@@ -317,12 +288,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_distances_and_paths() {
+    fn line_distances_and_diameter() {
         let t = Topology::line(5);
         assert_eq!(t.num_edges(), 4);
         assert_eq!(t.distance(0, 4), Some(4));
         assert_eq!(t.distance(2, 2), Some(0));
-        assert_eq!(t.shortest_path(0, 3), Some(vec![0, 1, 2, 3]));
         assert!(t.is_connected());
         assert_eq!(t.diameter(), Some(4));
     }
@@ -366,7 +336,6 @@ mod tests {
         assert!(!t.is_connected());
         assert_eq!(t.distance(0, 2), None);
         assert_eq!(t.diameter(), None);
-        assert_eq!(t.shortest_path(1, 3), None);
         // Disconnected pairs land in the final group.
         let groups = t.missing_pairs_by_distance();
         assert_eq!(groups.last().unwrap().len(), 4);
@@ -404,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_is_deterministic() {
-        let t = Topology::grid(3, 3);
-        let p1 = t.shortest_path(0, 8).unwrap();
-        let p2 = t.shortest_path(0, 8).unwrap();
-        assert_eq!(p1, p2);
-        assert_eq!(p1.len(), 5); // 4 hops
-                                 // Consecutive path vertices are actually coupled.
-        for w in p1.windows(2) {
-            assert!(t.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
     fn density_of_line_matches_formula() {
         let t = Topology::line(5);
         assert!((t.density() - 4.0 / 10.0).abs() < 1e-12);
@@ -435,9 +391,6 @@ mod tests {
         }
         assert_eq!(t.cached_distance_rows(), 1, "same source must reuse its row");
         assert_eq!(t.distance(9, 7), Some(2));
-        assert_eq!(t.cached_distance_rows(), 2);
-        // shortest_path shares the cache too.
-        assert_eq!(t.shortest_path(9, 12), Some(vec![9, 10, 11, 12]));
         assert_eq!(t.cached_distance_rows(), 2);
     }
 
