@@ -21,12 +21,13 @@
 //! with a grace period before snap-back) breaks multi-chain contention
 //! cycles that single-chain moves reproduce.
 //!
-//! The Dijkstra searches are nearly all of the embedder's time. They run on
-//! a private monotone radix queue keyed by the bit pattern of the tentative
-//! `f64` distance, and the queue pops exactly the `(distance, qubit)`
+//! The Dijkstra searches are nearly all of the embedder's time. A placement
+//! runs its searches, one per placed neighbour, in lockstep on one private
+//! monotone radix queue keyed by the bit pattern of the tentative `f64`
+//! distance. Each search pops exactly a prefix of the `(distance, qubit)`
 //! sequence a binary min-heap of such pairs would pop:
 //!
-//! - distances start at `+0.0` and grow by costs `penalty_base^usage > 0`,
+//! - distances start at `+0.0` and grow by costs `penalty_base^usage >= 0`,
 //!   so keys are never negative or NaN, and their unsigned bit order is
 //!   their numeric order ([`Embedder::embed`] rejects any other base);
 //! - every push is `d + cost >= d` for the popped `d`, so keys never fall
@@ -35,8 +36,29 @@
 //!   order, and a push that rounding makes equal to it (`d + cost == d`)
 //!   is inserted at its place in that order, just where the heap pops it.
 //!
-//! Equal pops give equal distances and predecessors, so every chain, and
-//! therefore every embedding, is the one the heap-based search found.
+//! A placement reads only the root, the qubit with the smallest total
+//! `cost[q] + Σ dist_r[q]`, and the paths back from it, so the searches
+//! stop once no qubit can beat the best root found so far:
+//!
+//! - a qubit's total is computed, exactly as a full scan would, once every
+//!   search has settled it; the smallest total wins, and the smallest
+//!   index among equal totals;
+//! - every distance a search has not settled is at least `next`, the
+//!   smallest key still queued, so a qubit's total is at least its cost
+//!   plus its settled distances plus `next` per search that has not
+//!   settled it, and at least `min(cost) + next + … + next` if no search
+//!   has settled it;
+//! - the searches stop once the best total is strictly below every such
+//!   bound, so no unsettled qubit can win or tie. Rounding is monotone, so
+//!   a bound added in search order, as a total is, holds as computed; one
+//!   built from a partial sum, which adds in settle order, is scaled down
+//!   by a margin larger than the rounding error of the reordering. A qubit
+//!   whose bound held once cannot win later either (its total is fixed,
+//!   and the best total only falls), so it is not checked again.
+//!
+//! A settled qubit's distance and predecessor are final, and every path
+//! back from the root runs through settled qubits. So every chain, and
+//! therefore every embedding, is the one full heap-based searches found.
 
 use std::cmp::Reverse;
 
@@ -171,118 +193,186 @@ impl Default for Embedder {
     }
 }
 
-/// Monotone radix queue of `(distance, qubit)` entries for
-/// [`State::dijkstra_into`] (its exactness contract is in the module docs).
+/// The neighbour searches of one [`State::place`] call: one usage-weighted
+/// multi-source Dijkstra per placed neighbour chain, run in lockstep on one
+/// monotone radix queue (the exactness argument is in the module docs).
 ///
 /// A key is the bit pattern of a non-negative, non-NaN distance, and no
-/// push is below the last popped key `last`. `buckets[i]` holds the entries
-/// whose key first differs from `last` at bit `i`, so a lower bucket holds
-/// only smaller keys. The entries whose key equals `last` are the set bits
-/// of `ties`, a bitset over qubits, and pop in ascending qubit order. A
-/// qubit's keys strictly decrease from push to push, so the bitset loses
-/// nothing: only a source listed twice pushes a pair twice, and the
-/// heap's second pop of it relaxes no edge.
-struct RadixQueue {
-    last: u64,
+/// push is below the last popped key `last`, which all searches share. A
+/// queued entry is an id `search << qubit_bits | qubit` without its key:
+/// the key is that search's `dist` of the qubit. The costs sit on qubits,
+/// so a qubit's first relaxation comes from the smallest popped distance
+/// and sets its final distance: each search pushes a qubit at most once,
+/// and no id goes stale. `buckets[i]` holds the ids whose key first
+/// differs from `last` at bit `i`, so a lower bucket holds only smaller
+/// keys. Each search's ids whose key equals `last` are the set bits of its
+/// tie bitset and pop in ascending qubit order.
+struct Searches {
+    /// Qubits in the target.
+    n: usize,
+    /// `u64` words in one per-search bitset.
+    words: usize,
+    /// Low bits of an id that hold the qubit.
+    qubit_bits: u32,
+    /// `dist[r * n + q]` and `pred[r * n + q]`: search `r`'s distance to
+    /// `q` and the qubit it came from, final once set.
+    dist: Vec<f64>,
+    pred: Vec<usize>,
+    /// Per search, a bitset of the qubits queued at key `last`.
     ties: Vec<u64>,
-    num_ties: usize,
-    /// No word of `ties` before this one has a bit set; `usize::MAX` while
-    /// `ties` is empty.
-    first_tie_word: usize,
-    buckets: [Vec<(u64, usize)>; 64],
+    /// Per search, the set bits in its tie bitset, and a word before which
+    /// none is set (`usize::MAX` while there is none).
+    num_ties: Vec<usize>,
+    first_tie_word: Vec<usize>,
+    last: u64,
+    buckets: [Vec<u32>; 64],
     /// Bit `i` set iff `buckets[i]` is non-empty.
     occupied: u64,
+    /// Per qubit, the searches that settled it, and its cost plus the
+    /// distances they settled it at (added in settle order); `partial` is
+    /// set for the qubits in `touched`, those some search settled, in
+    /// first-settle order.
+    count: Vec<usize>,
+    partial: Vec<f64>,
+    touched: Vec<usize>,
 }
 
-impl RadixQueue {
-    /// An empty queue for qubits `0..num_qubits`.
+impl Searches {
     fn new(num_qubits: usize) -> Self {
-        RadixQueue {
+        Searches {
+            n: num_qubits,
+            words: num_qubits.div_ceil(64),
+            qubit_bits: usize::BITS - num_qubits.saturating_sub(1).leading_zeros(),
+            dist: Vec::new(),
+            pred: Vec::new(),
+            ties: Vec::new(),
+            num_ties: Vec::new(),
+            first_tie_word: Vec::new(),
             last: 0,
-            ties: vec![0; num_qubits.div_ceil(64)],
-            num_ties: 0,
-            first_tie_word: usize::MAX,
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
+            count: vec![0; num_qubits],
+            partial: vec![0.0; num_qubits],
+            touched: Vec::new(),
         }
     }
 
-    /// Empties the queue (keeping its allocations) and rewinds the key
-    /// floor to `+0.0`.
-    fn clear(&mut self) {
+    /// Starts `deg` searches, search `r` from every qubit of
+    /// `sources(r)` at distance `+0.0`, keeping the allocations.
+    fn reset<'s>(&mut self, deg: usize, sources: impl Fn(usize) -> &'s [usize]) {
+        assert!(
+            deg <= (u32::MAX >> self.qubit_bits) as usize + 1,
+            "search ids must fit u32: {deg} searches over {} qubits",
+            self.n
+        );
+        let (n, words) = (self.n, self.words);
+        self.dist.clear();
+        self.dist.resize(deg * n, f64::INFINITY);
+        self.pred.clear();
+        self.pred.resize(deg * n, usize::MAX);
+        self.ties.clear();
+        self.ties.resize(deg * words, 0);
+        self.num_ties.clear();
+        self.num_ties.resize(deg, 0);
+        self.first_tie_word.clear();
+        self.first_tie_word.resize(deg, usize::MAX);
         self.last = 0;
-        if self.num_ties != 0 {
-            self.ties.fill(0);
-            self.num_ties = 0;
-            self.first_tie_word = usize::MAX;
-        }
         while self.occupied != 0 {
             let b = self.occupied.trailing_zeros() as usize;
             self.buckets[b].clear();
             self.occupied &= self.occupied - 1;
         }
+        for q in self.touched.drain(..) {
+            self.count[q] = 0;
+        }
+        for r in 0..deg {
+            for &s in sources(r) {
+                self.dist[r * n + s] = 0.0;
+                self.push_tie(r, s);
+            }
+        }
     }
 
-    fn push(&mut self, dist: f64, q: usize) {
-        let key = dist.to_bits();
+    fn push(&mut self, r: usize, key: u64, q: usize) {
         debug_assert!(key >= self.last, "radix queue keys must never fall below the last pop");
         if key == self.last {
-            self.push_tie(q);
+            self.push_tie(r, q);
         } else {
-            self.push_bucket(key, q);
+            self.push_bucket(key, (r << self.qubit_bits | q) as u32);
         }
     }
 
-    fn push_tie(&mut self, q: usize) {
+    fn push_tie(&mut self, r: usize, q: usize) {
         let (word, bit) = (q / 64, 1u64 << (q % 64));
-        if self.ties[word] & bit == 0 {
-            self.ties[word] |= bit;
-            self.num_ties += 1;
+        let ties = &mut self.ties[r * self.words + word];
+        if *ties & bit == 0 {
+            *ties |= bit;
+            self.num_ties[r] += 1;
         }
-        self.first_tie_word = self.first_tie_word.min(word);
+        self.first_tie_word[r] = self.first_tie_word[r].min(word);
     }
 
-    fn push_bucket(&mut self, key: u64, q: usize) {
+    fn push_bucket(&mut self, key: u64, id: u32) {
         let b = 63 - (key ^ self.last).leading_zeros() as usize;
-        self.buckets[b].push((key, q));
+        self.buckets[b].push(id);
         self.occupied |= 1 << b;
     }
 
-    /// Pops the entry with the smallest key, ties broken by the smallest
-    /// qubit.
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        if self.num_ties == 0 {
-            if self.occupied == 0 {
-                return None;
+    /// Pops search `r`'s smallest qubit at key `last`.
+    fn pop_tie(&mut self, r: usize) -> Option<usize> {
+        if self.num_ties[r] == 0 {
+            return None;
+        }
+        let ties = &mut self.ties[r * self.words..(r + 1) * self.words];
+        let mut w = self.first_tie_word[r];
+        while ties[w] == 0 {
+            w += 1;
+        }
+        let q = w * 64 + ties[w].trailing_zeros() as usize;
+        ties[w] &= ties[w] - 1;
+        self.num_ties[r] -= 1;
+        self.first_tie_word[r] = if self.num_ties[r] == 0 { usize::MAX } else { w };
+        Some(q)
+    }
+
+    /// Moves `last` up to the smallest key still queued and files that
+    /// key's ids as ties; `false` once every search has run dry. Call it
+    /// only when no search has a tie left.
+    fn advance(&mut self) -> bool {
+        if self.occupied == 0 {
+            return false;
+        }
+        // The lowest non-empty bucket holds the smallest keys. Its minimum
+        // becomes `last`; the rest of the bucket moves to strictly lower
+        // buckets relative to the new `last`.
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        self.last = bucket.iter().map(|&id| self.key(id)).min().expect("occupied bucket");
+        for &id in &bucket {
+            let key = self.key(id);
+            if key == self.last {
+                let (r, q) = self.split(id);
+                self.push_tie(r, q);
+            } else {
+                self.push_bucket(key, id);
             }
-            // The lowest non-empty bucket holds the smallest keys. Its
-            // minimum becomes `last`; the rest of the bucket moves to
-            // strictly lower buckets relative to the new `last`.
-            let b = self.occupied.trailing_zeros() as usize;
-            self.occupied &= !(1 << b);
-            let mut bucket = std::mem::take(&mut self.buckets[b]);
-            self.last = bucket.iter().map(|&(key, _)| key).min().expect("occupied bucket");
-            for &(key, q) in &bucket {
-                if key == self.last {
-                    self.push_tie(q);
-                } else {
-                    self.push_bucket(key, q);
-                }
-            }
-            bucket.clear();
-            self.buckets[b] = bucket;
         }
-        while self.ties[self.first_tie_word] == 0 {
-            self.first_tie_word += 1;
-        }
-        let word = &mut self.ties[self.first_tie_word];
-        let q = self.first_tie_word * 64 + word.trailing_zeros() as usize;
-        *word &= *word - 1;
-        self.num_ties -= 1;
-        if self.num_ties == 0 {
-            self.first_tie_word = usize::MAX;
-        }
-        Some((f64::from_bits(self.last), q))
+        bucket.clear();
+        self.buckets[b] = bucket;
+        true
+    }
+
+    /// An id's search and qubit.
+    fn split(&self, id: u32) -> (usize, usize) {
+        let id = id as usize;
+        (id >> self.qubit_bits, id & ((1 << self.qubit_bits) - 1))
+    }
+
+    /// An id's key.
+    fn key(&self, id: u32) -> u64 {
+        let (r, q) = self.split(id);
+        self.dist[r * self.n + q].to_bits()
     }
 }
 
@@ -324,17 +414,18 @@ struct State<'a> {
     cost: Vec<f64>,
     adjacency: Vec<Vec<usize>>, // source graph
     penalty_base: f64,
-    /// Scratch buffers reused across Dijkstra runs (one pair per source
-    /// neighbour of the variable currently being placed).
-    dist_pool: Vec<Vec<f64>>,
-    pred_pool: Vec<Vec<usize>>,
-    queue: RadixQueue,
+    /// The latest placement's neighbour searches; their buffers are reused.
+    searches: Searches,
     /// `target`'s adjacency, laid out for the searches.
     csr: Csr,
     /// `owner[q] == v` marks q as inside the neighbour chain a path walk is
     /// currently targeting (epoch-stamped via `owner_epoch`).
     owner_epoch: Vec<u32>,
     epoch: u32,
+    /// Neighbour searches run and qubits they settled, summed over every
+    /// placement (the `embed.searches` and `embed.settles` counters).
+    num_searches: u64,
+    num_settles: u64,
 }
 
 impl<'a> State<'a> {
@@ -347,12 +438,12 @@ impl<'a> State<'a> {
             cost: vec![1.0; n],
             adjacency,
             penalty_base,
-            dist_pool: Vec::new(),
-            pred_pool: Vec::new(),
-            queue: RadixQueue::new(n),
+            searches: Searches::new(n),
             csr: Csr::new(target),
             owner_epoch: vec![0; n],
             epoch: 0,
+            num_searches: 0,
+            num_settles: 0,
         }
     }
 
@@ -388,32 +479,87 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Usage-weighted multi-source Dijkstra from every qubit of `sources`
-    /// into the provided scratch buffers; source qubits cost 0.
-    fn dijkstra_into(&mut self, sources: &[usize], dist: &mut Vec<f64>, pred: &mut Vec<usize>) {
-        let n = self.target.num_qubits();
-        dist.clear();
-        dist.resize(n, f64::INFINITY);
-        pred.clear();
-        pred.resize(n, usize::MAX);
-        let queue = &mut self.queue;
-        queue.clear();
-        for &s in sources {
-            dist[s] = 0.0;
-            queue.push(0.0, s);
-        }
-        while let Some((d, q)) = queue.pop() {
-            if d > dist[q] {
+    /// Runs one search from each chain in `neighbors` and returns the
+    /// root: the qubit with the smallest `cost[q] + Σ dist_r[q]`, summed in
+    /// search order, and the smallest such qubit among equal totals.
+    /// `None` when no total is finite.
+    fn find_root(&mut self, neighbors: &[usize]) -> Option<usize> {
+        let deg = neighbors.len();
+        let s = &mut self.searches;
+        let (n, cost) = (s.n, &self.cost);
+        s.reset(deg, |r| &self.chains[neighbors[r]]);
+        self.num_searches += deg as u64;
+        // A partial sum adds in settle order, not search order, so its bound
+        // is scaled down by more than the rounding error that can make.
+        let margin = 1.0 - 8.0 * (deg + 2) as f64 * f64::EPSILON;
+        let bound = |partial: f64, unsettled: usize, next: f64| {
+            (partial + unsettled as f64 * next).min(f64::MAX) * margin
+        };
+        let min_cost = cost.iter().copied().fold(f64::INFINITY, f64::min);
+        let (mut best, mut best_root) = (f64::INFINITY, None);
+        // A qubit once shown unable to win stays so: its total is fixed and
+        // `best` only falls. `touched[..cleared]` are such qubits, and so
+        // are `touched[safe..]` once the bound on untouched qubits held.
+        let (mut cleared, mut safe) = (0, None);
+        loop {
+            let d = f64::from_bits(s.last);
+            for r in 0..deg {
+                while let Some(q) = s.pop_tie(r) {
+                    self.num_settles += 1;
+                    debug_assert_eq!(s.dist[r * n + q].to_bits(), s.last);
+                    for &w in self.csr.neighbors(q) {
+                        let w = w as usize;
+                        let nd = d + cost[w];
+                        if nd < s.dist[r * n + w] {
+                            debug_assert_eq!(s.dist[r * n + w], f64::INFINITY, "pushed twice");
+                            s.dist[r * n + w] = nd;
+                            s.pred[r * n + w] = q;
+                            s.push(r, nd.to_bits(), w);
+                        }
+                    }
+                    s.count[q] += 1;
+                    if s.count[q] == 1 {
+                        s.touched.push(q);
+                        s.partial[q] = cost[q];
+                    }
+                    if s.count[q] < deg {
+                        s.partial[q] += d;
+                        continue;
+                    }
+                    let total = (0..deg).fold(cost[q], |total, r| total + s.dist[r * n + q]);
+                    if total < best || (total == best && best_root.is_some_and(|root| q < root)) {
+                        (best, best_root) = (total, Some(q));
+                    }
+                }
+            }
+            if !s.advance() {
+                return best_root;
+            }
+            if best_root.is_none() {
                 continue;
             }
-            for &w in self.csr.neighbors(q) {
-                let w = w as usize;
-                let nd = d + self.cost[w];
-                if nd < dist[w] {
-                    dist[w] = nd;
-                    pred[w] = q;
-                    queue.push(nd, w);
+            let next = f64::from_bits(s.last);
+            // Added in search order, as a total is, and rounding is
+            // monotone, so this bounds an untouched qubit without a margin.
+            let end = match safe {
+                Some(end) => end,
+                None if s.touched.len() < n
+                    && best >= (0..deg).fold(min_cost, |bound, _| bound + next) =>
+                {
+                    continue
                 }
+                None => *safe.insert(s.touched.len()),
+            };
+            while cleared < end {
+                let q = s.touched[cleared];
+                let c = s.count[q];
+                if c != deg && best >= bound(s.partial[q], deg - c, next) {
+                    break;
+                }
+                cleared += 1;
+            }
+            if cleared == end {
+                return best_root;
             }
         }
     }
@@ -432,44 +578,13 @@ impl<'a> State<'a> {
             return;
         }
 
-        // One Dijkstra per placed neighbour chain, into pooled buffers.
-        let deg = placed_neighbors.len();
-        while self.dist_pool.len() < deg {
-            self.dist_pool.push(Vec::new());
-            self.pred_pool.push(Vec::new());
-        }
-        for (run, &u) in placed_neighbors.iter().enumerate() {
-            let mut dist = std::mem::take(&mut self.dist_pool[run]);
-            let mut pred = std::mem::take(&mut self.pred_pool[run]);
-            let sources = std::mem::take(&mut self.chains[u]);
-            self.dijkstra_into(&sources, &mut dist, &mut pred);
-            self.chains[u] = sources;
-            self.dist_pool[run] = dist;
-            self.pred_pool[run] = pred;
-        }
-
         // Root minimising total path cost (the root's own usage cost is
-        // counted once per run — a harmless bias toward unused roots).
-        let n = self.target.num_qubits();
-        let mut best_root = usize::MAX;
-        let mut best_cost = f64::INFINITY;
-        for q in 0..n {
-            let mut total = self.cost[q];
-            for dist in &self.dist_pool[..deg] {
-                total += dist[q];
-                if total >= best_cost {
-                    break;
-                }
-            }
-            if total < best_cost {
-                best_cost = total;
-                best_root = q;
-            }
-        }
-        assert!(best_root != usize::MAX, "target graph has no vertices");
+        // counted once per search — a harmless bias toward unused roots).
+        let best_root = self.find_root(&placed_neighbors).expect("target graph has no vertices");
 
         // Chain = root plus interior of each path back to the neighbour
         // chains (path endpoints inside neighbour chains are excluded).
+        let n = self.target.num_qubits();
         let mut chain_set = std::collections::BTreeSet::from([best_root]);
         for (run_idx, &u) in placed_neighbors.iter().enumerate() {
             // Epoch-stamp the neighbour chain for O(1) membership checks.
@@ -477,7 +592,7 @@ impl<'a> State<'a> {
             for &q in &self.chains[u] {
                 self.owner_epoch[q] = self.epoch;
             }
-            let pred = &self.pred_pool[run_idx];
+            let pred = &self.searches.pred[run_idx * n..(run_idx + 1) * n];
             let mut cur = best_root;
             while self.owner_epoch[cur] != self.epoch {
                 chain_set.insert(cur);
@@ -542,6 +657,14 @@ impl<'a> State<'a> {
                 None => return,
             }
         }
+    }
+
+    /// Adds this call's search work to the `embed.searches` and
+    /// `embed.settles` counters; tallied per call, so the searches touch
+    /// no shared counter.
+    fn flush_counters(&self) {
+        qjo_obs::counter!("embed.searches").add(self.num_searches);
+        qjo_obs::counter!("embed.settles").add(self.num_settles);
     }
 
     fn max_usage(&self) -> u32 {
@@ -753,10 +876,12 @@ impl Embedder {
                 }
                 let embedding = Embedding { chains: std::mem::take(&mut state.chains) };
                 if embedding.validate(source_edges, target).is_ok() {
+                    state.flush_counters();
                     return Some(embedding);
                 }
             }
         }
+        state.flush_counters();
         None
     }
 }
@@ -922,8 +1047,8 @@ mod tests {
         }
     }
 
-    /// The binary-heap Dijkstra the radix queue replaced: the reference
-    /// `State::dijkstra_into` must match bit for bit.
+    /// A full binary-heap Dijkstra: each early-stopped search of
+    /// `State::place` must match it bit for bit on the qubits it settled.
     fn heap_dijkstra(target: &Topology, cost: &[f64], sources: &[usize]) -> (Vec<f64>, Vec<usize>) {
         use std::collections::BinaryHeap;
         let n = target.num_qubits();
@@ -950,23 +1075,106 @@ mod tests {
         (dist, pred)
     }
 
+    /// The chain a placement takes from full searches: the first qubit
+    /// with the smallest finite `cost[q] + Σ dist_r[q]`, plus the paths
+    /// back to each neighbour chain. `None` when no total is finite.
+    fn full_placement(
+        cost: &[f64],
+        chains: &[Vec<usize>],
+        searches: &[(Vec<f64>, Vec<usize>)],
+    ) -> Option<Vec<usize>> {
+        let mut best = (f64::INFINITY, None);
+        for q in 0..cost.len() {
+            let total = searches.iter().fold(cost[q], |total, (dist, _)| total + dist[q]);
+            if total < best.0 {
+                best = (total, Some(q));
+            }
+        }
+        let root = best.1?;
+        let mut chain = std::collections::BTreeSet::from([root]);
+        for (sources, (_, pred)) in chains.iter().zip(searches) {
+            let mut cur = root;
+            while cur != usize::MAX && !sources.contains(&cur) {
+                chain.insert(cur);
+                cur = pred[cur];
+            }
+        }
+        Some(chain.into_iter().collect())
+    }
+
+    /// What the placement checks saw.
+    #[derive(Default)]
+    struct Seen {
+        /// Reached qubits whose distance equals their predecessor's: a
+        /// relaxation that rounding absorbed took the tie path.
+        absorbed: usize,
+        /// Placements that settled fewer qubits than full searches do.
+        stopped: usize,
+    }
+
+    /// Places `v` and checks the early-stopped searches against full heap
+    /// searches from the same chains at the same costs: the same chain,
+    /// and the same distance and predecessor on every qubit a search
+    /// reached, settled or not, since a qubit's first distance is final.
+    fn place_checked(state: &mut State, v: usize, rng: &mut StdRng, seen: &mut Seen) {
+        let (target, n) = (state.target, state.target.num_qubits());
+        let chains: Vec<Vec<usize>> = state.adjacency[v]
+            .iter()
+            .map(|&u| state.chains[u].clone())
+            .filter(|chain| !chain.is_empty())
+            .collect();
+        if chains.is_empty() {
+            // No search runs: `v` takes a random least-used qubit.
+            state.place(v, rng);
+            return;
+        }
+        let want: Vec<_> = chains.iter().map(|c| heap_dijkstra(target, &state.cost, c)).collect();
+        // With every total infinite, `place` panics as a full scan always
+        // has.
+        let Some(want_chain) = full_placement(&state.cost, &chains, &want) else {
+            return;
+        };
+        let settles = state.num_settles;
+        state.place(v, rng);
+        let base = state.penalty_base;
+        assert_eq!(state.chains[v], want_chain, "chain, base {base}");
+        let s = &state.searches;
+        let mut reached = 0;
+        for (r, (want_dist, want_pred)) in want.iter().enumerate() {
+            for q in (0..n).filter(|&q| s.dist[r * n + q].is_finite()) {
+                let (dist, pred) = (s.dist[r * n + q], s.pred[r * n + q]);
+                assert_eq!(dist.to_bits(), want_dist[q].to_bits(), "dist, base {base}");
+                assert_eq!(pred, want_pred[q], "pred, base {base}");
+                seen.absorbed += usize::from(pred != usize::MAX && dist == want_dist[pred]);
+                reached += 1;
+            }
+        }
+        let settled = (state.num_settles - settles) as usize;
+        assert!(settled <= reached, "a search settled a qubit twice");
+        let full = want.iter().flat_map(|(d, _)| d).filter(|d| d.is_finite()).count();
+        seen.stopped += usize::from(settled < full);
+    }
+
     #[test]
-    fn radix_dijkstra_matches_the_heap_reference_bit_for_bit() {
+    fn early_stopped_placement_matches_full_heap_searches() {
         use rand::RngExt;
+        const MAX_DEG: usize = 24;
         let targets = [pegasus_like(4), pegasus_like(8), chimera(3), Topology::grid(7, 5)];
         // 2^40 and 1e200 make `d + cost` round back to `d` (the tie path);
         // 1e200 also overflows some costs to infinity.
         let bases = [8.0, 4096.0, 1.5, 0.5, 2f64.powi(40), 1e200];
         let mut rng = StdRng::seed_from_u64(14);
-        let (mut dist, mut pred) = (Vec::new(), Vec::new());
-        let mut absorbed = 0usize;
+        let mut seen = Seen::default();
         for target in &targets {
             let n = target.num_qubits();
-            // One state per target, so the queue is reused across runs as
-            // it is within an `embed` call.
-            let mut state = State::new(target, Vec::new(), 8.0);
+            // Variable 0 is placed beside variables 1..=MAX_DEG, whose
+            // chains are 1-5 random qubits. One state per target, so the
+            // buffers are reused as within an `embed` call.
+            let mut adjacency = vec![(1..=MAX_DEG).collect::<Vec<_>>()];
+            adjacency.extend((0..MAX_DEG).map(|_| vec![0]));
+            let mut state = State::new(target, adjacency, 8.0);
             for &base in &bases {
-                for trial in 0..12 {
+                for trial in 0..24 {
                     // Usage on ~30% of qubits, as during placement; every
                     // other trial on ~70%, which walls regions off behind
                     // costly qubits so that more relaxations tie.
@@ -976,21 +1184,78 @@ mod tests {
                             if rng.random_bool(used) { rng.random_range(0..=4u32) } else { 0 };
                     }
                     state.set_penalty_base(base);
-                    let mut sources: Vec<usize> = (0..n).collect();
-                    sources.shuffle(&mut rng);
-                    sources.truncate(rng.random_range(1..=5usize));
-                    state.dijkstra_into(&sources, &mut dist, &mut pred);
-                    let (want_dist, want_pred) = heap_dijkstra(target, &state.cost, &sources);
-                    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&dist), bits(&want_dist), "dist, base {base}");
-                    assert_eq!(pred, want_pred, "pred, base {base}");
-                    absorbed += (0..n)
-                        .filter(|&w| pred[w] != usize::MAX && dist[w] == dist[pred[w]])
-                        .count();
+                    let deg = rng.random_range(1..=MAX_DEG);
+                    for u in 1..=MAX_DEG {
+                        let mut chain: Vec<usize> = (0..n).collect();
+                        chain.shuffle(&mut rng);
+                        chain.truncate(if u <= deg { rng.random_range(1..=5usize) } else { 0 });
+                        state.chains[u] = chain;
+                    }
+                    state.chains[0].clear();
+                    place_checked(&mut state, 0, &mut rng, &mut seen);
+                }
+            }
+            // The embedder's own moves: place a K8 variable by variable,
+            // then rip up and re-place every chain under a rising penalty.
+            // Paths of unused qubits tie often here.
+            let adjacency = (0..8).map(|v| (0..8).filter(|&u| u != v).collect()).collect();
+            let mut state = State::new(target, adjacency, 8.0);
+            for v in 0..8 {
+                place_checked(&mut state, v, &mut rng, &mut seen);
+            }
+            for pass in 0..12 {
+                state.set_penalty_base(8.0 * f64::from(1 << (pass / 3)));
+                for v in 0..8 {
+                    state.release(v);
+                    place_checked(&mut state, v, &mut rng, &mut seen);
                 }
             }
         }
-        assert!(absorbed > 0, "no relaxation hit the tie-insertion path");
+        assert!(seen.absorbed > 0, "no relaxation hit the tie-insertion path");
+        assert!(seen.stopped > 0, "no placement stopped its searches early");
+    }
+
+    #[test]
+    fn early_stop_keeps_near_ties_exact_on_small_graphs() {
+        // Tiny random graphs with costs set directly: small integers, where
+        // totals tie exactly, and inexact decimals, where the settle-order
+        // partial sums round apart from the search-order totals. Without
+        // the rounding margin, or with a stop on an equal bound, some of
+        // these placements take the wrong root.
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut seen = Seen::default();
+        for trial in 0..40_000 {
+            let n = rng.random_range(3..=9usize);
+            let mut edges = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    if rng.random_bool(0.35) {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let target = Topology::new(n, &edges);
+            let deg = rng.random_range(1..=3usize);
+            let mut adjacency = vec![(1..=deg).collect::<Vec<_>>()];
+            adjacency.extend((0..deg).map(|_| vec![0]));
+            let mut state = State::new(&target, adjacency, 8.0);
+            for q in 0..n {
+                state.cost[q] = if trial % 2 == 0 {
+                    f64::from(rng.random_range(1..=4u32))
+                } else {
+                    *[0.1, 0.2, 0.3, 0.7, 1.1, 1.3].choose(&mut rng).expect("non-empty")
+                };
+            }
+            for u in 1..=deg {
+                let mut chain: Vec<usize> = (0..n).collect();
+                chain.shuffle(&mut rng);
+                chain.truncate(rng.random_range(1..=2usize));
+                state.chains[u] = chain;
+            }
+            place_checked(&mut state, 0, &mut rng, &mut seen);
+        }
+        assert!(seen.stopped > 0, "no placement stopped its searches early");
     }
 
     #[test]

@@ -300,17 +300,16 @@ pub struct AnnealerBackend {
 impl JoinOrderOptimizer for AnnealerBackend {
     fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
         // The *first* attempt's embedding outcome is what the request
-        // actually paid for (a retry reuses the embedding the attempt
-        // before it cached), so it is the status telemetry should bill
-        // this request under. A failed embed can only come from the miss
-        // path, so it ran the embedder cold.
+        // actually paid for (a retry reuses the outcome, embedding or
+        // failure, that the attempt before it cached), so it is the status
+        // telemetry should bill this request under.
         let embed_status = std::cell::Cell::new(None::<&'static str>);
         let mut plan = plan_via_cache(&self.cache, query, |attempt, entry| {
-            let embedded = entry.embedding_with_status(|f| self.sampler.embed(&f.qubo));
+            let (embedded, status) = entry.embedding_with_status(|f| self.sampler.embed(&f.qubo));
             if embed_status.get().is_none() {
-                embed_status.set(Some(embedded.as_ref().map_or("cold", |&(_, status)| status)));
+                embed_status.set(Some(status));
             }
-            let (embedding, _) = embedded.ok()?;
+            let embedding = embedded.ok()?;
             let seed = stream_seed(self.sampler.sqa.seed, attempt as u64);
             let outcome =
                 self.sampler.sample_qubo_with_embedding(&entry.formulation.qubo, embedding, seed);

@@ -4,10 +4,12 @@
 //! of a request's join graph and hold everything expensive the pipeline
 //! derives from it: the MILP→BILP→QUBO formulation (built from the
 //! *canonical bucketed* query, so it is byte-identical across the whole
-//! fingerprint class) and, on demand, the minor-embedding of that QUBO
-//! onto the annealer topology — the dominant serving cost (in the
-//! committed smoke-serve run manifest, 6 cold embeds take 86.2 s of the
-//! 86.4 s run, against 0.9 ms for all 12 formulations).
+//! fingerprint class) and, on demand, the outcome of minor-embedding that
+//! QUBO onto the annealer topology — the dominant serving cost (on the
+//! benchmark's serve-cold workload, about 110 ms per cold embed against
+//! about 0.05 ms per formulation on a 2-vCPU x86-64 container). The
+//! embedder is deterministic, so a failed embed is kept like a successful
+//! one: no later attempt or request for the class runs it again.
 //!
 //! Eviction is LRU with a fixed capacity. Every lookup lands in the
 //! `serve.cache.{hit,miss,evict}` counters, which flow into the run
@@ -17,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use qjo_anneal::Embedding;
+use qjo_anneal::{AnnealError, Embedding};
 use qjo_core::{JoEncoder, JoQubo, Query};
 
 use crate::fingerprint::{canonicalize, CanonicalQuery, FingerprintConfig};
@@ -36,9 +38,10 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Entries dropped to make room (LRU victims).
     pub evictions: u64,
-    /// Embedding requests answered from a resident embedding.
+    /// Embedding requests answered from a resident embed outcome, a
+    /// failure included.
     pub embed_hits: u64,
-    /// Embedding requests that computed a fresh embedding.
+    /// Embedding requests that ran the embedder.
     pub embed_misses: u64,
 }
 
@@ -67,55 +70,57 @@ impl CacheTallies {
 }
 
 /// A cached formulation class: the canonical query, its formulation, and
-/// (if an annealer request materialised one) its minor-embedding.
+/// (once an annealer request ran the embedder) its embed outcome.
 pub struct CacheEntry {
     /// The canonical bucketed query the formulation was built from.
     pub canonical_query: Query,
     /// The full formulation bundle (QUBO + registry + intermediates).
     pub formulation: JoQubo,
-    /// Lazily-populated minor-embedding of `formulation.qubo`.
-    embedding: Mutex<Option<Embedding>>,
+    /// Lazily-populated outcome of embedding `formulation.qubo`.
+    embedding: Mutex<Option<Result<Embedding, AnnealError>>>,
     /// The owning cache's tallies (embed hits/misses count there).
     tallies: Arc<CacheTallies>,
 }
 
 impl CacheEntry {
-    /// Returns the cached embedding, or computes and caches it via
+    /// Returns the cached embed outcome, or computes and caches it via
     /// `embed`. The hit/miss counters are embedding-specific so the
     /// latency win of an embedding reuse is separately attributable.
     pub fn embedding_or_insert(
         &self,
-        embed: impl FnOnce(&JoQubo) -> Result<Embedding, qjo_anneal::AnnealError>,
-    ) -> Result<Embedding, qjo_anneal::AnnealError> {
-        self.embedding_with_status(embed).map(|(e, _)| e)
+        embed: impl FnOnce(&JoQubo) -> Result<Embedding, AnnealError>,
+    ) -> Result<Embedding, AnnealError> {
+        self.embedding_with_status(embed).0
     }
 
     /// Like [`embedding_or_insert`](Self::embedding_or_insert), but also
-    /// reports what *actually* happened under the lock (`"hit"` reused,
-    /// `"cold"` built fresh) — the status the caller should attribute
-    /// telemetry to, which can differ from any earlier prediction when
-    /// concurrent traffic or an eviction changed the cache in between.
+    /// reports what *actually* happened under the lock (`"hit"` reused a
+    /// cached outcome, `"cold"` ran `embed`) — the status the caller
+    /// should attribute telemetry to, which can differ from any earlier
+    /// prediction when concurrent traffic or an eviction changed the cache
+    /// in between.
     pub fn embedding_with_status(
         &self,
-        embed: impl FnOnce(&JoQubo) -> Result<Embedding, qjo_anneal::AnnealError>,
-    ) -> Result<(Embedding, &'static str), qjo_anneal::AnnealError> {
+        embed: impl FnOnce(&JoQubo) -> Result<Embedding, AnnealError>,
+    ) -> (Result<Embedding, AnnealError>, &'static str) {
         let mut slot = self.embedding.lock().expect("embedding lock");
-        if let Some(e) = slot.as_ref() {
+        if let Some(outcome) = slot.as_ref() {
             qjo_obs::counter!("serve.cache.embed_hit").incr();
             self.tallies.embed_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((e.clone(), "hit"));
+            return (outcome.clone(), "hit");
         }
         qjo_obs::counter!("serve.cache.embed_miss").incr();
         self.tallies.embed_misses.fetch_add(1, Ordering::Relaxed);
-        let e = embed(&self.formulation)?;
-        *slot = Some(e.clone());
-        Ok((e, "cold"))
+        let outcome = embed(&self.formulation);
+        *slot = Some(outcome.clone());
+        (outcome, "cold")
     }
 
     /// True when an embedding is already cached (used by pre-checks to
-    /// predict the cost of an annealer request deterministically).
+    /// predict the cost of an annealer request deterministically). A
+    /// cached failure is priced like a missing embedding.
     pub fn has_embedding(&self) -> bool {
-        self.embedding.lock().expect("embedding lock").is_some()
+        matches!(*self.embedding.lock().expect("embedding lock"), Some(Ok(_)))
     }
 }
 

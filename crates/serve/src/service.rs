@@ -614,31 +614,67 @@ mod tests {
         assert_eq!(events[1].slo, Some("met"));
     }
 
-    #[test]
-    fn an_exhausted_embed_is_billed_cold() {
-        // A line of exactly the query's qubit upper bound: the annealer
-        // admits the request, but no line holds the QUBO's minor, so every
-        // embed attempt fails and the request degrades to greedy. The
-        // event still bills the embed it paid for.
-        let query = QueryGenerator::paper_defaults(QueryGraph::Chain, 2).generate(1);
-        let n = qjo_core::qubit_upper_bound(&query, 1, 1.0).total();
+    /// An annealer service on a line of exactly `query`'s qubit upper
+    /// bound: the annealer admits the request, but no line holds the
+    /// QUBO's minor, so every embed attempt fails and the request degrades
+    /// to greedy.
+    fn unembeddable(query: &Query) -> Service {
+        let n = qjo_core::qubit_upper_bound(query, 1, 1.0).total();
         let cache =
             Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 1));
         let sampler = AnnealerSampler::new(qjo_transpile::Topology::line(n));
         let mut backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>> = BTreeMap::new();
         backends
             .insert("annealer".into(), Box::new(AnnealerBackend { cache: cache.clone(), sampler }));
-        let svc = Service::new(backends, cache);
-        let r = svc.handle(&Request {
-            id: "x".into(),
+        Service::new(backends, cache)
+    }
+
+    fn annealer_req(id: &str, query: &Query) -> Request {
+        Request {
+            id: id.into(),
             backend: "annealer".into(),
             deadline_ms: None,
-            query,
-        });
+            query: query.clone(),
+        }
+    }
+
+    #[test]
+    fn an_exhausted_embed_is_billed_cold() {
+        // The event still bills the embed the request paid for.
+        let query = QueryGenerator::paper_defaults(QueryGraph::Chain, 2).generate(1);
+        let svc = unembeddable(&query);
+        let r = svc.handle(&annealer_req("x", &query));
         assert!(r.fallback && !r.deadline_miss);
         let events = svc.drain_events();
         assert!(events[0].admitted);
         assert_eq!(events[0].embed, Some("cold"));
         assert_eq!(events[0].reason, Some("solve"));
+    }
+
+    #[test]
+    fn a_failed_embed_is_cached_on_its_class() {
+        // The cache's embed misses count the embedder's runs for this
+        // service alone (the process-global `embed.tries` also moves for
+        // the tests running beside this one).
+        let query = QueryGenerator::paper_defaults(QueryGraph::Chain, 2).generate(1);
+        let svc = unembeddable(&query);
+        let first = svc.handle(&annealer_req("x", &query));
+        // The first of the request's three solve attempts runs the
+        // exhausted embed; the other two read the cached failure.
+        let stats = svc.cache().stats();
+        assert_eq!((stats.embed_misses, stats.embed_hits), (1, 2));
+        let second = svc.handle(&annealer_req("y", &query));
+        // A later request for the class runs no embed either, and is
+        // billed as the hit it is.
+        let stats = svc.cache().stats();
+        assert_eq!((stats.embed_misses, stats.embed_hits), (1, 5));
+        assert!(first.fallback && second.fallback);
+        assert_eq!(first.cost, second.cost);
+        let events = svc.drain_events();
+        assert_eq!(events[0].embed, Some("cold"));
+        assert!(events[1].admitted);
+        assert_eq!(events[1].embed, Some("hit"));
+        assert_eq!(events[1].reason, Some("solve"));
+        assert!(!svc.cache().peek(&query).1.expect("resident class").has_embedding());
     }
 }

@@ -48,6 +48,8 @@ const CANONICAL_HASH: &str = "5f9276a36fb370cc";
 /// `serve.slo.*` included.
 const COUNTERS: &[(&str, u64)] = &[
     ("anneal.reads", 272),
+    ("embed.searches", 86090),
+    ("embed.settles", 19711008),
     ("embed.tries", 9),
     ("formulate.milps", 42),
     ("formulate.qubo_vars", 3984),
