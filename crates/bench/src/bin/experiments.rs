@@ -486,8 +486,8 @@ impl Driver {
                 );
             }
             "serve" => {
-                let cfg = serve_bench::ServeBenchConfig::default();
-                let result = serve_bench::run(&cfg, qjo_exec::Parallelism::auto());
+                // Seed 7 is the committed smoke-serve run's.
+                let result = serve_bench::run(7, qjo_exec::Parallelism::auto());
                 self.emit(
                     "serve_report",
                     "Serving: deterministic per-backend report",
@@ -509,7 +509,7 @@ impl Driver {
                 self.emit_raw("serve_events.canonical.jsonl", &canonical, rows, false);
                 let stats = format!("{}\n", result.stats.render());
                 self.emit_raw("serve_stats.json", &stats, 1, false);
-                qjo_obs::info!("serve: {} requests", result.requests);
+                qjo_obs::info!("serve: {} requests", result.events.len());
             }
             "robust" => {
                 let cfg = robustness::RobustnessConfig::default();

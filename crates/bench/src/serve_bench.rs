@@ -36,19 +36,6 @@ use qjo_serve::ServeEvent;
 
 use crate::report::Table;
 
-/// Knobs for one serving benchmark run.
-#[derive(Debug, Clone)]
-pub struct ServeBenchConfig {
-    /// Root seed for the service and both request mixes.
-    pub seed: u64,
-}
-
-impl Default for ServeBenchConfig {
-    fn default() -> Self {
-        ServeBenchConfig { seed: 7 }
-    }
-}
-
 /// Aggregated outcome of one serving benchmark run.
 #[derive(Debug, Clone)]
 pub struct ServeBenchResult {
@@ -56,8 +43,6 @@ pub struct ServeBenchResult {
     pub report: Vec<ReportRow>,
     /// Volatile latency rows (deterministic row set).
     pub latency: Vec<LatencyRow>,
-    /// Total requests served across both mixes.
-    pub requests: u64,
     /// One structured event per handled request, in service order.
     pub events: Vec<ServeEvent>,
     /// The service's final stats snapshot (see
@@ -68,16 +53,15 @@ pub struct ServeBenchResult {
 /// Runs the smoke serving benchmark: the smoke mix first (embedding
 /// warm-up), then its follow-up mix against the *same* service so its
 /// cache arrives warm — matching how a long-lived server behaves after
-/// its first minutes of traffic.
-pub fn run(cfg: &ServeBenchConfig, parallelism: Parallelism) -> ServeBenchResult {
-    let service = Service::smoke(cfg.seed, parallelism);
-    let mut requests = loadgen::generate_requests(&LoadMix::smoke(cfg.seed));
-    requests.extend(loadgen::generate_requests(&LoadMix::smoke_followup(stream_seed(cfg.seed, 1))));
-    let (outcomes, events) = loadgen::run_with_events(&service, &requests);
+/// its first minutes of traffic. `seed` roots the service and both mixes.
+pub fn run(seed: u64, parallelism: Parallelism) -> ServeBenchResult {
+    let service = Service::smoke(seed, parallelism);
+    let mut requests = loadgen::generate_requests(&LoadMix::smoke(seed));
+    requests.extend(loadgen::generate_requests(&LoadMix::smoke_followup(stream_seed(seed, 1))));
+    let events = loadgen::replay(&service, &requests);
     ServeBenchResult {
-        report: loadgen::aggregate_report(&outcomes),
-        latency: loadgen::aggregate_latency(&outcomes),
-        requests: outcomes.len() as u64,
+        report: loadgen::aggregate_report(&events),
+        latency: loadgen::aggregate_latency(&events),
         events,
         stats: service.stats_snapshot(),
     }

@@ -112,7 +112,7 @@ impl Series {
     }
 
     /// Whether `step` passes the stride filter — use to skip computing
-    /// expensive values (see also [`Series::record_with`]).
+    /// expensive values.
     pub fn wants(&self, step: u64) -> bool {
         self.inner.as_ref().is_some_and(|inner| step.is_multiple_of(inner.stride))
     }
@@ -128,14 +128,6 @@ impl Series {
                     .points
                     .push((step, value));
             }
-        }
-    }
-
-    /// Like [`Series::record`], but only computes the value for kept
-    /// steps.
-    pub fn record_with(&self, step: u64, value: impl FnOnce() -> f64) {
-        if self.wants(step) {
-            self.record(step, value());
         }
     }
 }
@@ -227,7 +219,6 @@ mod tests {
         assert!(!s.is_active());
         assert!(!s.wants(0));
         s.record(0, 1.0);
-        s.record_with(0, || panic!("must not be evaluated"));
     }
 
     #[test]
@@ -304,10 +295,10 @@ mod tests {
         let lazy = series("conv-test", "lazy");
         let mut evaluated = 0;
         for step in 0..20 {
-            lazy.record_with(step, || {
+            if lazy.wants(step) {
                 evaluated += 1;
-                0.0
-            });
+                lazy.record(step, 0.0);
+            }
         }
         assert_eq!(evaluated, 2, "steps 0 and 10 pass a stride of 10");
         let drained = drain_csv();

@@ -8,7 +8,7 @@
 //!
 //! # Drift detection
 //!
-//! [`diff`] compares the **deterministic** sections of two manifests —
+//! [`diff_entries`] compares the **deterministic** sections of two manifests —
 //! stage names and counters, global counters, resilience counters
 //! (fault injections and recovery activity), gauges, and artifact
 //! row counts / byte sizes / content hashes — and ignores everything
@@ -37,7 +37,7 @@ pub struct Artifact {
     /// `fnv1a64` hex digest of the exact bytes written.
     pub hash: String,
     /// Whether the content is timing-dependent (e.g. a wall-clock
-    /// benchmark table): [`diff`] then checks only the row count, not the
+    /// benchmark table): [`diff_entries`] then checks only the row count, not the
     /// hash or size.
     pub volatile: bool,
 }
@@ -76,13 +76,13 @@ impl Artifact {
 pub struct StageRecord {
     /// Stage name (e.g. `table3`).
     pub name: String,
-    /// Wall-clock duration (timing-dependent; ignored by [`diff`]).
+    /// Wall-clock duration (timing-dependent; ignored by [`diff_entries`]).
     pub duration_ms: f64,
     /// Counter increments attributed to this stage.
     pub counters: BTreeMap<String, u64>,
 }
 
-/// Span timing summary (timing-dependent; ignored by [`diff`]).
+/// Span timing summary (timing-dependent; ignored by [`diff_entries`]).
 ///
 /// Percentiles come from the quarter-decade-bucketed histogram, resolved
 /// to bucket upper bounds (see
@@ -327,8 +327,7 @@ fn parse_counters(value: Option<&Json>) -> Result<BTreeMap<String, u64>, String>
 }
 
 /// One divergence found by [`diff_entries`]: which section and key
-/// drifted, the expected (baseline) and actual (current) values, and the
-/// one-line description [`diff`] reports.
+/// drifted, and the expected (baseline) and actual (current) values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DriftEntry {
     /// Manifest section (`stages`, `stage <name>`, `counters`,
@@ -340,76 +339,38 @@ pub struct DriftEntry {
     pub expected: String,
     /// Current value, `(absent)` when the key only exists in `baseline`.
     pub actual: String,
-    /// Human-readable one-liner.
-    pub detail: String,
 }
 
 const ABSENT: &str = "(absent)";
 
+fn entry(section: &str, key: &str, expected: String, actual: String) -> DriftEntry {
+    DriftEntry { section: section.to_string(), key: key.to_string(), expected, actual }
+}
+
 /// Compares the deterministic sections of two manifests, returning one
-/// human-readable line per divergence (empty = no drift).
+/// entry per divergence (empty = no drift), for table rendering via
+/// [`render_drift_table`].
 ///
 /// Ignored as timing-dependent: the `run` section, every `duration_ms`
 /// and the `spans` section.
-pub fn diff(baseline: &RunManifest, current: &RunManifest) -> Vec<String> {
-    diff_entries(baseline, current).into_iter().map(|entry| entry.detail).collect()
-}
-
-/// [`diff`] with structured per-key expected/actual values, for table
-/// rendering via [`render_drift_table`].
 pub fn diff_entries(baseline: &RunManifest, current: &RunManifest) -> Vec<DriftEntry> {
     let mut drift = Vec::new();
 
     let baseline_stages: Vec<&str> = baseline.stages.iter().map(|s| s.name.as_str()).collect();
     let current_stages: Vec<&str> = current.stages.iter().map(|s| s.name.as_str()).collect();
     if baseline_stages != current_stages {
-        drift.push(DriftEntry {
-            section: "stages".to_string(),
-            key: "(order)".to_string(),
-            expected: format!("{baseline_stages:?}"),
-            actual: format!("{current_stages:?}"),
-            detail: format!("stages changed: {baseline_stages:?} -> {current_stages:?}"),
-        });
+        let (expected, actual) = (format!("{baseline_stages:?}"), format!("{current_stages:?}"));
+        drift.push(entry("stages", "(order)", expected, actual));
     } else {
         for (b, c) in baseline.stages.iter().zip(&current.stages) {
-            diff_counters(&mut drift, &format!("stage {}", b.name), &b.counters, &c.counters);
+            diff_values(&mut drift, &format!("stage {}", b.name), &b.counters, &c.counters);
         }
     }
 
-    diff_counters(&mut drift, "counters", &baseline.counters, &current.counters);
-    diff_counters(&mut drift, "resilience", &baseline.resilience, &current.resilience);
-    diff_counters(&mut drift, "slo", &baseline.slo, &current.slo);
-
-    for (name, &b) in &baseline.gauges {
-        match current.gauges.get(name) {
-            None => drift.push(DriftEntry {
-                section: "gauges".to_string(),
-                key: name.clone(),
-                expected: format!("{b}"),
-                actual: ABSENT.to_string(),
-                detail: format!("gauge {name} disappeared (was {b})"),
-            }),
-            Some(&c) if c != b => drift.push(DriftEntry {
-                section: "gauges".to_string(),
-                key: name.clone(),
-                expected: format!("{b}"),
-                actual: format!("{c}"),
-                detail: format!("gauge {name}: {b} -> {c}"),
-            }),
-            Some(_) => {}
-        }
-    }
-    for (name, &c) in &current.gauges {
-        if !baseline.gauges.contains_key(name) {
-            drift.push(DriftEntry {
-                section: "gauges".to_string(),
-                key: name.clone(),
-                expected: ABSENT.to_string(),
-                actual: format!("{c}"),
-                detail: format!("gauge {name} appeared"),
-            });
-        }
-    }
+    diff_values(&mut drift, "counters", &baseline.counters, &current.counters);
+    diff_values(&mut drift, "resilience", &baseline.resilience, &current.resilience);
+    diff_values(&mut drift, "slo", &baseline.slo, &current.slo);
+    diff_values(&mut drift, "gauges", &baseline.gauges, &current.gauges);
 
     let describe = |a: &Artifact| format!("hash {} ({} rows, {} bytes)", a.hash, a.rows, a.bytes);
     let baseline_artifacts: BTreeMap<&str, &Artifact> =
@@ -418,92 +379,48 @@ pub fn diff_entries(baseline: &RunManifest, current: &RunManifest) -> Vec<DriftE
         current.artifacts.iter().map(|a| (a.name.as_str(), a)).collect();
     for (name, b) in &baseline_artifacts {
         match current_artifacts.get(name) {
-            None => drift.push(DriftEntry {
-                section: "artifacts".to_string(),
-                key: (*name).to_string(),
-                expected: describe(b),
-                actual: ABSENT.to_string(),
-                detail: format!("artifact {name} disappeared"),
-            }),
+            None => drift.push(entry("artifacts", name, describe(b), ABSENT.to_string())),
             // Timing-dependent artifacts (benchmark tables) keep a stable
             // shape but not stable bytes: check the row count only.
             Some(c) if b.volatile || c.volatile => {
                 if c.rows != b.rows {
-                    drift.push(DriftEntry {
-                        section: "artifacts".to_string(),
-                        key: (*name).to_string(),
-                        expected: format!("{} rows", b.rows),
-                        actual: format!("{} rows", c.rows),
-                        detail: format!(
-                            "volatile artifact {name} changed shape: {} -> {} rows",
-                            b.rows, c.rows
-                        ),
-                    });
+                    let (expected, actual) =
+                        (format!("{} rows", b.rows), format!("{} rows", c.rows));
+                    drift.push(entry("artifacts", name, expected, actual));
                 }
             }
-            Some(c) if c.hash != b.hash => drift.push(DriftEntry {
-                section: "artifacts".to_string(),
-                key: (*name).to_string(),
-                expected: describe(b),
-                actual: describe(c),
-                detail: format!(
-                    "artifact {name} content drifted: hash {} -> {} ({} -> {} rows, {} -> {} \
-                     bytes)",
-                    b.hash, c.hash, b.rows, c.rows, b.bytes, c.bytes
-                ),
-            }),
+            Some(c) if c.hash != b.hash => {
+                drift.push(entry("artifacts", name, describe(b), describe(c)))
+            }
             Some(_) => {}
         }
     }
     for (name, c) in &current_artifacts {
         if !baseline_artifacts.contains_key(name) {
-            drift.push(DriftEntry {
-                section: "artifacts".to_string(),
-                key: (*name).to_string(),
-                expected: ABSENT.to_string(),
-                actual: describe(c),
-                detail: format!("artifact {name} appeared"),
-            });
+            drift.push(entry("artifacts", name, ABSENT.to_string(), describe(c)));
         }
     }
 
     drift
 }
 
-fn diff_counters(
+/// Diffs one name → value section (counters or gauges).
+fn diff_values<T: PartialEq + std::fmt::Display>(
     drift: &mut Vec<DriftEntry>,
-    context: &str,
-    baseline: &BTreeMap<String, u64>,
-    current: &BTreeMap<String, u64>,
+    section: &str,
+    baseline: &BTreeMap<String, T>,
+    current: &BTreeMap<String, T>,
 ) {
-    for (name, &b) in baseline {
+    for (name, b) in baseline {
         match current.get(name) {
-            None => drift.push(DriftEntry {
-                section: context.to_string(),
-                key: name.clone(),
-                expected: format!("{b}"),
-                actual: ABSENT.to_string(),
-                detail: format!("{context}: counter {name} disappeared (was {b})"),
-            }),
-            Some(&c) if c != b => drift.push(DriftEntry {
-                section: context.to_string(),
-                key: name.clone(),
-                expected: format!("{b}"),
-                actual: format!("{c}"),
-                detail: format!("{context}: counter {name}: {b} -> {c}"),
-            }),
+            None => drift.push(entry(section, name, b.to_string(), ABSENT.to_string())),
+            Some(c) if c != b => drift.push(entry(section, name, b.to_string(), c.to_string())),
             Some(_) => {}
         }
     }
-    for (name, &c) in current {
+    for (name, c) in current {
         if !baseline.contains_key(name) {
-            drift.push(DriftEntry {
-                section: context.to_string(),
-                key: name.clone(),
-                expected: ABSENT.to_string(),
-                actual: format!("{c}"),
-                detail: format!("{context}: counter {name} appeared"),
-            });
+            drift.push(entry(section, name, ABSENT.to_string(), c.to_string()));
         }
     }
 }
@@ -589,6 +506,11 @@ mod tests {
         assert_eq!(parsed.spans, manifest.spans, "percentiles survive the round-trip");
     }
 
+    /// The drift entry for one key, with `&str` cells.
+    fn drifted(section: &str, key: &str, expected: &str, actual: &str) -> DriftEntry {
+        entry(section, key, expected.to_string(), actual.to_string())
+    }
+
     #[test]
     fn diff_ignores_durations_and_run_metadata() {
         let baseline = sample_manifest();
@@ -597,7 +519,7 @@ mod tests {
         current.run.insert("threads".to_string(), Json::from(1u64));
         current.stages[0].duration_ms = 99999.0;
         current.spans.get_mut("experiments/table1").unwrap().total_ms = 1e9;
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
+        assert_eq!(diff_entries(&baseline, &current), Vec::new());
     }
 
     #[test]
@@ -607,11 +529,12 @@ mod tests {
         current.counters.insert("sa.restarts".to_string(), 41);
         current.stages[0].counters.insert("sa.restarts".to_string(), 41);
         current.artifacts[0].hash = "0000000000000000".to_string();
-        let drift = diff(&baseline, &current);
+        let drift = diff_entries(&baseline, &current);
         assert_eq!(drift.len(), 3, "{drift:?}");
-        assert!(drift.iter().any(|d| d.contains("stage table1")));
-        assert!(drift.iter().any(|d| d.contains("counters: counter sa.restarts: 40 -> 41")));
-        assert!(drift.iter().any(|d| d.contains("artifact table1.csv content drifted")));
+        assert_eq!(drift[0], drifted("stage table1", "sa.restarts", "40", "41"));
+        assert_eq!(drift[1], drifted("counters", "sa.restarts", "40", "41"));
+        assert_eq!((drift[2].section.as_str(), drift[2].key.as_str()), ("artifacts", "table1.csv"));
+        assert!(drift[2].actual.starts_with("hash 0000000000000000"), "{drift:?}");
     }
 
     #[test]
@@ -624,9 +547,13 @@ mod tests {
             counters: BTreeMap::new(),
         });
         current.artifacts.clear();
-        let drift = diff(&baseline, &current);
-        assert!(drift.iter().any(|d| d.contains("stages changed")));
-        assert!(drift.iter().any(|d| d.contains("artifact table1.csv disappeared")));
+        let drift = diff_entries(&baseline, &current);
+        assert_eq!(
+            drift[0],
+            drifted("stages", "(order)", "[\"table1\"]", "[\"table1\", \"fig9\"]")
+        );
+        let gone = drift.iter().find(|e| e.key == "table1.csv").expect("artifact entry");
+        assert_eq!(gone.actual, "(absent)");
     }
 
     #[test]
@@ -638,11 +565,10 @@ mod tests {
         assert!(current.artifacts[0].volatile);
         current.artifacts[0].hash = "0000000000000000".to_string();
         current.artifacts[0].bytes += 17;
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
+        assert_eq!(diff_entries(&baseline, &current), Vec::new());
         current.artifacts[0].rows += 1;
-        let drift = diff(&baseline, &current);
-        assert_eq!(drift.len(), 1, "{drift:?}");
-        assert!(drift[0].contains("changed shape"), "{drift:?}");
+        let drift = diff_entries(&baseline, &current);
+        assert_eq!(drift, vec![drifted("artifacts", "table1.csv", "4 rows", "5 rows")]);
     }
 
     #[test]
@@ -670,16 +596,17 @@ mod tests {
         baseline.resilience.insert("resil.io.write.recovered".to_string(), 4);
         let mut current = RunManifest::parse(&baseline.render()).unwrap();
         assert_eq!(current.resilience, baseline.resilience);
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
+        assert_eq!(diff_entries(&baseline, &current), Vec::new());
         // A chaos plan firing differently is drift, same as any counter.
         current.resilience.insert("resil.io.write.recovered".to_string(), 3);
         current.resilience.insert("resil.io.write.exhausted".to_string(), 1);
-        let drift = diff(&baseline, &current);
-        assert_eq!(drift.len(), 2, "{drift:?}");
-        assert!(drift
-            .iter()
-            .any(|d| d.contains("resilience: counter resil.io.write.recovered: 4 -> 3")));
-        assert!(drift.iter().any(|d| d.contains("resilience: counter resil.io.write.exhausted")));
+        assert_eq!(
+            diff_entries(&baseline, &current),
+            vec![
+                drifted("resilience", "resil.io.write.recovered", "4", "3"),
+                drifted("resilience", "resil.io.write.exhausted", "(absent)", "1"),
+            ]
+        );
     }
 
     #[test]
@@ -689,13 +616,16 @@ mod tests {
         baseline.slo.insert("serve.slo.missed.annealer".to_string(), 1);
         let mut current = RunManifest::parse(&baseline.render()).unwrap();
         assert_eq!(current.slo, baseline.slo);
-        assert_eq!(diff(&baseline, &current), Vec::<String>::new());
+        assert_eq!(diff_entries(&baseline, &current), Vec::new());
         current.slo.insert("serve.slo.missed.annealer".to_string(), 2);
         current.slo.insert("serve.slo.degraded.sa".to_string(), 1);
-        let drift = diff(&baseline, &current);
-        assert_eq!(drift.len(), 2, "{drift:?}");
-        assert!(drift.iter().any(|d| d.contains("slo: counter serve.slo.missed.annealer: 1 -> 2")));
-        assert!(drift.iter().any(|d| d.contains("slo: counter serve.slo.degraded.sa appeared")));
+        assert_eq!(
+            diff_entries(&baseline, &current),
+            vec![
+                drifted("slo", "serve.slo.missed.annealer", "1", "2"),
+                drifted("slo", "serve.slo.degraded.sa", "(absent)", "1"),
+            ]
+        );
     }
 
     #[test]
@@ -707,7 +637,7 @@ mod tests {
         let parsed = RunManifest::parse(&Json::Obj(root).render()).unwrap();
         assert!(parsed.slo.is_empty());
         // An empty current slo section diffs clean against it.
-        assert_eq!(diff(&parsed, &sample_manifest()), Vec::<String>::new());
+        assert_eq!(diff_entries(&parsed, &sample_manifest()), Vec::new());
     }
 
     #[test]
@@ -742,7 +672,7 @@ mod tests {
         root.insert("sched".to_string(), races);
         let parsed = RunManifest::parse(&Json::Obj(root).render()).unwrap();
         assert_eq!(parsed, RunManifest::parse(&text).unwrap());
-        assert_eq!(diff(&parsed, &sample_manifest()), Vec::<String>::new());
+        assert_eq!(diff_entries(&parsed, &sample_manifest()), Vec::new());
     }
 
     #[test]
@@ -793,10 +723,6 @@ mod tests {
         assert_eq!(artifact.key, "table1.csv");
         assert!(artifact.expected.contains("4 rows"), "{artifact:?}");
         assert!(artifact.actual.contains("hash 0000000000000000"), "{artifact:?}");
-
-        // The string diff stays in lockstep with the entries.
-        let lines = diff(&baseline, &current);
-        assert_eq!(lines, entries.iter().map(|e| e.detail.clone()).collect::<Vec<_>>());
     }
 
     #[test]

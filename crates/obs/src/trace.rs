@@ -446,17 +446,6 @@ pub fn unit_path() -> Vec<u64> {
     UNIT_STACK.with(|s| s.borrow().clone())
 }
 
-/// The unit path rendered for CSV keys: `-` when empty, else
-/// `/`-joined indices (`"3/0"`).
-pub fn unit_path_string() -> String {
-    let path = unit_path();
-    if path.is_empty() {
-        "-".to_string()
-    } else {
-        path.iter().map(u64::to_string).collect::<Vec<_>>().join("/")
-    }
-}
-
 /// Installs `prefix` as this thread's unit path.
 pub fn unit_prefix_scope(prefix: &[u64]) -> UnitPrefixScope {
     UnitPrefixScope { prev: UNIT_STACK.with(|s| s.replace(prefix.to_vec())) }
@@ -591,7 +580,6 @@ mod tests {
             let _p = unit_prefix_scope(&[3]);
             let _unit = unit_scope("trace-test-map", 2);
             assert_eq!(unit_path(), vec![3, 2]);
-            assert_eq!(unit_path_string(), "3/2");
         }
         stop();
         let rendered = to_chrome_json().render();
@@ -627,7 +615,7 @@ mod tests {
             assert_eq!(unit_path(), vec![5]);
         }
         assert_eq!(unit_path(), prev);
-        assert_eq!(unit_path_string(), "-");
+        assert!(prev.is_empty(), "a test thread starts outside any unit");
     }
 
     #[test]

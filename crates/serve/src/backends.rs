@@ -29,7 +29,7 @@ use qjo_qubo::SampleSet;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::cache::{CacheEntry, FormulationCache};
-use crate::optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, ServeError};
+use crate::optimizer::{JoinOrderOptimizer, Plan};
 
 /// Reseeded solve attempts before degrading to the greedy fallback.
 const SOLVE_ATTEMPTS: usize = 3;
@@ -75,46 +75,23 @@ fn plan_via_cache(
     }
 }
 
-/// Exact dynamic programming over connected subsets.
-#[derive(Debug, Clone)]
-pub struct DpBackend {
-    /// Largest query (relations) admitted; the DP table is `O(2^t)`.
-    pub max_relations: usize,
-}
+/// Largest query the `dp` backend admits; the DP table is `O(2^t)`.
+const DP_TABLE_MAX_RELATIONS: usize = 20;
 
-impl Default for DpBackend {
-    fn default() -> Self {
-        DpBackend { max_relations: 20 }
-    }
-}
+/// Exact dynamic programming over connected subsets.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DpBackend;
 
 impl JoinOrderOptimizer for DpBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        let check = self.pre_check(query);
-        if !check.admissible {
-            return Err(ServeError::Unsupported {
-                backend: "dp",
-                reason: check.reason.unwrap_or_default(),
-            });
-        }
+    fn optimize_join_order(&self, query: &Query) -> Plan {
         let (jo, cost) = dp_optimal(query);
-        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false })
+        Plan { order: jo.order, cost, cache: None, embed: None, fallback: false }
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "dp", family: "classical" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let t = query.num_relations();
-        if t > self.max_relations {
-            return PreCheck::reject(format!(
-                "dp table over {t} relations exceeds the {}-relation cap",
-                self.max_relations
-            ));
-        }
         // Subset-pair enumeration is Θ(3^t); charge ~1000 pairs/µs.
-        PreCheck::ok((3u64.saturating_pow(t as u32) / 1000).max(1))
+        (t <= DP_TABLE_MAX_RELATIONS).then(|| (3u64.saturating_pow(t as u32) / 1000).max(1))
     }
 }
 
@@ -124,18 +101,14 @@ impl JoinOrderOptimizer for DpBackend {
 pub struct GreedyBackend;
 
 impl JoinOrderOptimizer for GreedyBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
         let (jo, cost) = greedy_min_cost(query);
-        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false })
+        Plan { order: jo.order, cost, cache: None, embed: None, fallback: false }
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "greedy", family: "classical" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let t = query.num_relations() as u64;
-        PreCheck::ok((t * t / 10).max(1))
+        Some((t * t / 10).max(1))
     }
 }
 
@@ -158,7 +131,7 @@ pub const DP_MAX_RELATIONS: usize = 12;
 pub struct AutoBackend;
 
 impl JoinOrderOptimizer for AutoBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
         let (greedy, mut cost) = greedy_min_cost(query);
         let mut order = greedy.order;
         if query.num_relations() <= DP_MAX_RELATIONS {
@@ -167,23 +140,18 @@ impl JoinOrderOptimizer for AutoBackend {
                 (order, cost) = (dp.order, dp_cost);
             }
         }
-        Ok(Plan { order, cost, cache: None, embed: None, fallback: false })
+        Plan { order, cost, cache: None, embed: None, fallback: false }
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "auto", family: "classical" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         // The greedy and DP backends' own models, summed.
-        let t = query.num_relations() as u64;
-        let greedy = (t * t / 10).max(1);
-        let dp = if t as usize <= DP_MAX_RELATIONS {
-            (3u64.saturating_pow(t as u32) / 1000).max(1)
+        let greedy = GreedyBackend.pre_check(query)?;
+        let dp = if query.num_relations() <= DP_MAX_RELATIONS {
+            DpBackend.pre_check(query)?
         } else {
             0
         };
-        PreCheck::ok(greedy + dp)
+        Some(greedy + dp)
     }
 }
 
@@ -196,22 +164,18 @@ pub struct SaBackend {
 }
 
 impl JoinOrderOptimizer for SaBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
+        plan_via_cache(&self.cache, query, |attempt, entry| {
             let mut solver = self.solver.clone();
             solver.seed = stream_seed(self.solver.seed, attempt as u64);
             solver.solve(&entry.formulation.qubo).ok().map(|s| s.assignment)
-        }))
+        })
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "sa", family: "qubo" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let n = qubit_estimate(query);
         let flips = self.solver.restarts as u64 * self.solver.sweeps as u64 * n;
-        PreCheck::ok(FORMULATE_NOMINAL_US + flips / 1000)
+        Some(FORMULATE_NOMINAL_US + flips / 1000)
     }
 }
 
@@ -224,23 +188,19 @@ pub struct TabuBackend {
 }
 
 impl JoinOrderOptimizer for TabuBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
+        plan_via_cache(&self.cache, query, |attempt, entry| {
             let mut solver = self.solver.clone();
             solver.seed = stream_seed(self.solver.seed, attempt as u64);
             solver.solve(&entry.formulation.qubo).ok().map(|s| s.assignment)
-        }))
+        })
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "tabu", family: "qubo" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let n = qubit_estimate(query);
         // Each iteration scans the full neighbourhood (n candidate flips).
         let moves = self.solver.restarts as u64 * self.solver.iterations as u64 * n;
-        PreCheck::ok(FORMULATE_NOMINAL_US + moves / 1000)
+        Some(FORMULATE_NOMINAL_US + moves / 1000)
     }
 }
 
@@ -258,8 +218,8 @@ pub struct SqaBackend {
 }
 
 impl JoinOrderOptimizer for SqaBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
+        plan_via_cache(&self.cache, query, |attempt, entry| {
             let qubo = &entry.formulation.qubo;
             let ising = qubo.to_ising();
             let mut config = self.config;
@@ -271,18 +231,14 @@ impl JoinOrderOptimizer for SqaBackend {
                 .iter()
                 .map(|spins| spins_to_bits(spins))
                 .min_by(|a, b| energy(a).partial_cmp(&energy(b)).expect("finite energies"))
-        }))
+        })
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "sqa", family: "quantum-sim" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let n = qubit_estimate(query);
         let sweeps = (self.annealing_time_us * self.config.sweeps_per_us).ceil() as u64;
         let slice_updates = self.num_reads as u64 * sweeps * self.config.trotter_slices as u64 * n;
-        PreCheck::ok(FORMULATE_NOMINAL_US + slice_updates / 1000)
+        Some(FORMULATE_NOMINAL_US + slice_updates / 1000)
     }
 }
 
@@ -298,7 +254,7 @@ pub struct AnnealerBackend {
 }
 
 impl JoinOrderOptimizer for AnnealerBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
         // The *first* attempt's embedding outcome is what the request
         // actually paid for (a retry reuses the outcome, embedding or
         // failure, that the attempt before it cached), so it is the status
@@ -316,20 +272,13 @@ impl JoinOrderOptimizer for AnnealerBackend {
             outcome.samples.best().map(|s| s.assignment.clone())
         });
         plan.embed = embed_status.get();
-        Ok(plan)
+        plan
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "annealer", family: "quantum-sim" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let n = qubit_estimate(query);
         if n as usize > self.sampler.topology.num_qubits() {
-            return PreCheck::reject(format!(
-                "{n} logical qubits cannot embed into {} physical qubits",
-                self.sampler.topology.num_qubits()
-            ));
+            return None;
         }
         let sweeps =
             (self.sampler.annealing_time_us * self.sampler.sqa.sweeps_per_us).ceil() as u64;
@@ -342,7 +291,7 @@ impl JoinOrderOptimizer for AnnealerBackend {
             Some(entry) if entry.has_embedding() => 0,
             _ => EMBED_NOMINAL_US,
         };
-        PreCheck::ok(FORMULATE_NOMINAL_US + embed + anneal)
+        Some(FORMULATE_NOMINAL_US + embed + anneal)
     }
 }
 
@@ -364,15 +313,8 @@ pub struct QaoaBackend {
 }
 
 impl JoinOrderOptimizer for QaoaBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        let check = self.pre_check(query);
-        if !check.admissible {
-            return Err(ServeError::Unsupported {
-                backend: "qaoa",
-                reason: check.reason.unwrap_or_default(),
-            });
-        }
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query) -> Plan {
+        plan_via_cache(&self.cache, query, |attempt, entry| {
             let qubo = &entry.formulation.qubo;
             if qubo.num_vars() > self.max_qubits {
                 return None;
@@ -389,25 +331,18 @@ impl JoinOrderOptimizer for QaoaBackend {
                 qubo.energy(bits).expect("shot rows match the formulation width")
             });
             set.best().map(|s| s.assignment.clone())
-        }))
+        })
     }
 
-    fn describe(&self) -> BackendInfo {
-        BackendInfo { name: "qaoa", family: "quantum-sim" }
-    }
-
-    fn pre_check(&self, query: &Query) -> PreCheck {
+    fn pre_check(&self, query: &Query) -> Option<u64> {
         let n = qubit_estimate(query);
         if n as usize > self.max_qubits {
-            return PreCheck::reject(format!(
-                "{n} qubits exceed the {}-qubit statevector cap",
-                self.max_qubits
-            ));
+            return None;
         }
         // Each objective evaluation and each shot walks the 2^n state.
         let amplitudes = 1u64 << n.min(62);
         let evals = self.max_iterations as u64 + self.shots as u64 / 8;
-        PreCheck::ok(FORMULATE_NOMINAL_US + amplitudes * evals / 10_000)
+        Some(FORMULATE_NOMINAL_US + amplitudes * evals / 10_000)
     }
 }
 

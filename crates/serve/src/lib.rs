@@ -52,7 +52,7 @@ pub use backends::{
 pub use cache::{CacheCounters, CacheEntry, CacheStatus, FormulationCache};
 pub use events::{parse_event, validate_events, ServeEvent};
 pub use fingerprint::{canonicalize, CanonicalQuery, FingerprintConfig};
-pub use optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, ServeError};
+pub use optimizer::{JoinOrderOptimizer, Plan};
 pub use request::{parse_request, render_response, Request, Response};
 pub use service::Service;
 pub use telemetry::Telemetry;

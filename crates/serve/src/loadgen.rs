@@ -1,5 +1,5 @@
 //! The seeded load generator: a deterministic request mix and the
-//! aggregation that turns its outcomes into the serving report.
+//! aggregation that turns its replay's events into the serving report.
 //!
 //! Everything about the mix — query classes, relabellings, sub-bucket
 //! cardinality jitter, backend choice, deadlines — is a pure function of
@@ -120,72 +120,16 @@ pub fn generate_requests(mix: &LoadMix) -> Vec<Request> {
         .collect()
 }
 
-/// One served request, with its deterministic outcome fields and its
-/// (volatile) wall-clock latency.
-#[derive(Debug, Clone)]
-pub struct RequestOutcome {
-    /// Requested backend.
-    pub backend: String,
-    /// Formulation-cache outcome (`"hit"` / `"miss"`), when it applies.
-    pub cache: Option<&'static str>,
-    /// Embedding-cache outcome, attributed per request from the
-    /// service's event log.
-    pub embed: Option<&'static str>,
-    /// Deadline-model fallback.
-    pub deadline_miss: bool,
-    /// Any fallback (deadline, inadmissible, or solve degradation).
-    pub fallback: bool,
-    /// The request errored (e.g. unknown backend).
-    pub error: bool,
-    /// SLO class for deadline-carrying requests.
-    pub slo: Option<&'static str>,
-    /// Plan cost under the exact request query.
-    pub cost: Option<f64>,
-    /// Wall-clock service latency, microseconds. Volatile.
-    pub latency_us: u64,
-}
-
-fn outcome_from(
-    req: &Request,
-    resp: &crate::request::Response,
-    event: &ServeEvent,
-) -> RequestOutcome {
-    RequestOutcome {
-        backend: req.backend.clone(),
-        cache: resp.cache,
-        embed: event.embed,
-        deadline_miss: resp.deadline_miss,
-        fallback: resp.fallback,
-        error: resp.error.is_some(),
-        slo: event.slo,
-        cost: resp.cost,
-        latency_us: event.latency_us,
-    }
-}
-
-/// Replays `requests` one at a time and also returns the service's
-/// per-request event log for the replay (draining the service's event
-/// buffer as it goes). Outcome fields — embed attribution, SLO class,
-/// latency — come from each request's own event.
-pub fn run_with_events(
-    service: &Service,
-    requests: &[Request],
-) -> (Vec<RequestOutcome>, Vec<ServeEvent>) {
-    let mut outcomes = Vec::with_capacity(requests.len());
+/// Replays `requests` against the service, one at a time, and returns
+/// the service's event log for the replay (draining the service's event
+/// buffer after each request).
+pub fn replay(service: &Service, requests: &[Request]) -> Vec<ServeEvent> {
     let mut events = Vec::with_capacity(requests.len());
     for req in requests {
-        let resp = service.handle(req);
-        let drained = service.drain_events();
-        let event = drained.last().expect("handle records one event");
-        outcomes.push(outcome_from(req, &resp, event));
-        events.extend(drained);
+        service.handle(req);
+        events.extend(service.drain_events());
     }
-    (outcomes, events)
-}
-
-/// Replays `requests` against the service, one at a time.
-pub fn run(service: &Service, requests: &[Request]) -> Vec<RequestOutcome> {
-    run_with_events(service, requests).0
+    events
 }
 
 /// One deterministic report row (per backend).
@@ -220,35 +164,34 @@ pub struct ReportRow {
     pub mean_cost: f64,
 }
 
-/// Aggregates outcomes into per-backend rows, sorted by backend name.
-/// Every field is deterministic for a deterministic outcome stream.
-pub fn aggregate_report(outcomes: &[RequestOutcome]) -> Vec<ReportRow> {
-    let mut by_backend: std::collections::BTreeMap<&str, Vec<&RequestOutcome>> =
+/// Aggregates a replay's events into per-backend rows, sorted by backend
+/// name. Every field is deterministic for a deterministic request stream.
+pub fn aggregate_report(events: &[ServeEvent]) -> Vec<ReportRow> {
+    let mut by_backend: std::collections::BTreeMap<&str, Vec<&ServeEvent>> =
         std::collections::BTreeMap::new();
-    for o in outcomes {
-        by_backend.entry(&o.backend).or_default().push(o);
+    for e in events {
+        by_backend.entry(&e.backend).or_default().push(e);
     }
     by_backend
         .into_iter()
-        .map(|(backend, os)| {
-            let count =
-                |f: &dyn Fn(&RequestOutcome) -> bool| os.iter().filter(|o| f(o)).count() as u64;
-            let costs: Vec<f64> = os.iter().filter_map(|o| o.cost).collect();
+        .map(|(backend, es)| {
+            let count = |f: &dyn Fn(&ServeEvent) -> bool| es.iter().filter(|e| f(e)).count() as u64;
+            let costs: Vec<f64> = es.iter().filter_map(|e| e.cost).collect();
             let mean_cost =
                 if costs.is_empty() { 0.0 } else { costs.iter().sum::<f64>() / costs.len() as f64 };
             ReportRow {
                 backend: backend.to_string(),
-                requests: os.len() as u64,
-                cache_hits: count(&|o| o.cache == Some("hit")),
-                cache_misses: count(&|o| o.cache == Some("miss")),
-                embed_hits: count(&|o| o.embed == Some("hit")),
-                embed_cold: count(&|o| o.embed == Some("cold")),
-                deadline_misses: count(&|o| o.deadline_miss),
-                fallbacks: count(&|o| o.fallback),
-                errors: count(&|o| o.error),
-                slo_met: count(&|o| o.slo == Some("met")),
-                slo_degraded: count(&|o| o.slo == Some("degraded")),
-                slo_missed: count(&|o| o.slo == Some("missed")),
+                requests: es.len() as u64,
+                cache_hits: count(&|e| e.cache == Some("hit")),
+                cache_misses: count(&|e| e.cache == Some("miss")),
+                embed_hits: count(&|e| e.embed == Some("hit")),
+                embed_cold: count(&|e| e.embed == Some("cold")),
+                deadline_misses: count(&|e| e.reason == Some("deadline")),
+                fallbacks: count(&|e| e.outcome == "fallback"),
+                errors: count(&|e| e.outcome == "error"),
+                slo_met: count(&|e| e.slo == Some("met")),
+                slo_degraded: count(&|e| e.slo == Some("degraded")),
+                slo_missed: count(&|e| e.slo == Some("missed")),
                 mean_cost,
             }
         })
@@ -280,17 +223,17 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// Aggregates wall-clock latencies. The row *set* is deterministic (it
 /// only depends on which deterministic classes occurred); the values are
 /// volatile.
-pub fn aggregate_latency(outcomes: &[RequestOutcome]) -> Vec<LatencyRow> {
+pub fn aggregate_latency(events: &[ServeEvent]) -> Vec<LatencyRow> {
     let mut by_key: std::collections::BTreeMap<String, Vec<u64>> =
         std::collections::BTreeMap::new();
-    for o in outcomes {
-        by_key.entry(o.backend.clone()).or_default().push(o.latency_us);
-        match o.embed {
+    for e in events {
+        by_key.entry(e.backend.clone()).or_default().push(e.latency_us);
+        match e.embed {
             Some("cold") => {
-                by_key.entry(format!("{}:cold", o.backend)).or_default().push(o.latency_us)
+                by_key.entry(format!("{}:cold", e.backend)).or_default().push(e.latency_us)
             }
             Some("hit") => {
-                by_key.entry(format!("{}:warm", o.backend)).or_default().push(o.latency_us)
+                by_key.entry(format!("{}:warm", e.backend)).or_default().push(e.latency_us)
             }
             _ => {}
         }
@@ -355,32 +298,31 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_counts_match_the_outcomes() {
-        let outcomes = vec![
-            RequestOutcome {
-                backend: "sa".into(),
-                cache: Some("miss"),
-                embed: None,
-                deadline_miss: false,
-                fallback: false,
-                error: false,
-                slo: Some("met"),
-                cost: Some(4.0),
-                latency_us: 100,
-            },
-            RequestOutcome {
-                backend: "sa".into(),
-                cache: Some("hit"),
-                embed: None,
-                deadline_miss: true,
-                fallback: true,
-                error: false,
-                slo: Some("degraded"),
-                cost: Some(6.0),
-                latency_us: 50,
-            },
+    fn aggregation_counts_match_the_events() {
+        let event = |cache, outcome, reason: Option<&'static str>, slo, cost| ServeEvent {
+            seq: 0,
+            id: String::new(),
+            backend: "sa".into(),
+            fingerprint: String::new(),
+            deadline_ms: Some(2),
+            admitted: reason.is_none(),
+            cache,
+            embed: None,
+            outcome,
+            reason,
+            slo,
+            cost: Some(cost),
+            est_cost_us: Some(1_000),
+            latency_us: 100,
+            portfolio: None,
+            winner: None,
+            cancelled: None,
+        };
+        let events = vec![
+            event(Some("miss"), "ok", None, Some("met"), 4.0),
+            event(Some("hit"), "fallback", Some("deadline"), Some("degraded"), 6.0),
         ];
-        let rows = aggregate_report(&outcomes);
+        let rows = aggregate_report(&events);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!((r.requests, r.cache_hits, r.cache_misses), (2, 1, 1));

@@ -2,10 +2,10 @@
 //!
 //! Every solver in the workspace — classical DP/greedy, QUBO
 //! metaheuristics, the SQA engine, the annealer pipeline, and the QAOA
-//! statevector simulator — is wrapped behind one small trait so the
-//! serving loop can treat them interchangeably: `pre_check` a request
-//! (deterministic admission + cost model), `optimize_join_order` it, or
-//! `describe` the backend for reports.
+//! statevector simulator — is wrapped behind one small trait with the
+//! two calls the serving loop makes: `pre_check` a request
+//! (deterministic admission and cost model) and, once admitted,
+//! `optimize_join_order` it.
 //!
 //! Cost estimates are *nominal microseconds from a static work model*,
 //! not measurements: admission and deadline decisions must be
@@ -15,40 +15,6 @@
 use qjo_core::Query;
 
 use crate::cache::CacheStatus;
-
-/// What a backend is, for reports and routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendInfo {
-    /// Stable identifier used in requests, reports, and counters
-    /// (e.g. `"dp"`, `"annealer"`).
-    pub name: &'static str,
-    /// Coarse family: `"classical"`, `"qubo"` or `"quantum-sim"`.
-    pub family: &'static str,
-}
-
-/// Deterministic admission verdict for a request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreCheck {
-    /// Whether the backend can answer this query at all.
-    pub admissible: bool,
-    /// Why not, when `admissible` is false.
-    pub reason: Option<String>,
-    /// Nominal work in model-microseconds. Compared against
-    /// `deadline_ms * 1000` by the service; never a measurement.
-    pub cost_estimate_us: u64,
-}
-
-impl PreCheck {
-    /// An admissible verdict with the given nominal cost.
-    pub fn ok(cost_estimate_us: u64) -> Self {
-        PreCheck { admissible: true, reason: None, cost_estimate_us }
-    }
-
-    /// An inadmissible verdict carrying its reason.
-    pub fn reject(reason: impl Into<String>) -> Self {
-        PreCheck { admissible: false, reason: Some(reason.into()), cost_estimate_us: u64::MAX }
-    }
-}
 
 /// A served join order.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,47 +38,22 @@ pub struct Plan {
     pub fallback: bool,
 }
 
-/// Serving errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeError {
-    /// The backend's `pre_check` rejects this query.
-    Unsupported {
-        /// Backend that rejected the request.
-        backend: &'static str,
-        /// Human-readable rejection reason.
-        reason: String,
-    },
-    /// The solve itself failed after retries and fallback.
-    Solve {
-        /// Backend that failed.
-        backend: &'static str,
-        /// Human-readable failure reason.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Unsupported { backend, reason } => {
-                write!(f, "{backend}: unsupported request: {reason}")
-            }
-            ServeError::Solve { backend, reason } => write!(f, "{backend}: solve failed: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
 /// A join-order optimisation backend, PostBOUND-style.
+///
+/// The contract: a backend declines a query in [`pre_check`], or answers
+/// it with a valid left-deep permutation of the query's relations.
+///
+/// [`pre_check`]: JoinOrderOptimizer::pre_check
 pub trait JoinOrderOptimizer: Send + Sync {
-    /// Optimises the join order of `query`.
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError>;
+    /// Optimises the join order of a query that [`pre_check`] admitted.
+    ///
+    /// [`pre_check`]: JoinOrderOptimizer::pre_check
+    fn optimize_join_order(&self, query: &Query) -> Plan;
 
-    /// Identifies the backend.
-    fn describe(&self) -> BackendInfo;
-
-    /// Deterministic admission check and nominal cost estimate. Must be
-    /// cheap, side-effect free, and identical across thread counts.
-    fn pre_check(&self, query: &Query) -> PreCheck;
+    /// Deterministic admission check: the nominal cost of answering
+    /// `query` in model-microseconds, compared against `deadline_ms *
+    /// 1000` by the service, or `None` when this backend cannot answer
+    /// it. Must be cheap, side-effect free, and identical across thread
+    /// counts.
+    fn pre_check(&self, query: &Query) -> Option<u64>;
 }

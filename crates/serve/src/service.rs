@@ -29,7 +29,7 @@ use crate::backends::{
 use crate::cache::FormulationCache;
 use crate::events::ServeEvent;
 use crate::fingerprint::FingerprintConfig;
-use crate::optimizer::{JoinOrderOptimizer, Plan, ServeError};
+use crate::optimizer::{JoinOrderOptimizer, Plan};
 use crate::request::{Request, Response};
 use crate::telemetry::Telemetry;
 
@@ -37,7 +37,6 @@ use crate::telemetry::Telemetry;
 /// cache, with the greedy planner as the universal fallback.
 pub struct Service {
     backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>>,
-    fallback: GreedyBackend,
     cache: Arc<FormulationCache>,
     telemetry: Telemetry,
 }
@@ -64,7 +63,7 @@ impl Service {
         backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>>,
         cache: Arc<FormulationCache>,
     ) -> Self {
-        Service { backends, fallback: GreedyBackend, cache, telemetry: Telemetry::new() }
+        Service { backends, cache, telemetry: Telemetry::new() }
     }
 
     /// The full backend roster at smoke scale: `auto` and every solver
@@ -79,7 +78,7 @@ impl Service {
             Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 64));
         let mut backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>> = BTreeMap::new();
         backends.insert("auto".into(), Box::new(AutoBackend));
-        backends.insert("dp".into(), Box::new(DpBackend::default()));
+        backends.insert("dp".into(), Box::new(DpBackend));
         backends.insert("greedy".into(), Box::new(GreedyBackend));
         backends.insert(
             "sa".into(),
@@ -144,6 +143,11 @@ impl Service {
             }),
         );
         Service::new(backends, cache)
+    }
+
+    /// The backend registered under `name`.
+    pub fn backend(&self, name: &str) -> Option<&dyn JoinOrderOptimizer> {
+        self.backends.get(name).map(Box::as_ref)
     }
 
     /// The shared formulation cache.
@@ -225,18 +229,15 @@ impl Service {
         Json::Obj(root)
     }
 
-    fn greedy_response(&self, req: &Request, deadline_miss: bool, fallback: bool) -> Response {
-        let plan = self
-            .fallback
-            .optimize_join_order(&req.query)
-            .expect("greedy never fails on a valid query");
+    fn greedy_response(&self, req: &Request, deadline_miss: bool) -> Response {
+        let plan = GreedyBackend.optimize_join_order(&req.query);
         Response {
             id: req.id.clone(),
             backend: req.backend.clone(),
             order: plan.order,
             cost: Some(plan.cost),
             cache: None,
-            fallback,
+            fallback: true,
             deadline_miss,
             error: None,
         }
@@ -272,7 +273,7 @@ impl Service {
         let slo = req.deadline_ms.map(|deadline_ms| {
             if resp.order.is_empty() {
                 "missed" // no executable order at all
-            } else if !resp.fallback && resp.error.is_none() {
+            } else if !resp.fallback {
                 "met" // the named backend's model cost fit the budget
             } else {
                 // Degraded to greedy: still within SLO iff the greedy
@@ -281,7 +282,7 @@ impl Service {
                 // as missed here — every fallback estimate is at least
                 // 1 µs, consistent with admission's 0-budget divert.
                 let budget_us = deadline_ms.saturating_mul(1000);
-                if self.fallback.pre_check(&req.query).cost_estimate_us <= budget_us {
+                if GreedyBackend.pre_check(&req.query).is_some_and(|est| est <= budget_us) {
                     "degraded"
                 } else {
                     "missed"
@@ -320,7 +321,7 @@ impl Service {
     }
 
     fn handle_inner(&self, req: &Request) -> (Response, HandleMeta) {
-        let Some(backend) = self.backends.get(&req.backend) else {
+        let Some(backend) = self.backend(&req.backend) else {
             self.count("serve.unknown_backend", 1);
             let resp = Response {
                 id: req.id.clone(),
@@ -334,21 +335,16 @@ impl Service {
             };
             return (resp, HandleMeta::diverted("unknown_backend", None));
         };
-        let check = backend.pre_check(&req.query);
-        if !check.admissible {
+        let Some(est) = backend.pre_check(&req.query) else {
             // Inadmissible for this backend (too large, unembeddable…):
             // degrade to greedy so the caller still gets an order.
             self.count("serve.unsupported", 1);
             self.count("serve.fallback", 1);
-            return (
-                self.greedy_response(req, false, true),
-                HandleMeta::diverted("unsupported", None),
-            );
-        }
+            return (self.greedy_response(req, false), HandleMeta::diverted("unsupported", None));
+        };
         let mut est_cost_us = None;
         if let Some(deadline_ms) = req.deadline_ms {
             let budget_us = deadline_ms.saturating_mul(1000);
-            let est = check.cost_estimate_us;
             est_cost_us = Some(est);
             // A zero deadline demands an answer in no time: always serve
             // the fallback. Without the explicit `budget_us == 0` arm a
@@ -358,48 +354,34 @@ impl Service {
                 self.count("serve.deadline.miss", 1);
                 self.count("serve.fallback", 1);
                 return (
-                    self.greedy_response(req, true, true),
+                    self.greedy_response(req, true),
                     HandleMeta::diverted("deadline", est_cost_us),
                 );
             }
         }
-        match backend.optimize_join_order(&req.query) {
-            Ok(Plan { order, cost, cache, embed, fallback }) => {
-                if fallback {
-                    self.count("serve.fallback", 1);
-                    self.count("serve.solve.fallback", 1);
-                }
-                let resp = Response {
-                    id: req.id.clone(),
-                    backend: req.backend.clone(),
-                    order,
-                    cost: Some(cost),
-                    cache: cache.map(|s| s.name()),
-                    fallback,
-                    deadline_miss: false,
-                    error: None,
-                };
-                let reason = if fallback { Some("solve") } else { None };
-                (resp, HandleMeta { admitted: true, reason, est_cost_us, embed })
-            }
-            Err(e @ ServeError::Unsupported { .. }) | Err(e @ ServeError::Solve { .. }) => {
-                // pre_check admitted it but the solve still failed: last
-                // resort is still a greedy order plus the error text.
-                self.count("serve.fallback", 1);
-                let mut resp = self.greedy_response(req, false, true);
-                resp.error = Some(e.to_string());
-                let meta =
-                    HandleMeta { admitted: true, reason: Some("solve"), est_cost_us, embed: None };
-                (resp, meta)
-            }
+        let Plan { order, cost, cache, embed, fallback } = backend.optimize_join_order(&req.query);
+        if fallback {
+            self.count("serve.fallback", 1);
+            self.count("serve.solve.fallback", 1);
         }
+        let resp = Response {
+            id: req.id.clone(),
+            backend: req.backend.clone(),
+            order,
+            cost: Some(cost),
+            cache: cache.map(|s| s.name()),
+            fallback,
+            deadline_miss: false,
+            error: None,
+        };
+        let reason = if fallback { Some("solve") } else { None };
+        (resp, HandleMeta { admitted: true, reason, est_cost_us, embed })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{BackendInfo, PreCheck};
     use qjo_core::{Query, QueryGenerator, QueryGraph};
 
     fn req(id: &str, backend: &str, deadline_ms: Option<u64>, seed: u64) -> Request {
@@ -571,14 +553,11 @@ mod tests {
         // stub.
         struct Free;
         impl JoinOrderOptimizer for Free {
-            fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+            fn optimize_join_order(&self, query: &Query) -> Plan {
                 GreedyBackend.optimize_join_order(query)
             }
-            fn describe(&self) -> BackendInfo {
-                BackendInfo { name: "free", family: "classical" }
-            }
-            fn pre_check(&self, _query: &Query) -> PreCheck {
-                PreCheck::ok(0)
+            fn pre_check(&self, _query: &Query) -> Option<u64> {
+                Some(0)
             }
         }
         let cache =

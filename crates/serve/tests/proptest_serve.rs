@@ -147,7 +147,7 @@ fn serve_report_is_invariant_across_thread_counts() {
     let requests = loadgen::generate_requests(&mix);
     let report_at = |par: Parallelism| {
         let service = Service::smoke(mix.seed, par);
-        loadgen::aggregate_report(&loadgen::run(&service, &requests))
+        loadgen::aggregate_report(&loadgen::replay(&service, &requests))
     };
     let sequential = report_at(Parallelism::sequential());
     let wide = report_at(Parallelism::new(8));

@@ -36,7 +36,7 @@ fn deterministic_event_fields_are_identical_across_thread_counts() {
         let service = Service::smoke(13, Parallelism::new(threads));
         let mix = fast_mix(13);
         let requests = loadgen::generate_requests(&mix);
-        let (_, events) = loadgen::run_with_events(&service, &requests);
+        let events = loadgen::replay(&service, &requests);
         assert_eq!(validate_events(&events), Vec::<String>::new());
         render_canonical(&events)
     };
@@ -192,15 +192,13 @@ fn one_annealer_class_embeds_once_then_hits() {
     // counter moves only for this service's requests.
     let tries = || qjo_obs::counter("embed.tries").get();
     let before = tries();
-    let (mut outcomes, mut events) = loadgen::run_with_events(&service, &requests[..1]);
+    let mut events = loadgen::replay(&service, &requests[..1]);
     let after_cold = tries();
     assert!(after_cold > before, "the cold request never ran the embedder");
-    let (warm_outcomes, warm_events) = loadgen::run_with_events(&service, &requests[1..]);
+    events.extend(loadgen::replay(&service, &requests[1..]));
     // What the embedding cache saves, exactly: a hit does zero embed work.
     assert_eq!(tries(), after_cold, "a cache hit ran the embedder");
-    outcomes.extend(warm_outcomes);
-    events.extend(warm_events);
     assert_eq!(validate_events(&events), Vec::<String>::new());
-    assert_eq!(outcomes.iter().filter(|o| o.embed == Some("cold")).count(), 1);
-    assert!(outcomes.iter().filter(|o| o.embed == Some("hit")).count() >= 3);
+    assert_eq!(events.iter().filter(|e| e.embed == Some("cold")).count(), 1);
+    assert!(events.iter().filter(|e| e.embed == Some("hit")).count() >= 3);
 }

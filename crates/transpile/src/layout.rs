@@ -31,11 +31,6 @@ pub fn interaction_weights(circuit: &Circuit) -> Vec<Vec<usize>> {
 /// A layout maps logical qubit `l` to physical qubit `layout[l]`.
 pub type Layout = Vec<usize>;
 
-/// Identity layout (logical `i` on physical `i`).
-pub fn trivial_layout(num_logical: usize) -> Layout {
-    (0..num_logical).collect()
-}
-
 /// Greedy interaction-driven placement.
 ///
 /// Physical candidates are explored by BFS from the highest-degree hardware
@@ -196,10 +191,5 @@ mod tests {
         assert!(validate_layout(&vec![0, 1, 2], &t));
         assert!(!validate_layout(&vec![0, 0], &t));
         assert!(!validate_layout(&vec![5], &t));
-    }
-
-    #[test]
-    fn trivial_layout_is_identity() {
-        assert_eq!(trivial_layout(4), vec![0, 1, 2, 3]);
     }
 }

@@ -45,7 +45,7 @@ pub mod transpiler;
 pub use decompose::NativeGateSet;
 pub use device::Device;
 pub use error::TranspileError;
-pub use metrics::{stats, stats_cheap, TopologyStats};
+pub use metrics::{stats, TopologyStats};
 pub use routing::{respects_topology, RoutedCircuit, RouterConfig};
 pub use topology::Topology;
 pub use transpiler::{DepthStats, Strategy, TranspileResult, Transpiler};

@@ -30,8 +30,8 @@ pub struct TopologyStats {
 }
 
 /// Computes the statistics. Mean distance costs a BFS per vertex — fine
-/// for gate-model topologies (≤ a few hundred qubits); for annealer-scale
-/// graphs prefer sampling or skip via [`stats_cheap`].
+/// for gate-model topologies (≤ a few hundred qubits), slow on
+/// annealer-scale graphs.
 pub fn stats(topology: &Topology) -> TopologyStats {
     let n = topology.num_qubits();
     let degrees: Vec<usize> = (0..n).map(|q| topology.degree(q)).collect();
@@ -58,23 +58,6 @@ pub fn stats(topology: &Topology) -> TopologyStats {
         degree_max: degrees.iter().copied().max().unwrap_or(0),
         mean_distance,
         diameter: topology.diameter(),
-    }
-}
-
-/// The O(V + E) subset of [`stats`] (no distance metrics) — safe for
-/// annealer-scale graphs.
-pub fn stats_cheap(topology: &Topology) -> TopologyStats {
-    let n = topology.num_qubits();
-    let degrees: Vec<usize> = (0..n).map(|q| topology.degree(q)).collect();
-    TopologyStats {
-        num_qubits: n,
-        num_edges: topology.num_edges(),
-        density: topology.density(),
-        degree_min: degrees.iter().copied().min().unwrap_or(0),
-        degree_mean: if n == 0 { 0.0 } else { degrees.iter().sum::<usize>() as f64 / n as f64 },
-        degree_max: degrees.iter().copied().max().unwrap_or(0),
-        mean_distance: None,
-        diameter: None,
     }
 }
 
@@ -133,17 +116,6 @@ mod tests {
         assert_eq!(s.mean_distance, None);
         assert_eq!(s.diameter, None);
         assert_eq!(s.num_edges, 2);
-    }
-
-    #[test]
-    fn cheap_stats_agree_on_the_cheap_fields() {
-        let t = falcon_27();
-        let full = stats(&t);
-        let cheap = stats_cheap(&t);
-        assert_eq!(cheap.num_qubits, full.num_qubits);
-        assert_eq!(cheap.num_edges, full.num_edges);
-        assert_eq!(cheap.degree_mean, full.degree_mean);
-        assert_eq!(cheap.mean_distance, None);
     }
 
     #[test]

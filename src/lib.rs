@@ -18,7 +18,8 @@
 //!   one `JoinOrderOptimizer` trait (`auto` among them: greedy, or the
 //!   exact DP plan when that is strictly cheaper and the query has at
 //!   most 12 relations), a content-addressed formulation and embedding
-//!   cache, and the batching JSON request loop.
+//!   cache, and a JSON request loop that answers each line before it
+//!   reads the next.
 //! * [`sched`] — `smoke_service`, a shim over `serve::Service::smoke`
 //!   kept for the benchmark package.
 //!
